@@ -23,14 +23,19 @@ from .models import ConstantPump, PerBinPump, ProtocolConfig
 # Hard cap on brute-force enumeration work, (t+1)**m joint outcomes.
 _ORACLE_MAX_OUTCOMES = 200_000
 
-# Fixed stream for optimizer restarts; restarts are part of the
-# deterministic algorithm, not a source of run-to-run variation.
-_RESTART_KEY = 20240917
-_RESTART_COUNT = 3
-
-_COORDINATE_TOL = 1e-8
+_GRID_POINTS = 64
 _GOLDEN_XTOL = 1e-6
-_MAX_SWEEPS = 100
+# Per-bin searches refine to this fraction of the pump level: about the
+# square root of machine epsilon, below which the objective is flat to
+# rounding at its maximum.
+_BIN_RTOL = 1e-8
+# Per-loop fidelities hold only to a few ulps (the lossless resolved
+# plateau F = 1 reads 1 +- 2.2e-16), so per-bin values closer than this
+# fraction of the size of their terms count as ties.
+_TIE_RTOL = 8 * np.finfo(float).eps
+# Dinkelbach's ratio increases strictly until it converges, so this cap
+# only guards against rounding noise keeping it moving.
+_DINKELBACH_MAX_ITER = 50
 
 
 class Objective(Enum):
@@ -158,14 +163,8 @@ def optimize_constant(
     def phi(x: float) -> float:
         return evaluate(np.full(config.time_bins, x))
 
-    grid = np.geomspace(lo, hi, 64)
-    values = [phi(x) for x in grid]
-    best = int(np.argmax(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid.size - 1)]
-    x_best, v_best = _golden_max(phi, a, b)
-    if values[best] > v_best or (values[best] == v_best and grid[best] < x_best):
-        x_best, v_best = float(grid[best]), values[best]
+    grid = np.geomspace(lo, hi, _GRID_POINTS)
+    x_best, v_best = _scan_and_refine(phi, grid, [phi(x) for x in grid])
     return OptimizationResult(
         schedule=ConstantPump(x_best),
         objective_value=v_best,
@@ -179,70 +178,87 @@ def optimize_schedule(
     objective: Objective,
     bounds: tuple[float, float] = (1e-3, 10.0),
 ) -> OptimizationResult:
-    """Best per-bin pump schedule within ``bounds``: coordinate ascent
-    seeded at the constant optimum plus a few fixed random restarts,
-    stopping a pass once no coordinate improves by more than 1e-8.
-    Returns the schedule in reverse-chronological order (entry 0 is the
-    final bin).
+    """Best per-bin pump schedule within ``bounds``, by backward induction.
+
+    The switch keeps the freshest herald, so the unconditional fidelity
+    nests as ``U = S_0 F_0 + (1 - S_0)(S_1 F_1 + (1 - S_1)(...))`` and bin
+    l's terms depend only on its own pump level.  The optimum is therefore
+    the Bellman recursion ``W_t = 0``,
+    ``W_l = max_n [S(n)(F_l(n) - lambda) + (1 - S(n)) W_{l+1}]``, run from
+    the oldest bin to the newest.  Each bin is a 1-D search: a logarithmic
+    grid scan followed by golden-section refinement of the best bracket,
+    with ties going to the lowest pump level.
+
+    ``lambda`` is 0 for the unconditional objective.  The conditional
+    objective is the ratio U/H with H the herald probability; Dinkelbach
+    iteration sets ``lambda`` to the ratio of the last schedule until it
+    stops increasing.  The reported value is the closed form of the
+    returned schedule, 0 when the train can never herald.  Returns the
+    schedule in reverse-chronological order (entry 0 is the final bin);
+    ``evaluations`` counts the pump levels the per-bin searches evaluated.
     """
     lo, hi = _check_bounds(bounds)
-    t = config.time_bins
-    constant = optimize_constant(config, objective, bounds)
-    evaluate, evals = _counted_objective(config, objective)
+    evaluate, _ = _counted_objective(config, objective)
+    eta_d = config.detector.efficiency
+    kind = config.detector.kind
+    taus = _transmission_chain(config.loss, config.time_bins)
+    grid = np.geomspace(lo, hi, _GRID_POINTS)
+    largest_single = float(np.max(_single_shot_array(grid, eta_d, kind)))
+    evaluations = 0
 
-    starts = [np.full(t, constant.schedule.mean_photon_number)]
-    rng = np.random.Generator(np.random.Philox(key=np.array([_RESTART_KEY, 0], dtype=np.uint64)))
-    for _ in range(_RESTART_COUNT):
-        starts.append(np.exp(rng.uniform(math.log(lo), math.log(hi), size=t)))
+    def backward_induction(lam: float) -> np.ndarray:
+        nonlocal evaluations
+        schedule = np.empty(config.time_bins)
+        future = 0.0
+        for loops in reversed(range(config.time_bins)):
 
-    best_schedule: np.ndarray | None = None
-    best_value = -math.inf
-    for start in starts:
-        schedule, value = _coordinate_ascent(evaluate, start, lo, hi)
-        if value > best_value or (
-            value == best_value
-            and best_schedule is not None
-            and tuple(schedule) < tuple(best_schedule)
-        ):
-            best_schedule, best_value = schedule, value
+            def phi(nbar, tau=taus[loops], future=future):
+                nonlocal evaluations
+                evaluations += np.size(nbar)
+                single = _single_shot_array(nbar, eta_d, kind)
+                fidelity = _loop_fidelity_array(nbar, eta_d, tau, kind)
+                return single * (fidelity - lam) + (1.0 - single) * future
+
+            tie = _TIE_RTOL * (largest_single * (1.0 + lam) + abs(future))
+            schedule[loops], future = _scan_and_refine(
+                phi, grid, phi(grid), rtol=_BIN_RTOL, tie=tie
+            )
+        return schedule
+
+    lam = 0.0
+    for _ in range(_DINKELBACH_MAX_ITER):
+        schedule = backward_induction(lam)
+        value = evaluate(schedule)
+        if objective is Objective.UNCONDITIONAL or value <= lam:
+            break
+        lam = value
     return OptimizationResult(
-        schedule=PerBinPump(tuple(float(x) for x in best_schedule)),
-        objective_value=best_value,
+        schedule=PerBinPump(tuple(float(x) for x in schedule)),
+        objective_value=value,
         objective_kind=objective,
-        evaluations=constant.evaluations + evals(),
+        evaluations=evaluations,
     )
 
 
-def _coordinate_ascent(evaluate, start: np.ndarray, lo: float, hi: float):
-    current = start.copy()
-    current_value = evaluate(current)
-    grid = np.geomspace(lo, hi, 16)
-    for _ in range(_MAX_SWEEPS):
-        largest_gain = 0.0
-        for axis in range(current.size):
-
-            def phi(x: float, axis: int = axis) -> float:
-                trial = current.copy()
-                trial[axis] = x
-                return evaluate(trial)
-
-            values = [phi(x) for x in grid]
-            best = int(np.argmax(values))
-            a = grid[max(best - 1, 0)]
-            b = grid[min(best + 1, grid.size - 1)]
-            x_new, v_new = _golden_max(phi, a, b)
-            if values[best] > v_new:
-                x_new, v_new = float(grid[best]), values[best]
-            if v_new > current_value:
-                largest_gain = max(largest_gain, v_new - current_value)
-                current[axis] = x_new
-                current_value = v_new
-        if largest_gain <= _COORDINATE_TOL:
-            break
-    return current, current_value
+def _scan_and_refine(
+    fn, grid: np.ndarray, values, rtol: float | None = None, tie: float = 0.0
+) -> tuple[float, float]:
+    """Maximum of ``fn`` given its ``values`` on an ascending ``grid``:
+    golden-section refinement of the bracket around the grid argmax, to
+    ``_GOLDEN_XTOL`` or, if given, ``rtol`` times the bracket's upper end.
+    Values within ``tie`` of each other tie, and ties go to the lowest
+    pump level."""
+    values = np.asarray(values)
+    best = int(np.argmax(values >= values.max() - tie))
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, grid.size - 1)]
+    x_best, v_best = _golden_max(fn, a, b, _GOLDEN_XTOL if rtol is None else rtol * b)
+    if v_best <= values[best] + tie:
+        x_best, v_best = float(grid[best]), float(values[best])
+    return x_best, v_best
 
 
-def _golden_max(fn, a: float, b: float, xtol: float = _GOLDEN_XTOL):
+def _golden_max(fn, a: float, b: float, xtol: float):
     """Golden-section search for a maximum on [a, b].  On plateaus the
     left probe wins, biasing results toward the lower end."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

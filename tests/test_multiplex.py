@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsource import (
     ConstantPump,
@@ -9,6 +11,7 @@ from loopsource import (
     Objective,
     PerBinPump,
     ProtocolConfig,
+    conditional_fidelity,
     fidelity_report,
     m_source_distribution,
     m_source_distribution_oracle,
@@ -18,6 +21,7 @@ from loopsource import (
     two_source_distribution,
     unconditional_fidelity,
 )
+from loopsource.analytic import _loop_fidelity_array, _single_shot_array
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -175,12 +179,96 @@ def test_optimize_schedule_single_bin_matches_constant():
     )
 
 
+@pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("t", [2, 3])
-def test_optimize_schedule_dominates_constant(t):
+def test_optimize_schedule_dominates_constant(t, objective):
     config = _bucket_config(t)
-    constant = optimize_constant(config, Objective.UNCONDITIONAL)
-    schedule = optimize_schedule(config, Objective.UNCONDITIONAL)
+    constant = optimize_constant(config, objective)
+    schedule = optimize_schedule(config, objective)
     assert schedule.objective_value >= constant.objective_value - 1e-12
+
+
+def _joint_grid_best(config, objective, points=100):
+    """Best objective over every schedule on a log grid, all bins
+    searched jointly: axis l of one broadcast holds bin l's pump level."""
+    eta_d, kind = config.detector.efficiency, config.detector.kind
+    per_loop = config.loss.switch_efficiency * config.loss.fibre_efficiency
+    grid = np.geomspace(1e-3, 10.0, points)
+    unconditional, no_later = 0.0, 1.0
+    for loops, nbars in enumerate(np.ix_(*[grid] * config.time_bins)):
+        tau = config.loss.switch_efficiency * per_loop**loops
+        single = _single_shot_array(nbars, eta_d, kind)
+        unconditional = unconditional + no_later * single * _loop_fidelity_array(
+            nbars, eta_d, tau, kind
+        )
+        no_later = no_later * (1.0 - single)
+    if objective is Objective.CONDITIONAL:
+        unconditional = unconditional / (1.0 - no_later)
+    return float(np.max(unconditional))
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+@pytest.mark.parametrize("t", [2, 3])
+def test_optimize_schedule_is_not_beaten_by_joint_grid_search(t, kind, objective):
+    config = ProtocolConfig(
+        t, ConstantPump(1.0), DetectorModel(kind, 0.9), LossModel(0.95, 0.9)
+    )
+    result = optimize_schedule(config, objective)
+    assert _joint_grid_best(config, objective) <= result.objective_value + 1e-12
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_optimize_schedule_blind_detector_returns_zero_at_lowest_pump(kind, objective):
+    config = ProtocolConfig(
+        3, ConstantPump(1.0), DetectorModel(kind, 0.0), LossModel(0.9, 0.9)
+    )
+    result = optimize_schedule(config, objective)
+    assert result.objective_value == 0.0
+    assert result.schedule.mean_photon_numbers == (1e-3,) * 3
+
+
+def test_optimize_schedule_plateau_returns_lowest_pump():
+    # F = 1 for every pump level, so every schedule is conditionally optimal
+    config = ProtocolConfig(
+        4, ConstantPump(1.0), DetectorModel(RESOLVED, 1.0), LossModel(1.0, 1.0)
+    )
+    result = optimize_schedule(config, Objective.CONDITIONAL)
+    assert result.objective_value == pytest.approx(1.0, abs=1e-12)
+    assert result.schedule.mean_photon_numbers == (1e-3,) * 4
+
+
+efficiencies = st.floats(0.5, 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    t=st.integers(1, 6),
+    kind=st.sampled_from([RESOLVED, BUCKET]),
+    objective=st.sampled_from(list(Objective)),
+    eta_d=efficiencies,
+    eta_s=efficiencies,
+    eta_f=efficiencies,
+    lo=st.floats(1e-3, 1.0),
+    span=st.floats(1.5, 1e4),
+)
+def test_optimize_schedule_properties(t, kind, objective, eta_d, eta_s, eta_f, lo, span):
+    bounds = (lo, lo * span)
+    template = ProtocolConfig(
+        t, ConstantPump(1.0), DetectorModel(kind, eta_d), LossModel(eta_s, eta_f)
+    )
+    result = optimize_schedule(template, objective, bounds)
+    schedule = result.schedule.mean_photon_numbers
+    assert len(schedule) == t
+    assert all(bounds[0] <= nbar <= bounds[1] for nbar in schedule)
+    closed_form = (
+        unconditional_fidelity if objective is Objective.UNCONDITIONAL else conditional_fidelity
+    )
+    config = ProtocolConfig(t, result.schedule, template.detector, template.loss)
+    assert result.objective_value == pytest.approx(closed_form(config), rel=1e-12)
+    constant = optimize_constant(template, objective, bounds)
+    assert result.objective_value >= constant.objective_value - 1e-12
 
 
 def test_optimize_schedule_is_deterministic():
