@@ -16,6 +16,7 @@ heralded photon-number distribution and on the loss chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,24 +37,69 @@ from .models import (
 
 
 @dataclass(frozen=True)
-class HeraldStats:
-    """Single-shot and whole-train heralding probabilities."""
-
-    single_shot: float
-    train: float
-    detector_kind: DetectorKind
-
-
-@dataclass(frozen=True)
 class FidelityReport:
-    """Herald-conditioned fidelity, unconditional fidelity, and the
-    per-loop fidelities they are built from (index = loops before
-    output).  Bins that can never herald carry zero weight; their
-    per-loop entry is reported as 0."""
+    """Herald-conditioned fidelity, unconditional fidelity, the herald
+    probability, and the per-loop fidelities they are built from (index
+    = loops before output).  Bins that can never herald carry zero
+    weight; their per-loop entry is reported as 0."""
 
     conditional: float
     unconditional: float
+    herald_probability: float
     per_loop: tuple[float, ...]
+
+
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
+class ClosedForm(NamedTuple):
+    """Outputs of :func:`closed_form`; ``[...]`` is the batch shape and
+    the trailing axis runs over loops before output.  ``herald`` and
+    ``conditional`` are derived from the stored fields on access."""
+
+    single_shot: np.ndarray  # [..., t] herald probability of each bin alone
+    weights: np.ndarray  # [..., t] P(freshest herald is l loops old)
+    no_herald: np.ndarray  # [...] P(no bin heralds)
+    per_loop: np.ndarray  # [..., t] fidelity given that herald; 0 if S_l = 0
+    unconditional: np.ndarray  # [...] sum of weights times per-loop fidelities
+
+    @property
+    def herald(self) -> np.ndarray:
+        """[...] herald probability: the sum of the weights, rather than
+        ``1 - no_herald``, which cancels to noise when heralds are rare.
+        The exact sum is at most 1; rounding can push it a few ulps over
+        when heralds are near certain, so it is capped at 1."""
+        return np.minimum(self.weights.sum(axis=-1), 1.0)
+
+    @property
+    def conditional(self) -> np.ndarray:
+        """[...] unconditional / herald; 0 where nothing can herald.  A
+        nonzero sum of non-negative weights is at least the smallest
+        subnormal, so that floor only replaces a zero herald probability
+        (whose unconditional value is 0)."""
+        return self.unconditional / np.maximum(self.herald, _SMALLEST_SUBNORMAL)
+
+
+def closed_form(nbars, eta_d, taus, kind: DetectorKind) -> ClosedForm:
+    """Every closed form of the protocol, broadcast over a batch.
+
+    ``nbars[..., t]`` holds each bin's mean photon number in reverse
+    chronological order (entry 0 is the final bin); ``eta_d`` and the
+    loss chain ``taus`` (transmission after l loops, see
+    :func:`loopsource.models.transmission`) broadcast against it.  The
+    switch keeps the freshest herald, so bin l wins with weight
+    ``S_l * prod_{k<l}(1 - S_k)``.
+    """
+    nbars = np.asarray(nbars, dtype=float)
+    singles = _single_shot_array(nbars, eta_d, kind)
+    survival = (1.0 - singles).cumprod(axis=-1)
+    weights = singles.copy()
+    weights[..., 1:] *= survival[..., :-1]
+    # Bins that can never herald get zero weight; report 0 rather than a
+    # conditional value for an impossible event.
+    per_loop = np.where(singles > 0.0, _loop_fidelity_array(nbars, eta_d, taus, kind), 0.0)
+    unconditional = (weights * per_loop).sum(axis=-1)
+    return ClosedForm(singles, weights, survival[..., -1], per_loop, unconditional)
 
 
 def _single_shot_array(nbars, eta_d: float, kind: DetectorKind):
@@ -102,8 +148,8 @@ def herald_train(source: SourceModel, det: DetectorModel, time_bins: int) -> flo
     """Probability of at least one herald across a train of pulses."""
     if time_bins < 1:
         raise ValueError(f"time_bins must be >= 1, got {time_bins}")
-    single = herald_single_shot(source, det)
-    return 1.0 - (1.0 - single) ** time_bins
+    nbars = np.full(time_bins, source.mean_photon_number)
+    return float(closed_form(nbars, det.efficiency, 1.0, det.kind).herald)
 
 
 def prep_pmf(source: SourceModel, det: DetectorModel, n: int) -> float:
@@ -206,14 +252,6 @@ def large_nbar_asymptote(eta: float, nbar: float) -> float:
     return eta * eta / nbar
 
 
-def herald_stats(source: SourceModel, det: DetectorModel, time_bins: int) -> HeraldStats:
-    return HeraldStats(
-        single_shot=herald_single_shot(source, det),
-        train=herald_train(source, det, time_bins),
-        detector_kind=det.kind,
-    )
-
-
 def outcome_distribution(config: ProtocolConfig) -> OutcomeDistribution:
     """Distribution of 'the last herald fired l loops before output'.
 
@@ -222,63 +260,39 @@ def outcome_distribution(config: ProtocolConfig) -> OutcomeDistribution:
     failed: p(l) = S_l * prod_{k<l}(1 - S_k), with the leftover product
     as the no-herald mass.
     """
-    singles = _single_shot_array(
-        config.bin_means(), config.detector.efficiency, config.detector.kind
-    )
-    no_later_herald = np.concatenate(([1.0], np.cumprod(1.0 - singles)))
-    probs = singles * no_later_herald[:-1]
-    return OutcomeDistribution(tuple(probs) + (float(no_later_herald[-1]),))
-
-
-def _per_loop_fidelities(config: ProtocolConfig) -> np.ndarray:
-    nbars = config.bin_means()
-    taus = _transmission_chain(config.loss, config.time_bins)
-    values = _loop_fidelity_array(nbars, config.detector.efficiency, taus, config.detector.kind)
-    # Bins that can never herald get zero probability weight; report 0
-    # rather than a conditional value for an impossible event.
-    singles = _single_shot_array(nbars, config.detector.efficiency, config.detector.kind)
-    return np.where(singles > 0.0, values, 0.0)
-
-
-def _transmission_chain(loss: LossModel, time_bins: int) -> np.ndarray:
-    per_loop = loss.switch_efficiency * loss.fibre_efficiency
-    return loss.switch_efficiency * per_loop ** np.arange(time_bins)
+    result = _closed_form_of(config)
+    return OutcomeDistribution(tuple(result.weights) + (float(result.no_herald),))
 
 
 def unconditional_fidelity(config: ProtocolConfig) -> float:
     """Average single-photon fidelity over every trial, counting trials
     with no herald (which deliver vacuum) as fidelity zero."""
-    dist = outcome_distribution(config)
-    weights = np.asarray(dist.probabilities[:-1])
-    return float(np.sum(weights * _per_loop_fidelities(config)))
+    return float(_closed_form_of(config).unconditional)
 
 
 def conditional_fidelity(config: ProtocolConfig) -> float:
     """Average single-photon fidelity over heralded trials only."""
-    dist = outcome_distribution(config)
-    herald_prob = dist.herald_probability
-    if herald_prob == 0.0:
-        raise UndefinedConditionalError(
-            "the train never heralds; the conditional fidelity is undefined"
-        )
-    weights = np.asarray(dist.probabilities[:-1])
-    return float(np.sum(weights * _per_loop_fidelities(config)) / herald_prob)
+    return fidelity_report(config).conditional
 
 
 def fidelity_report(config: ProtocolConfig) -> FidelityReport:
-    dist = outcome_distribution(config)
-    herald_prob = dist.herald_probability
-    if herald_prob == 0.0:
+    result = _closed_form_of(config)
+    if result.herald == 0.0:
         raise UndefinedConditionalError(
             "the train never heralds; the conditional fidelity is undefined"
         )
-    per_loop = _per_loop_fidelities(config)
-    weights = np.asarray(dist.probabilities[:-1])
-    unconditional = float(np.sum(weights * per_loop))
     return FidelityReport(
-        conditional=unconditional / herald_prob,
-        unconditional=unconditional,
-        per_loop=tuple(float(f) for f in per_loop),
+        conditional=float(result.conditional),
+        unconditional=float(result.unconditional),
+        herald_probability=float(result.herald),
+        per_loop=tuple(float(f) for f in result.per_loop),
+    )
+
+
+def _closed_form_of(config: ProtocolConfig) -> ClosedForm:
+    taus = transmission(config.loss, np.arange(config.time_bins))
+    return closed_form(
+        config.bin_means(), config.detector.efficiency, taus, config.detector.kind
     )
 
 

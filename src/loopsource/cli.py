@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+
+# The analytic, multiplex and Monte Carlo entry points are bound on this
+# module even where no command calls them: bench/tracing.py wraps them
+# here to attribute time to layers.
 from .analytic import (
+    ClosedForm,
+    closed_form,
     conditional_fidelity,
     detector_limited_fidelity,
     fidelity_report,
@@ -46,6 +52,7 @@ from .models import (
 from .montecarlo import run_simulation, simulate_parallel_sources
 from .multiplex import (
     Objective,
+    _m_source_weights,
     m_source_distribution,
     optimize_constant,
     optimize_schedule,
@@ -57,61 +64,8 @@ DEFAULT_GROUP_INDEX = 1.468
 DEFAULT_DETECTOR_RATE = 1e8
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 
-# Figure datasets reproduce the standard parameter points; everything in
-# this table can be overridden per _FIGURE_OVERRIDES below.
-FIGURE_DEFAULTS: dict[str, dict] = {
-    "fig2": {"t": (1, 50), "nbar": 1.0, "eta_d": 1.0},
-    "fig3": {
-        "t": (1, 50),
-        "etas": (1.0, 0.99, 0.95),
-        "nbar_resolved": {1.0: 1.0, 0.99: 0.90, 0.95: 0.95},
-        "nbar_bucket": {1.0: 0.05, 0.99: 0.14, 0.95: 0.34},
-    },
-    "fig4": "same dataset as fig3",
-    "fig5": {"eta_d_points": 101, "nbars": (0.01, 0.1, 0.5, 1.0, 2.0)},
-    "fig6": {
-        "nbar_grid": (0.02, 3.0, 150),
-        "ts": (1, 2, 4, 8, 16, 32, 64),
-        "etas": (1.0, 0.99, 0.95),
-    },
-    "fig7": {"t": 100, "nbar_grid": (0.05, 2.0, 40), "eta_grid": (0.5, 1.0, 26)},
-    "fig8": {"t": (1, 8), "etas": (0.99, 0.95)},
-    "fig9": {"t": 10, "nbar": 0.1, "eta": 0.95, "sources": 4, "detector": "bucket"},
-    "fig10": {
-        "t": 5,
-        "nbar_grid": (0.05, 2.0, 40),
-        "eta_grid": (0.5, 1.0, 26),
-        "source_counts": (1, 4),
-    },
-    "fig11": {"t": (1, 50), "nbar": 0.5, "eta_d": 0.8, "eta_s": 0.8, "eta_f": 1.0},
-}
-
-_FIGURE_OVERRIDES: dict[str, set[str]] = {
-    "fig2": {"t", "nbar", "eta_d"},
-    "fig3": {"t", "reoptimize"},
-    "fig4": {"t", "reoptimize"},
-    "fig5": {"nbar"},
-    "fig6": {"nbar", "t"},
-    "fig7": {"nbar", "t", "eta"},
-    "fig8": {"t"},
-    "fig9": {"t", "nbar", "eta", "sources", "detector"},
-    "fig10": {"nbar", "t"},
-    "fig11": {"t", "nbar", "eta_d", "eta_s", "eta_f"},
-}
-
-
 class UsageError(Exception):
     """Invalid flag values or combinations; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One resolved CLI invocation."""
-
-    command: str
-    parameters: dict
-    output_format: str
-    output_path: str | None
 
 
 @dataclass(frozen=True)
@@ -257,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", parents=[output],
                             help="regenerate a standard figure dataset")
-    figure.add_argument("figure_id", choices=sorted(FIGURE_DEFAULTS))
+    figure.add_argument("figure_id", choices=sorted(FIGURES))
     figure.add_argument("--detector", choices=("resolved", "bucket"), default=None)
     figure.add_argument("--nbar", default=None)
     figure.add_argument("--eta", default=None)
@@ -280,20 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     feasibility.add_argument("--detector-rate", type=float, default=DEFAULT_DETECTOR_RATE,
                              help="highest herald rate the detector resolves, in Hz")
     return parser
-
-
-def run_spec_from_args(args: argparse.Namespace) -> RunSpec:
-    parameters = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("command", "format", "out")
-    }
-    return RunSpec(
-        command=args.command,
-        parameters=parameters,
-        output_format=args.format,
-        output_path=args.out,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +308,12 @@ def _config_from_args(args: argparse.Namespace, time_bins: int) -> ProtocolConfi
 
 
 def _base_meta(args: argparse.Namespace) -> dict:
-    spec = run_spec_from_args(args)
-    return {
-        "command": spec.command,
-        "version": __version__,
-        "parameters": spec.parameters,
+    parameters = {
+        key: value
+        for key, value in sorted(vars(args).items())
+        if key not in ("command", "format", "out")
     }
+    return {"command": args.command, "version": __version__, "parameters": parameters}
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +368,18 @@ def _cmd_fidelity(args: argparse.Namespace):
 
 def _cmd_sweep(args: argparse.Namespace):
     t_values = _parse_t_values(args.t)
-    nbar_values = _parse_float_list(args.nbar, "--nbar")
+    nbars = _parse_float_list(args.nbar, "--nbar")
     detector, loss = _models_from_args(args)
+    singles = [herald_single_shot(SourceModel(nbar), detector) for nbar in nbars]
     rows = []
     for t in t_values:
-        for nbar in nbar_values:
-            source = SourceModel(nbar)
-            config = ProtocolConfig(t, ConstantPump(nbar), detector, loss)
-            try:
-                cond: float | None = conditional_fidelity(config)
-            except UndefinedConditionalError:
-                cond = None
-            rows.append(
-                [
-                    t,
-                    nbar,
-                    herald_single_shot(source, detector),
-                    herald_train(source, detector, t),
-                    cond,
-                    unconditional_fidelity(config),
-                ]
-            )
+        result = _trains(detector.kind, nbars, detector.efficiency,
+                         transmission(loss, np.arange(t)))
+        for nbar, single, herald, conditional, unconditional in zip(
+            nbars, singles, result.herald, result.conditional, result.unconditional
+        ):
+            rows.append([t, nbar, single, herald,
+                         conditional if herald > 0.0 else None, unconditional])
     columns = ["time_bins", "nbar", "single_shot", "train", "conditional", "unconditional"]
     return columns, rows, _base_meta(args)
 
@@ -565,7 +496,7 @@ def _cmd_feasibility(args: argparse.Namespace):
 
 def _cmd_figure(args: argparse.Namespace):
     figure_id = args.figure_id
-    allowed = _FIGURE_OVERRIDES[figure_id]
+    build, allowed, defaults = FIGURES[figure_id]
     provided = {
         flag
         for flag in ("detector", "nbar", "eta", "eta_d", "eta_s", "eta_f", "t", "sources")
@@ -577,7 +508,7 @@ def _cmd_figure(args: argparse.Namespace):
     if unknown:
         flags = ", ".join("--" + flag.replace("_", "-") for flag in sorted(unknown))
         raise UsageError(f"{figure_id} does not accept override {flags}")
-    columns, rows = _FIGURES[figure_id](args)
+    columns, rows = build(args, defaults)
     meta = _base_meta(args)
     meta["figure"] = figure_id
     return columns, rows, meta
@@ -585,6 +516,20 @@ def _cmd_figure(args: argparse.Namespace):
 
 # ---------------------------------------------------------------------------
 # figure dataset builders
+
+_KINDS = (DetectorKind.NUMBER_RESOLVED, DetectorKind.BUCKET)
+
+
+def _trains(kind: DetectorKind, nbars, eta_d, taus) -> ClosedForm:
+    """Closed forms of constant-pump trains, one per entry of ``nbars``;
+    the train length is the last axis of the loss chain ``taus``."""
+    pumps = np.repeat(np.asarray(nbars, dtype=float)[..., None], taus.shape[-1], axis=-1)
+    return closed_form(pumps, eta_d, taus, kind)
+
+
+def _eta_chain(eta: float, t: int) -> np.ndarray:
+    """Loss chain with switch and fibre efficiency both ``eta``."""
+    return transmission(LossModel(eta, eta), np.arange(t))
 
 
 def _config_for(kind: DetectorKind, nbar: float, eta_d: float, eta_s: float,
@@ -609,14 +554,18 @@ def _override_list(text: str | None, default, flag: str) -> list[float]:
     return _parse_float_list(text, flag)
 
 
+def _override_nbars(text: str | None, default) -> list[float]:
+    return [SourceModel(float(nbar)).mean_photon_number
+            for nbar in _override_list(text, default, "--nbar")]
+
+
 def _override_t_range(text: str | None, default: tuple[int, int]) -> list[int]:
     if text is None:
         return list(range(default[0], default[1] + 1))
     return _parse_t_values(text)
 
 
-def _fig2(args: argparse.Namespace):
-    defaults = FIGURE_DEFAULTS["fig2"]
+def _fig2(args: argparse.Namespace, defaults: dict):
     ts = _override_t_range(args.t, defaults["t"])
     nbar = _override_scalar(args.nbar, defaults["nbar"], "--nbar")
     eta_d = defaults["eta_d"] if args.eta_d is None else args.eta_d
@@ -631,38 +580,36 @@ def _fig2(args: argparse.Namespace):
     return ["time_bins", "herald_resolved", "herald_bucket"], rows
 
 
-def _fig3(args: argparse.Namespace):
-    defaults = FIGURE_DEFAULTS["fig3"]
+def _fig3(args: argparse.Namespace, defaults: dict):
     ts = _override_t_range(args.t, defaults["t"])
     etas = defaults["etas"]
-    t_max = ts[-1]
     columns = ["time_bins"]
-    series = []
-    for kind, caption in (
-        (DetectorKind.NUMBER_RESOLVED, defaults["nbar_resolved"]),
-        (DetectorKind.BUCKET, defaults["nbar_bucket"]),
-    ):
+    pumps = []
+    for kind, caption in zip(_KINDS, (defaults["nbar_resolved"], defaults["nbar_bucket"])):
+        nbars = []
         for eta in etas:
             nbar = caption[eta]
             if args.reoptimize:
-                template = _config_for(kind, 1.0, eta, eta, eta, t_max)
+                template = _config_for(kind, 1.0, eta, eta, eta, ts[-1])
                 nbar = optimize_constant(template, Objective.CONDITIONAL).schedule.mean_photon_number
             label = f"{kind.value}_eta{eta:g}"
             columns.extend([f"fidelity_{label}", f"herald_{label}"])
-            series.append((kind, eta, nbar))
+            nbars.append(nbar)
+        pumps.append((kind, nbars))
+    eta_column = np.array(etas)[:, None]
     rows = []
     for t in ts:
         row: list = [t]
-        for kind, eta, nbar in series:
-            config = _config_for(kind, nbar, eta, eta, eta, t)
-            row.append(conditional_fidelity(config))
-            row.append(herald_train(SourceModel(nbar), DetectorModel(kind, eta), t))
+        taus = np.stack([_eta_chain(eta, t) for eta in etas])
+        for kind, nbars in pumps:
+            result = _trains(kind, nbars, eta_column, taus)
+            for conditional, herald in zip(result.conditional, result.herald):
+                row.extend([conditional, herald])
         rows.append(row)
     return columns, rows
 
 
-def _fig5(args: argparse.Namespace):
-    defaults = FIGURE_DEFAULTS["fig5"]
+def _fig5(args: argparse.Namespace, defaults: dict):
     nbars = _override_list(args.nbar, defaults["nbars"], "--nbar")
     eta_grid = np.linspace(0.0, 1.0, defaults["eta_d_points"])
     rows = []
@@ -682,53 +629,38 @@ def _fig5(args: argparse.Namespace):
     return ["eta_d", "nbar", "fidelity_resolved", "fidelity_bucket"], rows
 
 
-def _fig6(args: argparse.Namespace):
-    defaults = FIGURE_DEFAULTS["fig6"]
+def _fig6(args: argparse.Namespace, defaults: dict):
     lo, hi, points = defaults["nbar_grid"]
-    nbars = _override_list(args.nbar, np.linspace(lo, hi, points), "--nbar")
+    nbars = _override_nbars(args.nbar, np.linspace(lo, hi, points))
     ts = _parse_t_values(args.t) if args.t is not None else list(defaults["ts"])
-    etas = defaults["etas"]
     columns = ["nbar"]
-    for kind in (DetectorKind.NUMBER_RESOLVED, DetectorKind.BUCKET):
-        for eta in etas:
+    values = []
+    for kind in _KINDS:
+        for eta in defaults["etas"]:
             for t in ts:
                 columns.append(f"unconditional_{kind.value}_eta{eta:g}_t{t}")
-    rows = []
-    for nbar in nbars:
-        row = [float(nbar)]
-        for kind in (DetectorKind.NUMBER_RESOLVED, DetectorKind.BUCKET):
-            for eta in etas:
-                for t in ts:
-                    config = _config_for(kind, float(nbar), eta, eta, eta, t)
-                    row.append(unconditional_fidelity(config))
-        rows.append(row)
-    return columns, rows
+                values.append(_trains(kind, nbars, eta, _eta_chain(eta, t)).unconditional)
+    return columns, [list(row) for row in zip(nbars, *values)]
 
 
-def _fig7(args: argparse.Namespace):
-    defaults = FIGURE_DEFAULTS["fig7"]
+def _fig7(args: argparse.Namespace, defaults: dict):
     t = int(_override_scalar(args.t, defaults["t"], "--t"))
     lo, hi, points = defaults["nbar_grid"]
-    nbars = _override_list(args.nbar, np.linspace(lo, hi, points), "--nbar")
+    nbars = _override_nbars(args.nbar, np.linspace(lo, hi, points))
     lo, hi, points = defaults["eta_grid"]
-    etas = _override_list(args.eta, np.linspace(lo, hi, points), "--eta")
-    rows = []
-    for nbar in nbars:
-        for eta in etas:
-            resolved = _config_for(DetectorKind.NUMBER_RESOLVED, float(nbar), float(eta),
-                                   float(eta), float(eta), t)
-            bucket = _config_for(DetectorKind.BUCKET, float(nbar), float(eta),
-                                 float(eta), float(eta), t)
-            rows.append([
-                float(nbar), float(eta),
-                unconditional_fidelity(resolved),
-                unconditional_fidelity(bucket),
-            ])
+    etas = [float(eta) for eta in _override_list(args.eta, np.linspace(lo, hi, points), "--eta")]
+    # one kernel call per eta and detector: values[kind][eta][nbar]
+    values = [[_trains(kind, nbars, eta, _eta_chain(eta, t)).unconditional for eta in etas]
+              for kind in _KINDS]
+    rows = [
+        [nbar, eta, values[0][j][i], values[1][j][i]]
+        for i, nbar in enumerate(nbars)
+        for j, eta in enumerate(etas)
+    ]
     return ["nbar", "eta", "unconditional_resolved", "unconditional_bucket"], rows
 
 
-def _fig8(args: argparse.Namespace):
-    defaults = FIGURE_DEFAULTS["fig8"]
+def _fig8(args: argparse.Namespace, defaults: dict):
     ts = _override_t_range(args.t, defaults["t"])
     etas = defaults["etas"]
     columns = ["time_bins"]
@@ -745,8 +677,7 @@ def _fig8(args: argparse.Namespace):
     return columns, rows
 
 
-def _fig9(args: argparse.Namespace):
-    defaults = FIGURE_DEFAULTS["fig9"]
+def _fig9(args: argparse.Namespace, defaults: dict):
     t = int(_override_scalar(args.t, defaults["t"], "--t"))
     nbar = _override_scalar(args.nbar, defaults["nbar"], "--nbar")
     eta = _override_scalar(args.eta, defaults["eta"], "--eta")
@@ -765,67 +696,88 @@ def _fig9(args: argparse.Namespace):
     return columns, rows
 
 
-def _fig10(args: argparse.Namespace):
-    defaults = FIGURE_DEFAULTS["fig10"]
+def _fig10(args: argparse.Namespace, defaults: dict):
     t = int(_override_scalar(args.t, defaults["t"], "--t"))
     lo, hi, points = defaults["nbar_grid"]
-    nbars = _override_list(args.nbar, np.linspace(lo, hi, points), "--nbar")
+    nbars = _override_nbars(args.nbar, np.linspace(lo, hi, points))
     lo, hi, points = defaults["eta_grid"]
-    etas = list(np.linspace(lo, hi, points))
+    etas = [float(eta) for eta in np.linspace(lo, hi, points)]
     source_counts = defaults["source_counts"]
     columns = ["nbar", "eta"]
-    for kind in (DetectorKind.NUMBER_RESOLVED, DetectorKind.BUCKET):
+    for kind in _KINDS:
         for m in source_counts:
             columns.append(f"unconditional_{kind.value}_m{m}")
-    rows = []
-    for nbar in nbars:
-        for eta in etas:
-            row = [float(nbar), float(eta)]
-            for kind in (DetectorKind.NUMBER_RESOLVED, DetectorKind.BUCKET):
-                config = _config_for(kind, float(nbar), float(eta), float(eta), float(eta), t)
-                per_loop = fidelity_report(config).per_loop
-                single = herald_single_shot(SourceModel(float(nbar)),
-                                            DetectorModel(kind, float(eta)))
-                for m in source_counts:
-                    dist = m_source_distribution(single, t, m)
-                    row.append(parallel_unconditional_fidelity(dist, per_loop))
-            rows.append(row)
+    # one kernel call per eta and detector: by_eta[eta][column][nbar]
+    by_eta = []
+    for eta in etas:
+        cells = []
+        for kind in _KINDS:
+            result = _trains(kind, nbars, eta, _eta_chain(eta, t))
+            for m in source_counts:
+                weights = _m_source_weights(result.single_shot[:, 0], t, m)[:, :-1]
+                cells.append(np.sum(weights * result.per_loop, axis=-1))
+        by_eta.append(cells)
+    rows = [
+        [nbar, eta] + [cells[i] for cells in by_eta[j]]
+        for i, nbar in enumerate(nbars)
+        for j, eta in enumerate(etas)
+    ]
     return columns, rows
 
 
-def _fig11(args: argparse.Namespace):
-    defaults = FIGURE_DEFAULTS["fig11"]
+def _fig11(args: argparse.Namespace, defaults: dict):
     ts = _override_t_range(args.t, defaults["t"])
-    nbar = _override_scalar(args.nbar, defaults["nbar"], "--nbar")
+    nbar = SourceModel(_override_scalar(args.nbar, defaults["nbar"], "--nbar")).mean_photon_number
     eta_d = defaults["eta_d"] if args.eta_d is None else args.eta_d
     eta_s = defaults["eta_s"] if args.eta_s is None else args.eta_s
     eta_f = defaults["eta_f"] if args.eta_f is None else args.eta_f
-    source = SourceModel(nbar)
+    detectors = [DetectorModel(kind, eta_d) for kind in _KINDS]
+    loss = LossModel(eta_s, eta_f)
     rows = []
     for t in ts:
         row: list = [t]
-        for kind in (DetectorKind.NUMBER_RESOLVED, DetectorKind.BUCKET):
-            config = _config_for(kind, nbar, eta_d, eta_s, eta_f, t)
-            row.append(herald_train(source, DetectorModel(kind, eta_d), t))
-            row.append(conditional_fidelity(config))
+        taus = transmission(loss, np.arange(t))
+        for det in detectors:
+            result = _trains(det.kind, nbar, det.efficiency, taus)
+            row.extend([result.herald, result.conditional])
         rows.append(row)
     columns = ["time_bins", "herald_resolved", "fidelity_resolved",
                "herald_bucket", "fidelity_bucket"]
     return columns, rows
 
 
-_FIGURES = {
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig3,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
+# Standard figure datasets: the builder, the overrides it accepts, and its
+# reference parameter points.
+FIGURES: dict[str, tuple] = {
+    "fig2": (_fig2, {"t", "nbar", "eta_d"}, {"t": (1, 50), "nbar": 1.0, "eta_d": 1.0}),
+    "fig3": (_fig3, {"t", "reoptimize"}, {
+        "t": (1, 50),
+        "etas": (1.0, 0.99, 0.95),
+        "nbar_resolved": {1.0: 1.0, 0.99: 0.90, 0.95: 0.95},
+        "nbar_bucket": {1.0: 0.05, 0.99: 0.14, 0.95: 0.34},
+    }),
+    "fig5": (_fig5, {"nbar"}, {"eta_d_points": 101, "nbars": (0.01, 0.1, 0.5, 1.0, 2.0)}),
+    "fig6": (_fig6, {"nbar", "t"}, {
+        "nbar_grid": (0.02, 3.0, 150),
+        "ts": (1, 2, 4, 8, 16, 32, 64),
+        "etas": (1.0, 0.99, 0.95),
+    }),
+    "fig7": (_fig7, {"nbar", "t", "eta"},
+             {"t": 100, "nbar_grid": (0.05, 2.0, 40), "eta_grid": (0.5, 1.0, 26)}),
+    "fig8": (_fig8, {"t"}, {"t": (1, 8), "etas": (0.99, 0.95)}),
+    "fig9": (_fig9, {"t", "nbar", "eta", "sources", "detector"},
+             {"t": 10, "nbar": 0.1, "eta": 0.95, "sources": 4, "detector": "bucket"}),
+    "fig10": (_fig10, {"nbar", "t"}, {
+        "t": 5,
+        "nbar_grid": (0.05, 2.0, 40),
+        "eta_grid": (0.5, 1.0, 26),
+        "source_counts": (1, 4),
+    }),
+    "fig11": (_fig11, {"t", "nbar", "eta_d", "eta_s", "eta_f"},
+              {"t": (1, 50), "nbar": 0.5, "eta_d": 0.8, "eta_s": 0.8, "eta_f": 1.0}),
 }
+# fig4 re-plots fig3's dataset against loop count
+FIGURES["fig4"] = FIGURES["fig3"]
 
 _COMMANDS = {
     "herald": _cmd_herald,

@@ -190,7 +190,10 @@ class OutcomeDistribution:
 
     @property
     def herald_probability(self) -> float:
-        return 1.0 - self.probabilities[-1]
+        """Sum of the herald entries, capped at 1, exactly as
+        ``analytic.ClosedForm.herald`` sums its weights.  ``1 - no_herald``
+        would cancel when heralds are rare."""
+        return min(float(np.sum(self.probabilities[:-1])), 1.0)
 
 
 def thermal_pmf(source: SourceModel, n: int) -> float:
@@ -253,12 +256,15 @@ def herald_outcome(kind: DetectorKind) -> DetectorOutcome:
     return DetectorOutcome.CLICK
 
 
-def transmission(loss: LossModel, loops: int) -> float:
-    """Net transmission of a photon stored for ``loops`` round trips: one
-    switch pass to enter plus a switch and a fibre pass per loop."""
-    if loops < 0:
+def transmission(loss: LossModel, loops):
+    """Net transmission of a photon stored for ``loops`` round trips (an
+    int, or an array of loop counts): one switch pass to enter plus a
+    switch and a fibre pass per loop, ``eta_s * (eta_s * eta_f)**loops``."""
+    loops = np.asarray(loops)
+    if np.any(loops < 0):
         raise ValueError(f"loop count must be >= 0, got {loops}")
-    return loss.switch_efficiency ** (loops + 1) * loss.fibre_efficiency**loops
+    chain = loss.switch_efficiency * (loss.switch_efficiency * loss.fibre_efficiency) ** loops
+    return float(chain) if np.ndim(chain) == 0 else chain
 
 
 def loss_thinning_pmf(n_in: int, transmission: float, n_out: int) -> float:

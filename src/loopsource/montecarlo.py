@@ -24,6 +24,7 @@ from .models import (
     DetectorKind,
     OutcomeDistribution,
     ProtocolConfig,
+    transmission,
 )
 
 # Trials are simulated in batches; the batch size only groups work and
@@ -103,7 +104,7 @@ def simulate_trial(config: ProtocolConfig, rng_stream: np.random.Generator) -> T
     ``draws_per_trial(config.time_bins)`` uniforms from the stream."""
     uniforms = rng_stream.random(draws_per_trial(config.time_bins)).reshape(1, -1)
     loop_index, held, out_uniform = _herald_batch(uniforms, config)
-    taus = _tau_by_loop(config)
+    taus = transmission(config.loss, np.arange(config.time_bins))
     photons = _thin_outputs(loop_index, held, out_uniform, taus, config.time_bins)
     if loop_index[0] == config.time_bins:
         return TrialOutcome(herald_loop_index=None, photons_out=0, heralded=False)
@@ -142,7 +143,8 @@ def simulate_parallel_sources(
     draws = draws_per_trial(time_bins)
     blocks = draws // 4
     batch = max(1024, min(_MAX_BATCH, _BATCH_BUDGET_DRAWS // (draws * m)))
-    tau_table = np.stack([_tau_by_loop(config) for config in configs])
+    loops = np.arange(time_bins)
+    tau_table = np.stack([transmission(config.loss, loops) for config in configs])
 
     loop_counts = np.zeros(time_bins + 1, dtype=np.int64)
     single_photon_trials = 0
@@ -265,12 +267,6 @@ def _thin_outputs(
     drawn = stats.binom.ppf(out_uniform[idx], held[idx], tau)
     photons[idx] = np.maximum(drawn, 0.0).astype(np.int64)
     return photons
-
-
-def _tau_by_loop(config: ProtocolConfig) -> np.ndarray:
-    loss = config.loss
-    per_loop = loss.switch_efficiency * loss.fibre_efficiency
-    return loss.switch_efficiency * per_loop ** np.arange(config.time_bins)
 
 
 def _substream(seed: int, source_index: int, block_offset: int) -> np.random.Generator:

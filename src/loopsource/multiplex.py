@@ -17,8 +17,14 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import _loop_fidelity_array, _single_shot_array, _transmission_chain
-from .models import ConstantPump, PerBinPump, ProtocolConfig
+from .analytic import _loop_fidelity_array, _single_shot_array, closed_form
+from .models import (
+    ConstantPump,
+    OutcomeDistribution,
+    PerBinPump,
+    ProtocolConfig,
+    transmission,
+)
 
 # Hard cap on brute-force enumeration work, (t+1)**m joint outcomes.
 _ORACLE_MAX_OUTCOMES = 200_000
@@ -30,8 +36,8 @@ _GOLDEN_XTOL = 1e-6
 # rounding at its maximum.
 _BIN_RTOL = 1e-8
 # Per-loop fidelities hold only to a few ulps (the lossless resolved
-# plateau F = 1 reads 1 +- 2.2e-16), so per-bin values closer than this
-# fraction of the size of their terms count as ties.
+# plateau F = 1 reads 1 +- 2.2e-16), so objective values closer than
+# this fraction of the size of their terms count as ties.
 _TIE_RTOL = 8 * np.finfo(float).eps
 # Dinkelbach's ratio increases strictly until it converges, so this cap
 # only guards against rounding noise keeping it moving.
@@ -44,32 +50,6 @@ class Objective(Enum):
 
 
 @dataclass(frozen=True)
-class ParallelDistribution:
-    """Distribution of the freshest herald age across m parallel sources;
-    index t is the everyone-failed event."""
-
-    source_count: int
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.source_count, int) and self.source_count >= 1):
-            raise ValueError(f"source count must be a positive integer, got {self.source_count}")
-        probs = tuple(float(p) for p in self.probabilities)
-        object.__setattr__(self, "probabilities", probs)
-        total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities must sum to 1 within 1e-10, got {total}")
-
-    @property
-    def time_bins(self) -> int:
-        return len(self.probabilities) - 1
-
-    @property
-    def no_herald(self) -> float:
-        return self.probabilities[-1]
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     schedule: ConstantPump | PerBinPump
     objective_value: float
@@ -77,22 +57,9 @@ class OptimizationResult:
     evaluations: int
 
 
-def two_source_distribution(single_shot: float, time_bins: int) -> ParallelDistribution:
-    """Freshest-herald distribution for two identical sources with
-    per-bin herald probability ``single_shot``."""
-    _check_single_shot(single_shot)
-    _check_time_bins(time_bins)
-    miss = 1.0 - single_shot
-    probs = [
-        single_shot * miss ** (2 * j) * (2.0 - single_shot) for j in range(time_bins)
-    ]
-    probs.append(miss ** (2 * time_bins))
-    return ParallelDistribution(source_count=2, probabilities=tuple(probs))
-
-
 def m_source_distribution(
     single_shot: float, time_bins: int, sources: int
-) -> ParallelDistribution:
+) -> OutcomeDistribution:
     """Freshest-herald distribution for m identical sources.
 
     Uses survival functions: the kept index is at least u exactly when
@@ -103,15 +70,20 @@ def m_source_distribution(
     _check_time_bins(time_bins)
     if sources < 1:
         raise ValueError(f"source count must be >= 1, got {sources}")
-    miss = 1.0 - single_shot
+    return OutcomeDistribution(tuple(_m_source_weights(single_shot, time_bins, sources)))
+
+
+def _m_source_weights(single_shot, time_bins: int, sources: int) -> np.ndarray:
+    """The pmf of :func:`m_source_distribution` as an array ``[..., t+1]``,
+    broadcast over an array of herald probabilities."""
+    miss = np.asarray(1.0 - single_shot)[..., None]
     survival = miss ** (np.arange(time_bins + 1, dtype=float) * sources)
-    probs = tuple(survival[:-1] - survival[1:]) + (float(survival[-1]),)
-    return ParallelDistribution(source_count=sources, probabilities=probs)
+    return np.concatenate((survival[..., :-1] - survival[..., 1:], survival[..., -1:]), axis=-1)
 
 
 def m_source_distribution_oracle(
     single_shot: float, time_bins: int, sources: int
-) -> ParallelDistribution:
+) -> OutcomeDistribution:
     """Brute-force enumeration of all (t+1)**m joint source outcomes,
     scoring each by the minimum index.  Exponential in m; a test oracle."""
     _check_single_shot(single_shot)
@@ -129,11 +101,11 @@ def m_source_distribution_oracle(
         for outcome in combo:
             weight *= per_source[outcome]
         mass[min(combo)] += weight
-    return ParallelDistribution(source_count=sources, probabilities=tuple(mass))
+    return OutcomeDistribution(tuple(mass))
 
 
 def parallel_unconditional_fidelity(
-    dist: ParallelDistribution, per_loop_fidelity
+    dist: OutcomeDistribution, per_loop_fidelity
 ) -> float:
     """Average output fidelity of the parallel arrangement, weighting the
     per-loop fidelities by the freshest-herald distribution (the
@@ -155,19 +127,23 @@ def optimize_constant(
 ) -> OptimizationResult:
     """Best constant pump level within ``bounds`` for the chosen
     objective: a coarse logarithmic scan followed by golden-section
-    refinement of the best bracket.  Ties go to the lowest pump level.
+    refinement of the best bracket.  Values within a relative
+    ``_TIE_RTOL`` of the largest count as ties, and ties go to the lowest
+    pump level.
     """
     lo, hi = _check_bounds(bounds)
     evaluate, evals = _counted_objective(config, objective)
 
-    def phi(x: float) -> float:
-        return evaluate(np.full(config.time_bins, x))
+    def phi(x):
+        return evaluate(np.repeat(np.asarray(x)[..., None], config.time_bins, axis=-1))
 
     grid = np.geomspace(lo, hi, _GRID_POINTS)
-    x_best, v_best = _scan_and_refine(phi, grid, [phi(x) for x in grid])
+    values = phi(grid)
+    tie = _TIE_RTOL * float(np.max(np.abs(values)))
+    x_best, v_best = _scan_and_refine(phi, grid, values, tie=tie)
     return OptimizationResult(
         schedule=ConstantPump(x_best),
-        objective_value=v_best,
+        objective_value=float(v_best),
         objective_kind=objective,
         evaluations=evals(),
     )
@@ -201,7 +177,7 @@ def optimize_schedule(
     evaluate, _ = _counted_objective(config, objective)
     eta_d = config.detector.efficiency
     kind = config.detector.kind
-    taus = _transmission_chain(config.loss, config.time_bins)
+    taus = transmission(config.loss, np.arange(config.time_bins))
     grid = np.geomspace(lo, hi, _GRID_POINTS)
     largest_single = float(np.max(_single_shot_array(grid, eta_d, kind)))
     evaluations = 0
@@ -234,7 +210,7 @@ def optimize_schedule(
         lam = value
     return OptimizationResult(
         schedule=PerBinPump(tuple(float(x) for x in schedule)),
-        objective_value=value,
+        objective_value=float(value),
         objective_kind=objective,
         evaluations=evaluations,
     )
@@ -281,30 +257,22 @@ def _golden_max(fn, a: float, b: float, xtol: float):
 
 
 def _counted_objective(config: ProtocolConfig, objective: Objective):
-    """Objective over a reverse-chronological pump vector, with an
-    evaluation counter.  The conditional objective is extended with
-    value 0 where the train can never herald, keeping it total."""
+    """Objective over reverse-chronological pump vectors ``[..., t]``,
+    with a counter of the schedules evaluated.  The conditional objective
+    is extended with value 0 where the train can never herald, keeping
+    it total."""
     if not isinstance(objective, Objective):
         raise ValueError(f"objective must be an Objective, got {objective!r}")
     eta_d = config.detector.efficiency
     kind = config.detector.kind
-    taus = _transmission_chain(config.loss, config.time_bins)
+    taus = transmission(config.loss, np.arange(config.time_bins))
+    field = objective.value  # the ClosedForm field of the same name
     count = 0
 
-    def evaluate(nbars: np.ndarray) -> float:
+    def evaluate(nbars: np.ndarray):
         nonlocal count
-        count += 1
-        singles = _single_shot_array(nbars, eta_d, kind)
-        no_later = np.concatenate(([1.0], np.cumprod(1.0 - singles)))
-        weights = singles * no_later[:-1]
-        fidelities = _loop_fidelity_array(nbars, eta_d, taus, kind)
-        unconditional = float(weights @ fidelities)
-        if objective is Objective.UNCONDITIONAL:
-            return unconditional
-        herald = 1.0 - float(no_later[-1])
-        if herald == 0.0:
-            return 0.0
-        return unconditional / herald
+        count += np.size(nbars) // config.time_bins
+        return getattr(closed_form(nbars, eta_d, taus, kind), field)
 
     return evaluate, lambda: count
 

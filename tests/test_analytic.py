@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from loopsource import (
     fidelity_report,
     herald_single_shot,
     herald_single_shot_oracle,
-    herald_stats,
     herald_train,
     large_nbar_asymptote,
     outcome_distribution,
@@ -115,13 +116,6 @@ def test_herald_train_strictly_increasing_in_t():
     det = DetectorModel(BUCKET, 0.8)
     values = [herald_train(source, det, t) for t in range(1, 20)]
     assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_herald_stats_bundles_both_rates():
-    stats = herald_stats(SourceModel(1.0), DetectorModel(BUCKET, 1.0), 2)
-    assert stats.single_shot == pytest.approx(0.5)
-    assert stats.train == pytest.approx(0.75)
-    assert stats.detector_kind is BUCKET
 
 
 @pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
@@ -260,6 +254,48 @@ def test_product_identity_unconditional_equals_train_times_conditional(t, kind):
             assert abs(report.unconditional - train * report.conditional) < 1e-12
 
 
+def test_conditional_with_rare_heralds_matches_series():
+    """At S ~ 6e-16 per bin, 1 - prod(1 - S) keeps one significant digit
+    and read the conditional fidelity as 1.0448; the summed weights do
+    not cancel."""
+    source = SourceModel(5.8e-7)
+    det = DetectorModel(RESOLVED, 1e-9)
+    t = 50
+    conditional = conditional_fidelity(ProtocolConfig(t, ConstantPump(5.8e-7), det, LOSSLESS))
+    single = herald_single_shot_oracle(source, det)
+    weights = [single * (1.0 - single) ** loops for loops in range(t)]
+    series = math.fsum(
+        w * fidelity_after_loops_oracle(source, det, LOSSLESS, loops)
+        for loops, w in enumerate(weights)
+    ) / math.fsum(weights)
+    assert conditional <= 1.0
+    assert conditional == pytest.approx(series, rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [4, 7, 20])
+def test_lossless_resolved_conditional_at_low_pump_stays_below_one(t):
+    # F = 1 in every bin; the product form read 1.00000000000005 here
+    assert conditional_fidelity(_config(RESOLVED, 1e-3, t)) <= 1.0
+
+
+def test_herald_probability_stays_at_most_one_when_heralds_are_near_certain():
+    # the 40 summed weights round to 1.0000000000000002 here
+    source = SourceModel(2.0084866607641954)
+    config = _config(BUCKET, source.mean_photon_number, 40, eta_d=0.95, eta_s=0.95, eta_f=0.95)
+    assert herald_train(source, config.detector, 40) == 1.0
+    assert outcome_distribution(config).herald_probability == 1.0
+    assert 0.0 <= conditional_fidelity(config) <= 1.0
+
+
+def test_herald_probability_is_shared_by_every_reader():
+    config = _config(BUCKET, 1e-3, 9, eta_d=0.7, eta_s=0.9, eta_f=0.95)
+    report = fidelity_report(config)
+    train = herald_train(SourceModel(1e-3), config.detector, 9)
+    assert outcome_distribution(config).herald_probability == train
+    assert report.herald_probability == train
+    assert report.conditional == report.unconditional / train
+
+
 def test_conditional_dominates_unconditional():
     config = _config(BUCKET, 0.8, 6, eta_d=0.9, eta_s=0.9, eta_f=0.95)
     report = fidelity_report(config)
@@ -335,3 +371,11 @@ def test_unconditional_approaches_conditional_at_large_t():
     gap_large = conditional_fidelity(large) - unconditional_fidelity(large)
     assert gap_large < gap_small
     assert gap_large < 1e-3
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme.read_text(), re.S)
+    exec(block.group(1), {})
+    herald, unconditional, conditional = map(float, capsys.readouterr().out.split()[:3])
+    assert unconditional == pytest.approx(herald * conditional, rel=1e-12)

@@ -6,6 +6,18 @@ import sys
 
 import pytest
 
+from loopsource import (
+    ConstantPump,
+    DetectorKind,
+    DetectorModel,
+    LossModel,
+    ProtocolConfig,
+    SourceModel,
+    conditional_fidelity,
+    herald_single_shot,
+    herald_train,
+    unconditional_fidelity,
+)
 from loopsource.cli import assess_feasibility, main
 
 
@@ -33,6 +45,42 @@ def test_sweep_train_column_is_geometric(tmp_path):
     for row in rows:
         t = int(row[t_col])
         assert float(row[train_col]) == pytest.approx(1.0 - 2.0**-t, rel=1e-15)
+
+    # The builders evaluate whole grid rows in one kernel call; every cell
+    # equals the scalar API bit for bit.
+    code, text = run_cli(
+        ["sweep", "--t", "1..12", "--nbar", "0,0.07,1.3", "--eta-d", "0.8",
+         "--eta-s", "0.9", "--eta-f", "0.95", "--detector", "resolved"],
+        tmp_path, "lossy.csv",
+    )
+    assert code == 0
+    header, rows = read_csv(text)
+    detector = DetectorModel(DetectorKind.NUMBER_RESOLVED, 0.8)
+    for row in rows[::5]:
+        cells = dict(zip(header, row))
+        t, source = int(cells["time_bins"]), SourceModel(float(cells["nbar"]))
+        config = ProtocolConfig(t, ConstantPump(source.mean_photon_number), detector,
+                                LossModel(0.9, 0.95))
+        assert float(cells["single_shot"]) == herald_single_shot(source, detector)
+        assert float(cells["train"]) == herald_train(source, detector, t)
+        assert float(cells["unconditional"]) == unconditional_fidelity(config)
+        if source.mean_photon_number == 0.0:
+            assert cells["conditional"] == "undefined"
+        else:
+            assert float(cells["conditional"]) == conditional_fidelity(config)
+
+    code, text = run_cli(["figure", "fig6", "--nbar", "0.02,0.9,3", "--t", "3..5"],
+                         tmp_path, "fig6.csv")
+    assert code == 0
+    header, rows = read_csv(text)
+    for row in rows:
+        nbar = float(row[0])
+        for column, cell in zip(header[1:], row[1:]):
+            _, kind, eta, t = column.split("_")
+            eta, t = float(eta.removeprefix("eta")), int(t.removeprefix("t"))
+            config = ProtocolConfig(t, ConstantPump(nbar), DetectorModel(DetectorKind(kind), eta),
+                                    LossModel(eta, eta))
+            assert float(cell) == unconditional_fidelity(config)
 
 
 def test_simulate_runs_are_byte_identical(tmp_path):

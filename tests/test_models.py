@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from loopsource import (
@@ -12,6 +13,7 @@ from loopsource import (
     ProtocolConfig,
     SourceModel,
     loss_thinning_pmf,
+    m_source_distribution,
     thermal_pmf,
     thermal_truncation,
     transmission,
@@ -108,6 +110,11 @@ def test_transmission_chain():
     assert transmission(loss, 10) == pytest.approx(0.8**11)
     lossy = LossModel(0.9, 0.95)
     assert transmission(lossy, 3) == pytest.approx(0.9**4 * 0.95**3)
+    # an array of loop counts gives the same chain, element by element
+    chain = transmission(lossy, np.arange(12))
+    assert list(chain) == [transmission(lossy, l) for l in range(12)]
+    with pytest.raises(ValueError):
+        transmission(lossy, np.array([2, -1]))
 
 
 @pytest.mark.parametrize("eta_s,eta_f", [(1.0, 1.0), (0.9, 0.95), (0.5, 0.99), (0.0, 1.0)])
@@ -170,6 +177,11 @@ def test_outcome_distribution_validation():
         OutcomeDistribution((0.5, 0.25))
     with pytest.raises(ValueError):
         OutcomeDistribution((1.2, -0.2))
+    # m-source distributions are OutcomeDistributions and pass the same check
+    parallel = m_source_distribution(0.5, 2, 2)
+    assert isinstance(parallel, OutcomeDistribution)
+    assert parallel.time_bins == 2
+    assert parallel.herald_probability == 0.9375
 
 
 def test_thermal_pmf_rejects_negative_count():

@@ -11,12 +11,12 @@ from loopsource import (
     SourceModel,
     fidelity_report,
     herald_single_shot,
+    m_source_distribution,
     outcome_distribution,
     run_simulation,
     simulate_parallel_sources,
     simulate_trial,
     trial_stream,
-    two_source_distribution,
 )
 from loopsource.montecarlo import draws_per_trial
 
@@ -184,7 +184,7 @@ def test_two_source_histogram_matches_closed_form():
     trials = 200_000
     summary = simulate_parallel_sources([config, config], trials, 11)
     single = herald_single_shot(SourceModel(0.7), config.detector)
-    reference = two_source_distribution(single, 4)
+    reference = m_source_distribution(single, 4, 2)
     for l, p in enumerate(reference.probabilities):
         se = np.sqrt(p * (1 - p) / trials)
         assert abs(summary.loop_histogram.probabilities[l] - p) <= 4 * se

@@ -18,7 +18,6 @@ from loopsource import (
     optimize_constant,
     optimize_schedule,
     parallel_unconditional_fidelity,
-    two_source_distribution,
     unconditional_fidelity,
 )
 from loopsource.analytic import _loop_fidelity_array, _single_shot_array
@@ -30,36 +29,30 @@ S_GRID = (0.05, 0.3, 0.5, 0.9)
 T_GRID = (1, 2, 4, 7)
 
 
-def test_two_source_values():
-    dist = two_source_distribution(0.5, 2)
+def test_m_source_two_source_values():
+    dist = m_source_distribution(0.5, 2, 2)
     assert dist.probabilities == pytest.approx([0.75, 0.1875, 0.0625])
-    assert dist.source_count == 2
     assert dist.no_herald == pytest.approx(0.0625)
 
 
-def test_two_source_edge_rates():
-    always = two_source_distribution(1.0, 3)
-    assert always.probabilities == pytest.approx([1.0, 0.0, 0.0, 0.0])
-    never = two_source_distribution(0.0, 3)
-    assert never.probabilities == pytest.approx([0.0, 0.0, 0.0, 1.0])
+def test_m_source_edge_rates():
+    for m in (1, 2, 3):
+        always = m_source_distribution(1.0, 3, m)
+        assert always.probabilities == pytest.approx([1.0, 0.0, 0.0, 0.0])
+        never = m_source_distribution(0.0, 3, m)
+        assert never.probabilities == pytest.approx([0.0, 0.0, 0.0, 1.0])
 
 
-def test_two_source_formula_on_grid():
+def test_m_source_two_source_formula_on_grid():
+    """Two sources: S(1-S)^{2j}(2-S) for the freshest herald at j, and
+    (1-S)^{2t} for no herald."""
     for S in S_GRID:
         for t in T_GRID:
-            dist = two_source_distribution(S, t)
+            dist = m_source_distribution(S, t, 2)
             for j in range(t):
                 expected = S * (1.0 - S) ** (2 * j) * (2.0 - S)
                 assert dist.probabilities[j] == pytest.approx(expected, abs=1e-15)
             assert dist.probabilities[t] == pytest.approx((1.0 - S) ** (2 * t), abs=1e-15)
-
-
-def test_m_source_reduces_to_two_source():
-    for S in S_GRID:
-        for t in T_GRID:
-            general = m_source_distribution(S, t, 2)
-            special = two_source_distribution(S, t)
-            assert np.allclose(general.probabilities, special.probabilities, atol=1e-12)
 
 
 def test_m_source_matches_brute_force_enumeration():
@@ -266,7 +259,7 @@ def test_optimize_schedule_properties(t, kind, objective, eta_d, eta_s, eta_f, l
         unconditional_fidelity if objective is Objective.UNCONDITIONAL else conditional_fidelity
     )
     config = ProtocolConfig(t, result.schedule, template.detector, template.loss)
-    assert result.objective_value == pytest.approx(closed_form(config), rel=1e-12)
+    assert result.objective_value == closed_form(config)
     constant = optimize_constant(template, objective, bounds)
     assert result.objective_value >= constant.objective_value - 1e-12
 
