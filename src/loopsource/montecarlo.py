@@ -3,7 +3,13 @@
 Each trial pumps the source once per time-bin, draws a thermal photon
 number and a herald outcome per bin, keeps the most recent heralded bin
 (the switch dumps anything held earlier), and thins the kept photons
-through the accumulated switch and fibre losses at extraction.
+through the accumulated switch and fibre losses at extraction.  The
+thinning is the binomial inverse CDF at one uniform ``u``: with ``P0``
+and ``P1`` the chances that none or exactly one of the held photons
+survives, ``u <= P0`` is vacuum, ``P0 < u <= P0 + P1`` is a single
+photon and anything above is more.  Only the single-photon event is
+counted, so the engine evaluates those two terms in closed form, O(1)
+per trial for every photon number the sampler can draw.
 
 Reproducibility contract: every trial owns a fixed-size block of a
 counter-based random stream keyed by (seed, source index), with the
@@ -18,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .models import (
     DetectorKind,
@@ -40,18 +45,24 @@ _MAX_SAMPLEABLE_NBAR = 4.0e15
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Result of one simulated pulse train."""
+    """Result of one simulated pulse train.
+
+    ``herald_loop_index`` is the number of loops the kept photons made
+    before output (None when no bin heralded), and ``single_photon``
+    whether exactly one of them survived the losses at extraction: the
+    event the batch engine counts, decided by the same test.
+    """
 
     herald_loop_index: int | None
-    photons_out: int
+    single_photon: bool
     heralded: bool
 
     def __post_init__(self) -> None:
         if self.heralded:
             if self.herald_loop_index is None:
                 raise ValueError("heralded trial must carry a herald loop index")
-        elif self.herald_loop_index is not None or self.photons_out != 0:
-            raise ValueError("unheralded trial must have no loop index and no photons")
+        elif self.herald_loop_index is not None or self.single_photon:
+            raise ValueError("unheralded trial must have no loop index and no photon")
 
 
 @dataclass(frozen=True)
@@ -104,13 +115,12 @@ def simulate_trial(config: ProtocolConfig, rng_stream: np.random.Generator) -> T
     ``draws_per_trial(config.time_bins)`` uniforms from the stream."""
     uniforms = rng_stream.random(draws_per_trial(config.time_bins)).reshape(1, -1)
     loop_index, held, out_uniform = _herald_batch(uniforms, config)
-    taus = transmission(config.loss, np.arange(config.time_bins))
-    photons = _thin_outputs(loop_index, held, out_uniform, taus, config.time_bins)
-    if loop_index[0] == config.time_bins:
-        return TrialOutcome(herald_loop_index=None, photons_out=0, heralded=False)
-    return TrialOutcome(
-        herald_loop_index=int(loop_index[0]), photons_out=int(photons[0]), heralded=True
-    )
+    loop = int(loop_index[0])
+    if loop == config.time_bins:
+        return TrialOutcome(herald_loop_index=None, single_photon=False, heralded=False)
+    tau = transmission(config.loss, np.arange(config.time_bins))[loop]
+    single = _single_photon(held, tau, out_uniform)
+    return TrialOutcome(herald_loop_index=loop, single_photon=bool(single[0]), heralded=True)
 
 
 def run_simulation(config: ProtocolConfig, trials: int, seed: int) -> SimulationSummary:
@@ -162,12 +172,12 @@ def simulate_parallel_sources(
         winner = np.argmin(loop_index, axis=0)
         cols = np.arange(rows)
         best_loop = loop_index[winner, cols]
-        best_held = held[winner, cols]
-        best_uniform = out_uniform[winner, cols]
-        best_tau = tau_table[0] if m == 1 else tau_table[winner]
-        photons = _thin_outputs(best_loop, best_held, best_uniform, best_tau, time_bins)
+        # Unheralded trials hold no photons, so the test reads False for
+        # them whatever loss chain entry they are paired with.
+        best_tau = tau_table[winner, np.minimum(best_loop, time_bins - 1)]
+        single = _single_photon(held[winner, cols], best_tau, out_uniform[winner, cols])
         loop_counts += np.bincount(best_loop, minlength=time_bins + 1)
-        single_photon_trials += int(np.count_nonzero(photons == 1))
+        single_photon_trials += int(np.count_nonzero(single))
         start = stop
 
     return _summarize(trials, seed, loop_counts, single_photon_trials)
@@ -246,27 +256,27 @@ def _herald_probability(photon_numbers: np.ndarray, config: ProtocolConfig) -> n
     return -np.expm1(n * log_miss)
 
 
-def _thin_outputs(
-    loop_index: np.ndarray,
-    held: np.ndarray,
-    out_uniform: np.ndarray,
-    tau_by_loop: np.ndarray,
-    time_bins: int,
+def _single_photon(
+    held: np.ndarray, tau: np.ndarray | float, out_uniform: np.ndarray
 ) -> np.ndarray:
-    """Binomial thinning of the held photons through the winner's loss
-    chain, applied once at extraction (the composition of the per-pass
-    losses).  Unheralded trials emit nothing."""
-    photons = np.zeros(loop_index.shape[0], dtype=np.int64)
-    idx = np.nonzero(loop_index < time_bins)[0]
-    if idx.size == 0:
-        return photons
-    if tau_by_loop.ndim == 1:
-        tau = tau_by_loop[loop_index[idx]]
-    else:
-        tau = tau_by_loop[idx, loop_index[idx]]
-    drawn = stats.binom.ppf(out_uniform[idx], held[idx], tau)
-    photons[idx] = np.maximum(drawn, 0.0).astype(np.int64)
-    return photons
+    """Whether binomial thinning of ``held`` photons through transmission
+    ``tau`` leaves exactly one, by the inverse CDF at ``out_uniform``:
+    ``P0 < u <= P0 + P1`` with ``P0 = (1 - tau)**n`` and
+    ``P1 = n tau (1 - tau)**(n - 1)``.
+
+    This is the event that the binomial quantile at ``u`` equals 1, up to
+    ``u`` falling within rounding of a CDF boundary.  Where ``P0`` or
+    ``P1`` underflows, its true value lies below the smallest nonzero
+    uniform (2**-53), so the decision stands.  ``tau = 1`` takes the
+    exact ``P0 = [n == 0]`` and ``P1 = [n == 1]``, since ``log1p(-1)``
+    is ``-inf``.  Held counts of 0 never give a single photon.
+    """
+    n = held.astype(float)
+    lossless = tau == 1.0
+    log_loss = np.log1p(-np.where(lossless, 0.0, tau))
+    p0 = np.where(lossless, n == 0.0, np.exp(n * log_loss))
+    p1 = np.where(lossless, n == 1.0, n * tau * np.exp((n - 1.0) * log_loss))
+    return (p0 < out_uniform) & (out_uniform <= p0 + p1)
 
 
 def _substream(seed: int, source_index: int, block_offset: int) -> np.random.Generator:

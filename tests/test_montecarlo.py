@@ -1,6 +1,14 @@
+import math
+import subprocess
+import sys
+import warnings
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import loopsource
 from loopsource import (
     ConstantPump,
     DetectorKind,
@@ -18,7 +26,8 @@ from loopsource import (
     simulate_trial,
     trial_stream,
 )
-from loopsource.montecarlo import draws_per_trial
+from loopsource.cli import main
+from loopsource.montecarlo import _single_photon, draws_per_trial
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -49,13 +58,28 @@ def test_trial_outcomes_are_well_formed():
         outcome = simulate_trial(config, trial_stream(12, i, config.time_bins))
         if outcome.heralded:
             assert 0 <= outcome.herald_loop_index < config.time_bins
-            assert outcome.photons_out >= 0
         else:
             assert outcome.herald_loop_index is None
-            assert outcome.photons_out == 0
+            assert not outcome.single_photon
 
 
-@pytest.mark.parametrize("config", [_mixed_config(), _per_bin_config()])
+@pytest.mark.parametrize(
+    "config",
+    [
+        _mixed_config(),
+        _per_bin_config(),
+        # lossless: every transmission is exactly 1
+        ProtocolConfig(3, ConstantPump(0.9), DetectorModel(BUCKET, 0.8), LossModel(1.0, 1.0)),
+        # heavy pump: at this seed and train length a trial holds 318 photons
+        ProtocolConfig(48, ConstantPump(30.0), DetectorModel(BUCKET, 0.9), LossModel(0.05, 0.9)),
+        # pump just below the sampler's limit of 4e15 (warnings fail the
+        # suite); the first loop keeps about one of the ~nbar held photons
+        *(
+            ProtocolConfig(2, ConstantPump(3.9e15), DetectorModel(kind, 0.9), LossModel(3e-16, 1.0))
+            for kind in (RESOLVED, BUCKET)
+        ),
+    ],
+)
 def test_per_trial_streams_reproduce_the_batch_run(config):
     """Addressing trial i directly must give the exact trial the batched
     engine produced, so the two paths are interchangeable evidence."""
@@ -66,7 +90,7 @@ def test_per_trial_streams_reproduce_the_batch_run(config):
         outcome = simulate_trial(config, trial_stream(seed, i, config.time_bins))
         index = outcome.herald_loop_index if outcome.heralded else config.time_bins
         counts[index] += 1
-        if outcome.heralded and outcome.photons_out == 1:
+        if outcome.single_photon:
             singles += 1
     summary = run_simulation(config, trials, seed)
     assert tuple(counts) == summary.loop_counts
@@ -205,3 +229,60 @@ def test_seed_validation():
         run_simulation(config, 100, 2**64)
     with pytest.raises(ValueError):
         run_simulation(config, 0, 0)
+
+
+def _oracle_boundaries(n: int, tau: float) -> tuple[Fraction, Fraction]:
+    """Exact rational P(0) and P(0) + P(1) of Binomial(n, tau)."""
+    keep = Fraction(tau)
+    p0 = (1 - keep) ** n
+    return p0, p0 + math.comb(n, 1) * keep * (1 - keep) ** (n - 1)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-9, 0.3, 0.9, 1.0 - 1e-12, 1.0])
+def test_single_photon_test_matches_exact_oracle(tau):
+    # Generator.random yields multiples of 2**-53, so a CDF boundary below
+    # that step lies below every nonzero uniform and is probed by it.
+    smallest = 2.0**-53
+    held, uniforms, expected = [], [], []
+    for n in range(1, 61):
+        lo, hi = _oracle_boundaries(n, tau)
+        probes = [0.0, smallest, 0.5]
+        for boundary in (lo, hi):
+            for side in (Fraction(-1, 10**12), Fraction(1, 10**12)):
+                probes.append(float(boundary * (1 + side)))
+        for u in probes:
+            if u == 0.0 or smallest <= u < 1.0:
+                held.append(n)
+                uniforms.append(u)
+                expected.append(lo < Fraction(u) <= hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decided = _single_photon(np.array(held), tau, np.array(uniforms))
+    assert decided.tolist() == expected
+    if tau == 0.0:
+        assert not decided.any()
+    if tau == 1.0:
+        assert decided.tolist() == [n == 1 and u > 0.0 for n, u in zip(held, uniforms)]
+
+
+def test_sampler_rejects_pump_above_its_limit(capsys):
+    config = ProtocolConfig(
+        2, ConstantPump(5e15), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)
+    )
+    with pytest.raises(ValueError, match="cannot be sampled"):
+        run_simulation(config, 10, 0)
+    assert main(["simulate", "--nbar", "5e15", "--t", "2", "--trials", "10"]) == 2
+    assert "cannot be sampled" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats alone used to cost over a second of every CLI start
+    src = Path(loopsource.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, loopsource.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
