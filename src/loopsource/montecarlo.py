@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _single_shot_array
 from .models import (
     DetectorKind,
     OutcomeDistribution,
@@ -41,6 +42,10 @@ _BATCH_BUDGET_DRAWS = 1 << 21
 # still below 1 in double precision; beyond it inverse-CDF sampling
 # would divide by log(1) = 0.
 _MAX_SAMPLEABLE_NBAR = 4.0e15
+
+# The herald stage evaluates bins for the whole batch until at most this
+# expected share of trials is still unheralded, then only for those.
+_DENSE_UNHERALDED_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -213,19 +218,67 @@ def _herald_batch(uniforms: np.ndarray, config: ProtocolConfig):
     Returns per trial the winning loop index (time_bins when nothing
     heralded), the pre-loss photon number held for it, and the untouched
     output-thinning uniform.
+
+    Only the freshest herald counts, so bins older than a trial's first
+    heralding column cannot change its result and are not evaluated.
+    Bins ``[0, d)`` run over the whole batch (see ``_dense_prefix``); the
+    trials still unheralded after them go through the remaining bins in
+    blocks of doubling width and leave as they herald.  Each evaluated
+    cell goes through the same expressions as a full-width pass, and the
+    layout depends on the configuration alone, so results do not depend
+    on it.
     """
     t = config.time_bins
-    photon_numbers = _thermal_inverse_cdf(uniforms[:, :t], config.bin_means())
-    herald_prob = _herald_probability(photon_numbers, config)
-    heralds = uniforms[:, t : 2 * t] < herald_prob
+    means = config.bin_means()
+    d = _dense_prefix(means, config)
+    loop_index, held = _first_herald(uniforms[:, :d], uniforms[:, t : t + d], means[:d], config)
+    if d < t:
+        active = np.flatnonzero(loop_index == d)
+        loop_index[active] = t
+        start, width = d, d
+        while active.size and start < t:
+            stop = min(start + width, t)
+            index, block_held = _first_herald(
+                uniforms[active, start:stop],
+                uniforms[active, t + start : t + stop],
+                means[start:stop],
+                config,
+            )
+            hit = index < stop - start
+            loop_index[active[hit]] = start + index[hit]
+            held[active[hit]] = block_held[hit]
+            active = active[~hit]
+            start, width = stop, 2 * width
+    return loop_index, held, uniforms[:, 2 * t]
+
+
+def _dense_prefix(bin_means: np.ndarray, config: ProtocolConfig) -> int:
+    """Number of leading bins worth evaluating for every trial: through
+    the first bin by which at most a quarter of trials are expected to be
+    still unheralded, or all of them."""
+    singles = _single_shot_array(bin_means, config.detector.efficiency, config.detector.kind)
+    unheralded = np.cumprod(1.0 - singles)
+    below = np.flatnonzero(unheralded <= _DENSE_UNHERALDED_SHARE)
+    return int(below[0]) + 1 if below.size else len(bin_means)
+
+
+def _first_herald(
+    thermal_uniforms: np.ndarray,
+    herald_uniforms: np.ndarray,
+    bin_means: np.ndarray,
+    config: ProtocolConfig,
+):
+    """First heralding column of each row (the width when none) and the
+    photon number drawn there (0 when none)."""
+    photon_numbers = _thermal_inverse_cdf(thermal_uniforms, bin_means)
+    heralds = herald_uniforms < _herald_probability(photon_numbers, config)
     any_herald = heralds.any(axis=1)
     # argmax picks the first heralding column, which is the most recent
-    # bin because column index equals loops before output.
+    # bin because columns run from newest to oldest.
     first = np.argmax(heralds, axis=1)
-    loop_index = np.where(any_herald, first, t)
-    rows = np.arange(uniforms.shape[0])
-    held = np.where(any_herald, photon_numbers[rows, np.minimum(first, t - 1)], 0)
-    return loop_index, held, uniforms[:, 2 * t]
+    index = np.where(any_herald, first, heralds.shape[1])
+    rows = np.arange(heralds.shape[0])
+    return index, np.where(any_herald, photon_numbers[rows, first], 0)
 
 
 def _thermal_inverse_cdf(uniforms: np.ndarray, bin_means: np.ndarray) -> np.ndarray:

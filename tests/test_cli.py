@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import loopsource
 from loopsource import (
     ConstantPump,
     DetectorKind,
@@ -296,10 +299,14 @@ def test_numerical_failure_exit_code(capsys):
 
 
 def test_bad_subcommand_is_a_usage_error():
+    # the child imports the package from wherever this process found it
+    src = str(Path(loopsource.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "loopsource.cli", "frobnicate"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 2
 

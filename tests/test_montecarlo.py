@@ -26,8 +26,16 @@ from loopsource import (
     simulate_trial,
     trial_stream,
 )
+from loopsource import montecarlo
 from loopsource.cli import main
-from loopsource.montecarlo import _single_photon, draws_per_trial
+from loopsource.montecarlo import (
+    _dense_prefix,
+    _herald_batch,
+    _herald_probability,
+    _single_photon,
+    _thermal_inverse_cdf,
+    draws_per_trial,
+)
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -93,6 +101,123 @@ def test_per_trial_streams_reproduce_the_batch_run(config):
         if outcome.single_photon:
             singles += 1
     summary = run_simulation(config, trials, seed)
+    assert tuple(counts) == summary.loop_counts
+    assert singles / trials == summary.unconditional_fidelity.value
+
+
+def _train_config():
+    # the benchmark's mc_train point: S ~ 0.31 per bin, prefix 4 of 50
+    return ProtocolConfig(
+        50, ConstantPump(0.5), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)
+    )
+
+
+_LAYOUT_CONFIGS = {
+    "mc_train": _train_config(),
+    # prefix 1: nearly every trial heralds in the newest bin
+    "nbar30": ProtocolConfig(
+        48, ConstantPump(30.0), DetectorModel(BUCKET, 0.9), LossModel(0.05, 0.9)
+    ),
+    # prefix 32 of 200: survivors reach the last doubling block
+    "t200": ProtocolConfig(
+        200, ConstantPump(0.05), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)
+    ),
+    # rare heralds: the prefix is the whole train
+    "rare": ProtocolConfig(
+        50, ConstantPump(1e-3), DetectorModel(RESOLVED, 0.9), LossModel(0.9, 0.9)
+    ),
+    "t1": ProtocolConfig(1, ConstantPump(0.7), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)),
+    "eta0": ProtocolConfig(
+        6, ConstantPump(2.0), DetectorModel(BUCKET, 0.0), LossModel(0.9, 0.9)
+    ),
+    "lossless_resolved": ProtocolConfig(
+        12, ConstantPump(1.2), DetectorModel(RESOLVED, 1.0), LossModel(1.0, 1.0)
+    ),
+    "per_bin_zeros": ProtocolConfig(
+        8,
+        PerBinPump((0.0, 3.0, 0.0, 0.0, 0.4, 0.0, 2.5, 0.0)),
+        DetectorModel(BUCKET, 0.8),
+        LossModel(0.85, 0.9),
+    ),
+    **{
+        f"nbar3.9e15_{kind.value}": ProtocolConfig(
+            2, ConstantPump(3.9e15), DetectorModel(kind, 0.9), LossModel(3e-16, 1.0)
+        )
+        for kind in (RESOLVED, BUCKET)
+    },
+}
+
+
+def test_layout_configurations_cover_every_prefix_length():
+    prefixes = [(_dense_prefix(c.bin_means(), c), c.time_bins) for c in _LAYOUT_CONFIGS.values()]
+    assert any(d == 1 < t for d, t in prefixes)
+    assert any(1 < d < t for d, t in prefixes)
+    assert any(d == t > 1 for d, t in prefixes)
+    assert any(d == t == 1 for d, t in prefixes)
+
+
+@pytest.mark.parametrize("config", _LAYOUT_CONFIGS.values(), ids=_LAYOUT_CONFIGS.keys())
+def test_herald_stage_matches_full_width_oracle(config):
+    """The herald stage skips bins that cannot hold a trial's freshest
+    herald; evaluating every bin of every trial must give the same
+    result row for row."""
+    t = config.time_bins
+    uniforms = trial_stream(3, 0, t).random((20_000, draws_per_trial(t)))
+    photon_numbers = _thermal_inverse_cdf(uniforms[:, :t], config.bin_means())
+    heralds = uniforms[:, t : 2 * t] < _herald_probability(photon_numbers, config)
+    heralded = heralds.any(axis=1)
+    first = np.argmax(heralds, axis=1)
+    expected_loop = np.where(heralded, first, t)
+    expected_held = photon_numbers[np.arange(len(first)), first][heralded]
+
+    loop_index, held, out_uniform = _herald_batch(uniforms, config)
+    assert np.array_equal(loop_index, expected_loop)
+    assert np.array_equal(held[heralded], expected_held)
+    assert np.array_equal(out_uniform, uniforms[:, 2 * t])
+
+
+@pytest.mark.parametrize("sources", [1, 3])
+def test_results_do_not_depend_on_the_batch_size(monkeypatch, sources):
+    configs = [_train_config()] * sources
+    trials, seed = 5000, 44
+    whole = simulate_parallel_sources(configs, trials, seed)
+    calls = []
+
+    def counted(uniforms, config):
+        calls.append(uniforms.shape[0])
+        return _herald_batch(uniforms, config)
+
+    monkeypatch.setattr(montecarlo, "_MAX_BATCH", 1024)
+    monkeypatch.setattr(montecarlo, "_BATCH_BUDGET_DRAWS", 1024)
+    monkeypatch.setattr(montecarlo, "_herald_batch", counted)
+    chunked = simulate_parallel_sources(configs, trials, seed)
+    assert calls == [1024] * (4 * sources) + [904] * sources
+    assert chunked == whole
+
+
+def test_per_trial_streams_reproduce_the_parallel_run():
+    """Replaying every source of every trial and keeping the freshest
+    herald (ties to the lowest source index) must give the batch run."""
+    config = ProtocolConfig(
+        6, ConstantPump(0.3), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.95)
+    )
+    sources, trials, seed = 3, 1500, 8
+    t = config.time_bins
+    counts = [0] * (t + 1)
+    singles = ties = 0
+    for i in range(trials):
+        outcomes = [
+            simulate_trial(config, trial_stream(seed, i, t, source_index=s))
+            for s in range(sources)
+        ]
+        loops = [o.herald_loop_index if o.heralded else t for o in outcomes]
+        best = min(loops)
+        winner = outcomes[loops.index(best)]
+        ties += best < t and loops.count(best) > 1
+        counts[best] += 1
+        singles += winner.single_photon
+    assert ties > 0
+    summary = simulate_parallel_sources([config] * sources, trials, seed)
     assert tuple(counts) == summary.loop_counts
     assert singles / trials == summary.unconditional_fidelity.value
 
