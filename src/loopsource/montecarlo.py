@@ -11,11 +11,24 @@ photon and anything above is more.  Only the single-photon event is
 counted, so the engine evaluates those two terms in closed form, O(1)
 per trial for every photon number the sampler can draw.
 
-Reproducibility contract: every trial owns a fixed-size block of a
-counter-based random stream keyed by (seed, source index), with the
-trial index mapped to a counter offset.  Results are therefore
-bit-identical for a given (config, trials, seed) no matter how trials
-are chunked or distributed.
+Reproducibility contract: a trial reads ``2t + 1`` uniforms, numbered
+``j``: the thermal draw of bin ``k`` is ``j = k``, its herald draw
+``j = t + k`` and the thinning draw ``j = 2t``.  They come from a Philox
+stream keyed by (seed, source index) whose 256-bit counter is split into
+disjoint ranges, two segments of them:
+
+* the column segment holds bins ``[0, D)`` and the thinning draw: uniform
+  ``j`` of trial ``i`` is word ``i`` of column range ``j``, so a batch
+  generates each column natively and contiguously;
+* the tail segment holds bins ``[D, t)``: trial ``i`` owns tail range
+  ``i``, which holds its thermal then its herald draws of those bins in
+  bin order, and is generated only for a trial still unheralded after
+  bin ``D``.
+
+``D`` depends on the configuration alone (see ``_layout``).  Every
+uniform therefore has one fixed address, and results are bit-identical
+for a given (config, trials, seed) no matter how trials are chunked;
+``simulate_trial`` rebuilds one trial from the same addresses.
 """
 
 from __future__ import annotations
@@ -34,9 +47,11 @@ from .models import (
 )
 
 # Trials are simulated in batches; the batch size only groups work and
-# cannot influence results (each trial addresses its own counter block).
+# cannot influence results (each uniform has a fixed stream address).
+# The budget caps the column-segment uniforms of one batch over all
+# sources (8 MB), which also bounds the herald stage's temporaries.
 _MAX_BATCH = 1 << 16
-_BATCH_BUDGET_DRAWS = 1 << 21
+_BATCH_BUDGET_DRAWS = 1 << 20
 
 # Largest mean photon number whose geometric ratio nbar/(1+nbar) is
 # still below 1 in double precision; beyond it inverse-CDF sampling
@@ -46,6 +61,17 @@ _MAX_SAMPLEABLE_NBAR = 4.0e15
 # The herald stage evaluates bins for the whole batch until at most this
 # expected share of trials is still unheralded, then only for those.
 _DENSE_UNHERALDED_SHARE = 0.25
+
+# The column segment covers the bins up to the one by which at most this
+# expected share of trials is still unheralded; the rest generate their
+# older bins one trial at a time.
+_COLUMN_UNHERALDED_SHARE = 1.0 / 64.0
+
+# Third word of the Philox counter: which segment a range belongs to.
+# The second word numbers the ranges of a segment, and the first counts
+# 4-word blocks within a range.
+_COLUMN_SEGMENT = 0
+_TAIL_SEGMENT = 1
 
 
 @dataclass(frozen=True)
@@ -98,28 +124,27 @@ class SimulationSummary:
 
 
 def draws_per_trial(time_bins: int) -> int:
-    """Uniform draws consumed by one trial: one thermal and one herald
-    draw per bin plus one output-thinning draw, padded to a whole number
-    of 4-draw counter blocks so trial offsets are exactly addressable."""
-    return 4 * ((2 * time_bins + 1 + 3) // 4)
+    """Uniforms a trial can read: one thermal and one herald draw per bin
+    plus one output-thinning draw."""
+    return 2 * time_bins + 1
 
 
-def trial_stream(
-    seed: int, trial_index: int, time_bins: int, source_index: int = 0
-) -> np.random.Generator:
-    """Random stream positioned at the start of one trial's draw block."""
+def simulate_trial(
+    config: ProtocolConfig, seed: int, trial_index: int, source_index: int = 0
+) -> TrialOutcome:
+    """Replay trial ``trial_index`` of source ``source_index`` of a seeded
+    run: its uniforms are read from their stream addresses and go through
+    the batch engine's herald stage, so the outcome is the one the batch
+    run produced."""
     _check_seed(seed)
-    if trial_index < 0:
-        raise ValueError(f"trial index must be >= 0, got {trial_index}")
-    blocks = draws_per_trial(time_bins) // 4
-    return _substream(seed, source_index, trial_index * blocks)
-
-
-def simulate_trial(config: ProtocolConfig, rng_stream: np.random.Generator) -> TrialOutcome:
-    """Simulate one pulse train, consuming exactly
-    ``draws_per_trial(config.time_bins)`` uniforms from the stream."""
-    uniforms = rng_stream.random(draws_per_trial(config.time_bins)).reshape(1, -1)
-    loop_index, held, out_uniform = _herald_batch(uniforms, config)
+    for name, value in (("trial index", trial_index), ("source index", source_index)):
+        if not (_is_int(value) and 0 <= value < 2**64):
+            raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
+    _check_sampleable(config)
+    stream = _Stream(seed, source_index)
+    columns = np.empty((2 * _layout(config)[1] + 1, 1))
+    _read_columns(stream, config, trial_index, columns)
+    loop_index, held, out_uniform = _herald_batch(columns, config, stream, trial_index)
     loop = int(loop_index[0])
     if loop == config.time_bins:
         return TrialOutcome(herald_loop_index=None, single_photon=False, heralded=False)
@@ -148,16 +173,18 @@ def simulate_parallel_sources(
     for config in configs[1:]:
         if config.time_bins != time_bins:
             raise ValueError("all parallel sources must share the same number of time-bins")
-    if not (isinstance(trials, int) and trials >= 1):
+    if not (_is_int(trials) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials}")
     _check_seed(seed)
     for config in configs:
         _check_sampleable(config)
 
     m = len(configs)
-    draws = draws_per_trial(time_bins)
-    blocks = draws // 4
-    batch = max(1024, min(_MAX_BATCH, _BATCH_BUDGET_DRAWS // (draws * m)))
+    widths = [2 * _layout(config)[1] + 1 for config in configs]
+    batch = max(1024, min(_MAX_BATCH, _BATCH_BUDGET_DRAWS // sum(widths)))
+    # One buffer serves every source in turn; its rows are column ranges.
+    buffer = np.empty((max(widths), min(batch, trials)))
+    streams = [_Stream(seed, s) for s in range(m)]
     loops = np.arange(time_bins)
     tau_table = np.stack([transmission(config.loss, loops) for config in configs])
 
@@ -171,9 +198,11 @@ def simulate_parallel_sources(
         held = np.empty((m, rows), dtype=np.int64)
         out_uniform = np.empty((m, rows))
         for s, config in enumerate(configs):
-            gen = _substream(seed, s, start * blocks)
-            uniforms = gen.random((rows, draws))
-            loop_index[s], held[s], out_uniform[s] = _herald_batch(uniforms, config)
+            columns = buffer[: widths[s], :rows]
+            _read_columns(streams[s], config, start, columns)
+            loop_index[s], held[s], out_uniform[s] = _herald_batch(
+                columns, config, streams[s], start
+            )
         winner = np.argmin(loop_index, axis=0)
         cols = np.arange(rows)
         best_loop = loop_index[winner, cols]
@@ -212,54 +241,131 @@ def _proportion(successes: int, denominator: int) -> Estimate:
     return Estimate(value=p, standard_error=math.sqrt(p * (1.0 - p) / denominator))
 
 
-def _herald_batch(uniforms: np.ndarray, config: ProtocolConfig):
-    """Vectorized herald stage for a batch of trials.
+def _herald_batch(
+    columns: np.ndarray, config: ProtocolConfig, stream: _Stream, first_trial: int
+):
+    """Vectorized herald stage for the batch of trials from ``first_trial``.
 
-    Returns per trial the winning loop index (time_bins when nothing
-    heralded), the pre-loss photon number held for it, and the untouched
+    ``columns`` holds the batch's column segment, one row per range
+    (see ``_read_columns``) and one column per trial.  Returns per trial
+    the winning loop index (time_bins when nothing heralded), the
+    pre-loss photon number held for it, and the untouched
     output-thinning uniform.
 
     Only the freshest herald counts, so bins older than a trial's first
-    heralding column cannot change its result and are not evaluated.
-    Bins ``[0, d)`` run over the whole batch (see ``_dense_prefix``); the
-    trials still unheralded after them go through the remaining bins in
-    blocks of doubling width and leave as they herald.  Each evaluated
-    cell goes through the same expressions as a full-width pass, and the
-    layout depends on the configuration alone, so results do not depend
-    on it.
+    heralding bin cannot change its result and are not evaluated.
+    Bins ``[0, d)`` run over the whole batch; the trials still
+    unheralded after them go through the remaining bins in blocks of
+    doubling width, split at ``D``, and leave as they herald.  Trials
+    still unheralded after bin ``D`` read their tail range from
+    ``stream``.  Each evaluated cell goes through the same expressions
+    as a full-width pass, and the layout depends on the configuration
+    alone, so results do not depend on it.
     """
     t = config.time_bins
     means = config.bin_means()
-    d = _dense_prefix(means, config)
-    loop_index, held = _first_herald(uniforms[:, :d], uniforms[:, t : t + d], means[:d], config)
+    d, column_bins = _layout(config)
+    tail_bins = t - column_bins
+    thermal, herald = columns[:column_bins], columns[column_bins : 2 * column_bins]
+    loop_index, held = _first_herald(thermal[:d], herald[:d], means[:d], config)
     if d < t:
         active = np.flatnonzero(loop_index == d)
         loop_index[active] = t
+        tails = None
         start, width = d, d
         while active.size and start < t:
             stop = min(start + width, t)
+            if start < column_bins:
+                stop = min(stop, column_bins)
+                block_thermal = thermal[start:stop, active]
+                block_herald = herald[start:stop, active]
+            else:
+                if tails is None:
+                    trials = [first_trial + row for row in active.tolist()]
+                    tails = _read_tails(stream, trials, 2 * tail_bins)
+                # a tail holds thermal draws of bins [D, t), then herald draws
+                offset = start - column_bins
+                block_thermal = tails[:, offset : offset + stop - start].T
+                block_herald = tails[:, tail_bins + offset : tail_bins + offset + stop - start].T
             index, block_held = _first_herald(
-                uniforms[active, start:stop],
-                uniforms[active, t + start : t + stop],
-                means[start:stop],
-                config,
+                block_thermal, block_herald, means[start:stop], config
             )
             hit = index < stop - start
             loop_index[active[hit]] = start + index[hit]
             held[active[hit]] = block_held[hit]
             active = active[~hit]
+            if tails is not None:
+                tails = tails[~hit]
             start, width = stop, 2 * width
-    return loop_index, held, uniforms[:, 2 * t]
+    return loop_index, held, columns[2 * column_bins]
 
 
-def _dense_prefix(bin_means: np.ndarray, config: ProtocolConfig) -> int:
-    """Number of leading bins worth evaluating for every trial: through
-    the first bin by which at most a quarter of trials are expected to be
-    still unheralded, or all of them."""
-    singles = _single_shot_array(bin_means, config.detector.efficiency, config.detector.kind)
+def _layout(config: ProtocolConfig) -> tuple[int, int]:
+    """The dense prefix ``d`` of the herald stage and the width ``D`` of
+    the column segment: the number of leading bins through the first one
+    by which at most ``_DENSE_UNHERALDED_SHARE``, respectively
+    ``_COLUMN_UNHERALDED_SHARE``, of trials are expected to be still
+    unheralded, or all of them."""
+    singles = _single_shot_array(
+        config.bin_means(), config.detector.efficiency, config.detector.kind
+    )
     unheralded = np.cumprod(1.0 - singles)
-    below = np.flatnonzero(unheralded <= _DENSE_UNHERALDED_SHARE)
-    return int(below[0]) + 1 if below.size else len(bin_means)
+
+    def through(share: float) -> int:
+        below = np.flatnonzero(unheralded <= share)
+        return int(below[0]) + 1 if below.size else config.time_bins
+
+    return through(_DENSE_UNHERALDED_SHARE), through(_COLUMN_UNHERALDED_SHARE)
+
+
+class _Stream:
+    """The Philox stream of one (seed, source index) key, read by address:
+    ``read`` fills an array with consecutive words of one counter range."""
+
+    def __init__(self, seed: int, source_index: int) -> None:
+        self._key = (seed, source_index)
+        self._gen = np.random.Generator(
+            np.random.Philox(key=np.array(self._key, dtype=np.uint64))
+        )
+
+    def read(self, segment: int, index: int, word: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the uniforms at words ``word, word + 1, ...``
+        of range ``index`` of ``segment``.  Each 4-word block has its own
+        counter value, so this is the same as generating the range from
+        its start and dropping the first ``word`` uniforms."""
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (word // 4, index, segment, 0), "key": self._key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        if word % 4:
+            self._gen.random(word % 4)
+        self._gen.random(out=out)
+
+
+def _read_columns(
+    stream: _Stream, config: ProtocolConfig, first_trial: int, out: np.ndarray
+) -> None:
+    """Fill ``out`` (2D + 1 rows, one column per trial from
+    ``first_trial``) with the column segment: the thermal draws of bins
+    ``[0, D)``, their herald draws and the thinning draw."""
+    t = config.time_bins
+    column_bins = (out.shape[0] - 1) // 2
+    ranges = (*range(column_bins), *range(t, t + column_bins), 2 * t)
+    for row, index in zip(out, ranges):
+        stream.read(_COLUMN_SEGMENT, index, first_trial, row)
+
+
+def _read_tails(stream: _Stream, trials: list[int], width: int) -> np.ndarray:
+    """The first ``width`` words of the given trials' tail ranges, one
+    row each: the thermal then the herald draws of bins ``[D, t)``."""
+    out = np.empty((len(trials), width))
+    for row, trial in zip(out, trials):
+        stream.read(_TAIL_SEGMENT, trial, 0, row)
+    return out
 
 
 def _first_herald(
@@ -268,26 +374,27 @@ def _first_herald(
     bin_means: np.ndarray,
     config: ProtocolConfig,
 ):
-    """First heralding column of each row (the width when none) and the
-    photon number drawn there (0 when none)."""
+    """First heralding bin of each trial (the number of bins when none)
+    and the photon number drawn there (0 when none).  Rows are bins and
+    columns trials."""
     photon_numbers = _thermal_inverse_cdf(thermal_uniforms, bin_means)
     heralds = herald_uniforms < _herald_probability(photon_numbers, config)
-    any_herald = heralds.any(axis=1)
-    # argmax picks the first heralding column, which is the most recent
-    # bin because columns run from newest to oldest.
-    first = np.argmax(heralds, axis=1)
-    index = np.where(any_herald, first, heralds.shape[1])
-    rows = np.arange(heralds.shape[0])
-    return index, np.where(any_herald, photon_numbers[rows, first], 0)
+    any_herald = heralds.any(axis=0)
+    # argmax picks the first heralding row, which is the most recent
+    # bin because rows run from newest to oldest.
+    first = np.argmax(heralds, axis=0)
+    index = np.where(any_herald, first, heralds.shape[0])
+    trials = np.arange(heralds.shape[1])
+    return index, np.where(any_herald, photon_numbers[first, trials], 0)
 
 
 def _thermal_inverse_cdf(uniforms: np.ndarray, bin_means: np.ndarray) -> np.ndarray:
     """Map uniforms to thermal photon numbers per bin via the geometric
-    quantile function; column j uses the mean of bin j."""
+    quantile function; row k uses the mean of bin k."""
     ratio = bin_means / (1.0 + bin_means)
     safe = np.where(ratio > 0.0, ratio, 0.5)
     log_ratio = np.where(ratio > 0.0, np.log(safe), -np.inf)
-    return np.floor(np.log1p(-uniforms) / log_ratio).astype(np.int64)
+    return np.floor(np.log1p(-uniforms) / log_ratio[:, None]).astype(np.int64)
 
 
 def _herald_probability(photon_numbers: np.ndarray, config: ProtocolConfig) -> np.ndarray:
@@ -332,16 +439,13 @@ def _single_photon(
     return (p0 < out_uniform) & (out_uniform <= p0 + p1)
 
 
-def _substream(seed: int, source_index: int, block_offset: int) -> np.random.Generator:
-    key = np.array([seed, source_index], dtype=np.uint64)
-    bit_gen = np.random.Philox(key=key)
-    if block_offset:
-        bit_gen = bit_gen.advance(block_offset)
-    return np.random.Generator(bit_gen)
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no count and no seed
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_seed(seed: int) -> None:
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+    if not (_is_int(seed) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
