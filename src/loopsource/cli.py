@@ -8,6 +8,14 @@ floats; JSON mirrors the columns as arrays under ``columns`` plus a
 where one applies.  Quantities conditioned on an event of probability
 zero are emitted as the literal cell ``undefined`` in CSV and ``null``
 in JSON.  Exit codes: 0 success, 2 usage error, 3 non-finite result.
+
+Every command returns ``(table, meta)``.  ``table`` maps each column
+name, in output order, to a float64 array or to a list of Python cells
+(int, float, str or ``None``): ints that must stay exact (a 64-bit seed),
+labels, cells that may be undefined, and the cells of one-row tables.
+The non-finite check and both renderers work a column at a time; the
+bytes they write are those of the stdlib's row-wise ``csv.writer`` with
+``format(x, ".17g")`` floats and of ``json.dumps(..., indent=2)``.
 """
 
 from __future__ import annotations
@@ -127,18 +135,15 @@ def main(argv: list[str] | None = None) -> int:
         # Out-of-range inputs surface as non-finite cells; the scan below
         # reports them, so the intermediate warnings carry no information.
         with np.errstate(all="ignore"):
-            columns, rows, meta = _COMMANDS[args.command](args)
+            table, meta = _COMMANDS[args.command](args)
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    bad_column = _find_non_finite(columns, rows)
+    bad_column = _first_non_finite(table)
     if bad_column is not None:
         print(f"error: non-finite value in column '{bad_column}'", file=sys.stderr)
         return 3
-    if args.format == "csv":
-        text = _render_csv(columns, rows)
-    else:
-        text = _render_json(columns, rows, meta)
+    text = _render_csv(table) if args.format == "csv" else _render_json(table, meta)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -320,50 +325,54 @@ def _base_meta(args: argparse.Namespace) -> dict:
 # commands
 
 
+def _one_row(names: list[str], cells: list) -> dict:
+    """A one-row table; each column is a one-cell list."""
+    return {name: [cell] for name, cell in zip(names, cells)}
+
+
+def _loop_order(t: int, chronological: bool) -> list[int]:
+    """Loop counts of a per-bin table's rows: newest bin first, or in
+    firing order under ``--chronological``."""
+    return list(range(t - 1, -1, -1)) if chronological else list(range(t))
+
+
 def _cmd_herald(args: argparse.Namespace):
     t = _single_t(args)
     config = _config_from_args(args, t)
     nbars = config.bin_means()
     train = outcome_distribution(config).herald_probability
-    source_rows = []
-    for loop in range(t):
-        source = SourceModel(float(nbars[loop]))
-        source_rows.append(
-            [loop, float(nbars[loop]), herald_single_shot(source, config.detector), train]
-        )
-    if args.chronological:
-        source_rows.reverse()
-    return ["loops_before_output", "nbar", "single_shot", "train"], source_rows, _base_meta(args)
+    singles = [herald_single_shot(SourceModel(nbar), config.detector) for nbar in nbars.tolist()]
+    order = _loop_order(t, args.chronological)
+    table = {
+        "loops_before_output": order,
+        "nbar": nbars[order],
+        "single_shot": np.array(singles)[order],
+        "train": np.full(t, train),
+    }
+    return table, _base_meta(args)
 
 
 def _cmd_fidelity(args: argparse.Namespace):
     t = _single_t(args)
     config = _config_from_args(args, t)
-    nbars = config.bin_means()
     try:
         report = fidelity_report(config)
         conditional: float | None = report.conditional
-        per_loop: tuple[float | None, ...] = report.per_loop
+        per_loop: list[float | None] = list(report.per_loop)
         unconditional = report.unconditional
     except UndefinedConditionalError:
         conditional = None
-        per_loop = tuple(None for _ in range(t))
+        per_loop = [None] * t
         unconditional = unconditional_fidelity(config)
-    rows = []
-    for loop in range(t):
-        rows.append(
-            [
-                loop,
-                float(nbars[loop]),
-                transmission(config.loss, loop),
-                per_loop[loop],
-                conditional,
-                unconditional,
-            ]
-        )
-    columns = ["loops_before_output", "nbar", "transmission", "loop_fidelity",
-               "conditional", "unconditional"]
-    return columns, rows, _base_meta(args)
+    table = {
+        "loops_before_output": list(range(t)),
+        "nbar": config.bin_means(),
+        "transmission": np.array([transmission(config.loss, loop) for loop in range(t)]),
+        "loop_fidelity": per_loop,
+        "conditional": [conditional] * t,
+        "unconditional": np.full(t, unconditional),
+    }
+    return table, _base_meta(args)
 
 
 def _cmd_sweep(args: argparse.Namespace):
@@ -371,17 +380,22 @@ def _cmd_sweep(args: argparse.Namespace):
     nbars = _parse_float_list(args.nbar, "--nbar")
     detector, loss = _models_from_args(args)
     singles = [herald_single_shot(SourceModel(nbar), detector) for nbar in nbars]
-    rows = []
+    # keep only the three output columns of each train length's closed form
+    parts = []
     for t in t_values:
-        result = _trains(detector.kind, nbars, detector.efficiency,
-                         transmission(loss, np.arange(t)))
-        for nbar, single, herald, conditional, unconditional in zip(
-            nbars, singles, result.herald, result.conditional, result.unconditional
-        ):
-            rows.append([t, nbar, single, herald,
-                         conditional if herald > 0.0 else None, unconditional])
-    columns = ["time_bins", "nbar", "single_shot", "train", "conditional", "unconditional"]
-    return columns, rows, _base_meta(args)
+        result = _trains(detector.kind, nbars, detector.efficiency, transmission(loss, np.arange(t)))
+        parts.append((result.herald, result.conditional, result.unconditional))
+    train, conditional, unconditional = (np.concatenate(part) for part in zip(*parts))
+    table = {
+        "time_bins": [t for t in t_values for _ in nbars],
+        "nbar": np.tile(nbars, len(t_values)),
+        "single_shot": np.tile(singles, len(t_values)),
+        "train": train,
+        "conditional": [value if herald > 0.0 else None
+                        for value, herald in zip(conditional.tolist(), train.tolist())],
+        "unconditional": unconditional,
+    }
+    return table, _base_meta(args)
 
 
 def _cmd_optimize(args: argparse.Namespace):
@@ -394,55 +408,47 @@ def _cmd_optimize(args: argparse.Namespace):
                "value", "evaluations"]
     if not args.biased:
         result = optimize_constant(config, objective, bounds)
-        rows = [[args.objective, t, "constant", "all",
-                 result.schedule.mean_photon_number, result.objective_value,
-                 result.evaluations]]
-        return columns, rows, _base_meta(args)
+        cells = [args.objective, t, "constant", "all", result.schedule.mean_photon_number,
+                 result.objective_value, result.evaluations]
+        return _one_row(columns, cells), _base_meta(args)
     result = optimize_schedule(config, objective, bounds)
-    schedule = result.schedule.mean_photon_numbers
-    order = list(range(t))
-    if args.chronological:
-        order.reverse()
-    rows = []
-    for position, loop in enumerate(order):
-        rows.append(
-            [args.objective, t, position, loop, schedule[loop],
-             result.objective_value, result.evaluations]
-        )
-    return columns, rows, _base_meta(args)
+    order = _loop_order(t, args.chronological)
+    cells = [[args.objective] * t, [t] * t, list(range(t)), order,
+             np.array(result.schedule.mean_photon_numbers)[order],
+             np.full(t, result.objective_value), [result.evaluations] * t]
+    return dict(zip(columns, cells)), _base_meta(args)
 
 
-def _summary_dataset(summary, t: int, histogram: bool, extra_columns, extra_values):
-    if histogram:
-        columns = extra_columns + ["loop", "count", "frequency"]
-        rows = []
-        for loop in range(t + 1):
-            # loop == t is the no-herald row
-            rows.append(
-                extra_values
-                + [loop, summary.loop_counts[loop], summary.loop_histogram.probabilities[loop]]
-            )
-        return columns, rows
-    columns = extra_columns + [
+def _summary_dataset(args: argparse.Namespace, summary, t: int, extra: dict):
+    """The Monte Carlo table, after ``extra``'s constant columns: the loop
+    histogram (t + 1 rows, the last one the no-herald row) or the one-row
+    summary."""
+    meta = {**_base_meta(args), "seed": args.seed}
+    if args.histogram:
+        table = {name: [value] * (t + 1) for name, value in extra.items()}
+        table.update({
+            "loop": list(range(t + 1)),
+            "count": list(summary.loop_counts),
+            "frequency": np.array(summary.loop_histogram.probabilities),
+        })
+        return table, meta
+    conditional = summary.conditional_fidelity
+    names = list(extra) + [
         "trials", "seed", "herald_rate", "herald_rate_se",
         "conditional_fidelity", "conditional_fidelity_se",
         "unconditional_fidelity", "unconditional_fidelity_se",
     ]
-    conditional = summary.conditional_fidelity
-    rows = [
-        extra_values
-        + [
-            summary.trials,
-            summary.seed,
-            summary.herald_rate.value,
-            summary.herald_rate.standard_error,
-            conditional.value if conditional is not None else None,
-            conditional.standard_error if conditional is not None else None,
-            summary.unconditional_fidelity.value,
-            summary.unconditional_fidelity.standard_error,
-        ]
+    cells = list(extra.values()) + [
+        summary.trials,
+        summary.seed,
+        summary.herald_rate.value,
+        summary.herald_rate.standard_error,
+        conditional.value if conditional is not None else None,
+        conditional.standard_error if conditional is not None else None,
+        summary.unconditional_fidelity.value,
+        summary.unconditional_fidelity.standard_error,
     ]
-    return columns, rows
+    return _one_row(names, cells), meta
 
 
 def _check_trials_seed(args: argparse.Namespace) -> None:
@@ -457,10 +463,7 @@ def _cmd_simulate(args: argparse.Namespace):
     _check_trials_seed(args)
     config = _config_from_args(args, t)
     summary = run_simulation(config, args.trials, args.seed)
-    columns, rows = _summary_dataset(summary, t, args.histogram, [], [])
-    meta = _base_meta(args)
-    meta["seed"] = args.seed
-    return columns, rows, meta
+    return _summary_dataset(args, summary, t, {})
 
 
 def _cmd_parallel(args: argparse.Namespace):
@@ -470,12 +473,7 @@ def _cmd_parallel(args: argparse.Namespace):
         raise UsageError(f"--sources must be >= 1, got {args.sources}")
     config = _config_from_args(args, t)
     summary = simulate_parallel_sources([config] * args.sources, args.trials, args.seed)
-    columns, rows = _summary_dataset(
-        summary, t, args.histogram, ["sources"], [args.sources]
-    )
-    meta = _base_meta(args)
-    meta["seed"] = args.seed
-    return columns, rows, meta
+    return _summary_dataset(args, summary, t, {"sources": args.sources})
 
 
 def _cmd_feasibility(args: argparse.Namespace):
@@ -489,9 +487,9 @@ def _cmd_feasibility(args: argparse.Namespace):
     )
     columns = ["repetition_rate", "bin_separation", "fibre_length",
                "fibre_transmission", "loops", "net_transmission"]
-    rows = [[report.repetition_rate, report.bin_separation, report.fibre_length,
-             report.fibre_transmission, report.loops_assessed, report.net_transmission]]
-    return columns, rows, _base_meta(args)
+    cells = [report.repetition_rate, report.bin_separation, report.fibre_length,
+             report.fibre_transmission, report.loops_assessed, report.net_transmission]
+    return _one_row(columns, cells), _base_meta(args)
 
 
 def _cmd_figure(args: argparse.Namespace):
@@ -508,10 +506,7 @@ def _cmd_figure(args: argparse.Namespace):
     if unknown:
         flags = ", ".join("--" + flag.replace("_", "-") for flag in sorted(unknown))
         raise UsageError(f"{figure_id} does not accept override {flags}")
-    columns, rows = build(args, defaults)
-    meta = _base_meta(args)
-    meta["figure"] = figure_id
-    return columns, rows, meta
+    return build(args, defaults), {**_base_meta(args), "figure": figure_id}
 
 
 # ---------------------------------------------------------------------------
@@ -570,20 +565,17 @@ def _fig2(args: argparse.Namespace, defaults: dict):
     nbar = _override_scalar(args.nbar, defaults["nbar"], "--nbar")
     eta_d = defaults["eta_d"] if args.eta_d is None else args.eta_d
     source = SourceModel(nbar)
-    rows = []
-    for t in ts:
-        rows.append([
-            t,
-            herald_train(source, DetectorModel(DetectorKind.NUMBER_RESOLVED, eta_d), t),
-            herald_train(source, DetectorModel(DetectorKind.BUCKET, eta_d), t),
-        ])
-    return ["time_bins", "herald_resolved", "herald_bucket"], rows
+    table: dict = {"time_bins": ts}
+    for kind, name in zip(_KINDS, ("herald_resolved", "herald_bucket")):
+        detector = DetectorModel(kind, eta_d)
+        table[name] = np.array([herald_train(source, detector, t) for t in ts])
+    return table
 
 
 def _fig3(args: argparse.Namespace, defaults: dict):
     ts = _override_t_range(args.t, defaults["t"])
     etas = defaults["etas"]
-    columns = ["time_bins"]
+    names = []
     pumps = []
     for kind, caption in zip(_KINDS, (defaults["nbar_resolved"], defaults["nbar_bucket"])):
         nbars = []
@@ -593,54 +585,47 @@ def _fig3(args: argparse.Namespace, defaults: dict):
                 template = _config_for(kind, 1.0, eta, eta, eta, ts[-1])
                 nbar = optimize_constant(template, Objective.CONDITIONAL).schedule.mean_photon_number
             label = f"{kind.value}_eta{eta:g}"
-            columns.extend([f"fidelity_{label}", f"herald_{label}"])
+            names.extend([f"fidelity_{label}", f"herald_{label}"])
             nbars.append(nbar)
         pumps.append((kind, nbars))
     eta_column = np.array(etas)[:, None]
     rows = []
     for t in ts:
-        row: list = [t]
         taus = np.stack([_eta_chain(eta, t) for eta in etas])
+        row = []
         for kind, nbars in pumps:
             result = _trains(kind, nbars, eta_column, taus)
-            for conditional, herald in zip(result.conditional, result.herald):
-                row.extend([conditional, herald])
+            # fidelity and herald of each eta, interleaved
+            row.extend(np.stack([result.conditional, result.herald], axis=-1).ravel())
         rows.append(row)
-    return columns, rows
+    return {"time_bins": ts, **dict(zip(names, np.array(rows).T))}
 
 
 def _fig5(args: argparse.Namespace, defaults: dict):
     nbars = _override_list(args.nbar, defaults["nbars"], "--nbar")
     eta_grid = np.linspace(0.0, 1.0, defaults["eta_d_points"])
-    rows = []
-    for eta_d in eta_grid:
-        for nbar in nbars:
-            source = SourceModel(nbar)
-            rows.append([
-                float(eta_d),
-                nbar,
-                detector_limited_fidelity(
-                    source, DetectorModel(DetectorKind.NUMBER_RESOLVED, float(eta_d))
-                ),
-                detector_limited_fidelity(
-                    source, DetectorModel(DetectorKind.BUCKET, float(eta_d))
-                ),
-            ])
-    return ["eta_d", "nbar", "fidelity_resolved", "fidelity_bucket"], rows
+    sources = [SourceModel(nbar) for nbar in nbars]
+    table = {"eta_d": np.repeat(eta_grid, len(nbars)), "nbar": np.tile(nbars, len(eta_grid))}
+    for kind, name in zip(_KINDS, ("fidelity_resolved", "fidelity_bucket")):
+        table[name] = np.array([
+            detector_limited_fidelity(source, DetectorModel(kind, eta_d))
+            for eta_d in eta_grid.tolist()
+            for source in sources
+        ])
+    return table
 
 
 def _fig6(args: argparse.Namespace, defaults: dict):
     lo, hi, points = defaults["nbar_grid"]
     nbars = _override_nbars(args.nbar, np.linspace(lo, hi, points))
     ts = _parse_t_values(args.t) if args.t is not None else list(defaults["ts"])
-    columns = ["nbar"]
-    values = []
+    table = {"nbar": np.array(nbars)}
     for kind in _KINDS:
         for eta in defaults["etas"]:
             for t in ts:
-                columns.append(f"unconditional_{kind.value}_eta{eta:g}_t{t}")
-                values.append(_trains(kind, nbars, eta, _eta_chain(eta, t)).unconditional)
-    return columns, [list(row) for row in zip(nbars, *values)]
+                table[f"unconditional_{kind.value}_eta{eta:g}_t{t}"] = _trains(
+                    kind, nbars, eta, _eta_chain(eta, t)).unconditional
+    return table
 
 
 def _fig7(args: argparse.Namespace, defaults: dict):
@@ -649,32 +634,30 @@ def _fig7(args: argparse.Namespace, defaults: dict):
     nbars = _override_nbars(args.nbar, np.linspace(lo, hi, points))
     lo, hi, points = defaults["eta_grid"]
     etas = [float(eta) for eta in _override_list(args.eta, np.linspace(lo, hi, points), "--eta")]
-    # one kernel call per eta and detector: values[kind][eta][nbar]
-    values = [[_trains(kind, nbars, eta, _eta_chain(eta, t)).unconditional for eta in etas]
-              for kind in _KINDS]
-    rows = [
-        [nbar, eta, values[0][j][i], values[1][j][i]]
-        for i, nbar in enumerate(nbars)
-        for j, eta in enumerate(etas)
-    ]
-    return ["nbar", "eta", "unconditional_resolved", "unconditional_bucket"], rows
+    table = {"nbar": np.repeat(nbars, len(etas)), "eta": np.tile(etas, len(nbars))}
+    for kind, name in zip(_KINDS, ("unconditional_resolved", "unconditional_bucket")):
+        # one kernel call per eta: rows eta, columns nbar; the table runs nbar-major
+        values = np.array([_trains(kind, nbars, eta, _eta_chain(eta, t)).unconditional
+                           for eta in etas])
+        table[name] = values.T.ravel()
+    return table
 
 
 def _fig8(args: argparse.Namespace, defaults: dict):
     ts = _override_t_range(args.t, defaults["t"])
     etas = defaults["etas"]
-    columns = ["time_bins"]
+    names = []
     for eta in etas:
-        columns.extend([f"constant_eta{eta:g}", f"biased_eta{eta:g}"])
+        names.extend([f"constant_eta{eta:g}", f"biased_eta{eta:g}"])
     rows = []
     for t in ts:
-        row: list = [t]
+        row = []
         for eta in etas:
             template = _config_for(DetectorKind.BUCKET, 1.0, eta, eta, eta, t)
             row.append(optimize_constant(template, Objective.UNCONDITIONAL).objective_value)
             row.append(optimize_schedule(template, Objective.UNCONDITIONAL).objective_value)
         rows.append(row)
-    return columns, rows
+    return {"time_bins": ts, **dict(zip(names, np.array(rows).T))}
 
 
 def _fig9(args: argparse.Namespace, defaults: dict):
@@ -687,13 +670,11 @@ def _fig9(args: argparse.Namespace, defaults: dict):
     detector_name = defaults["detector"] if args.detector is None else args.detector
     kind = DetectorKind.NUMBER_RESOLVED if detector_name == "resolved" else DetectorKind.BUCKET
     single = herald_single_shot(SourceModel(nbar), DetectorModel(kind, eta))
-    dists = [m_source_distribution(single, t, m) for m in range(1, max_sources + 1)]
-    columns = ["loop"] + [f"p_m{m}" for m in range(1, max_sources + 1)]
-    rows = []
-    for u in range(t + 1):
-        # u == t is the no-herald row
-        rows.append([u] + [dist.probabilities[u] for dist in dists])
-    return columns, rows
+    # loop == t is the no-herald row
+    table: dict = {"loop": list(range(t + 1))}
+    for m in range(1, max_sources + 1):
+        table[f"p_m{m}"] = np.array(m_source_distribution(single, t, m).probabilities)
+    return table
 
 
 def _fig10(args: argparse.Namespace, defaults: dict):
@@ -703,10 +684,7 @@ def _fig10(args: argparse.Namespace, defaults: dict):
     lo, hi, points = defaults["eta_grid"]
     etas = [float(eta) for eta in np.linspace(lo, hi, points)]
     source_counts = defaults["source_counts"]
-    columns = ["nbar", "eta"]
-    for kind in _KINDS:
-        for m in source_counts:
-            columns.append(f"unconditional_{kind.value}_m{m}")
+    names = [f"unconditional_{kind.value}_m{m}" for kind in _KINDS for m in source_counts]
     # one kernel call per eta and detector: by_eta[eta][column][nbar]
     by_eta = []
     for eta in etas:
@@ -717,12 +695,10 @@ def _fig10(args: argparse.Namespace, defaults: dict):
                 weights = _m_source_weights(result.single_shot[:, 0], t, m)[:, :-1]
                 cells.append(np.sum(weights * result.per_loop, axis=-1))
         by_eta.append(cells)
-    rows = [
-        [nbar, eta] + [cells[i] for cells in by_eta[j]]
-        for i, nbar in enumerate(nbars)
-        for j, eta in enumerate(etas)
-    ]
-    return columns, rows
+    # the table runs nbar-major: column c is by_eta[:, c, :] transposed
+    values = np.array(by_eta).transpose(1, 2, 0).reshape(len(names), -1)
+    return {"nbar": np.repeat(nbars, len(etas)), "eta": np.tile(etas, len(nbars)),
+            **dict(zip(names, values))}
 
 
 def _fig11(args: argparse.Namespace, defaults: dict):
@@ -735,15 +711,14 @@ def _fig11(args: argparse.Namespace, defaults: dict):
     loss = LossModel(eta_s, eta_f)
     rows = []
     for t in ts:
-        row: list = [t]
         taus = transmission(loss, np.arange(t))
+        row = []
         for det in detectors:
             result = _trains(det.kind, nbar, det.efficiency, taus)
             row.extend([result.herald, result.conditional])
         rows.append(row)
-    columns = ["time_bins", "herald_resolved", "fidelity_resolved",
-               "herald_bucket", "fidelity_bucket"]
-    return columns, rows
+    names = ["herald_resolved", "fidelity_resolved", "herald_bucket", "fidelity_bucket"]
+    return {"time_bins": ts, **dict(zip(names, np.array(rows).T))}
 
 
 # Standard figure datasets: the builder, the overrides it accepts, and its
@@ -792,52 +767,72 @@ _COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering: a column at a time, to the bytes of a row-wise csv.writer
+# and of json.dumps(indent=2)
 
 
-def _format_cell(value) -> str:
-    if value is None:
+# CSV rows are formatted a block at a time, which bounds the Python cell
+# objects alive at once.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _first_non_finite(table: dict) -> str | None:
+    """The column of the first non-finite cell in row-major order."""
+    first: tuple[int, str] | None = None
+    for name, column in table.items():
+        if isinstance(column, np.ndarray):
+            finite = np.isfinite(column)
+            row = None if finite.all() else int(np.argmin(finite))
+        else:
+            row = next((row for row, cell in enumerate(column)
+                        if isinstance(cell, float) and not math.isfinite(cell)), None)
+        if row is not None and (first is None or row < first[0]):
+            first = (row, name)
+    return None if first is None else first[1]
+
+
+def _csv_field(cell) -> str:
+    """One list cell as the row-wise writer emits it."""
+    if cell is None:
         return "undefined"
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _render_csv(columns: list[str], rows: list[list]) -> str:
+    if isinstance(cell, bool):
+        return str(cell).lower()
+    if isinstance(cell, int):
+        return str(cell)
+    if isinstance(cell, float):
+        return "%.17g" % cell
+    # csv's quoting; the trailing empty field keeps a lone "" unquoted
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(cell) for cell in row])
+    csv.writer(buffer, lineterminator="\n").writerow([cell, ""])
+    return buffer.getvalue()[:-2]
+
+
+def _render_csv(table: dict) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(table)
+    arrays = [isinstance(column, np.ndarray) for column in table.values()]
+    template = ",".join("%.17g" if array else "%s" for array in arrays) + "\n"
+    rows = len(next(iter(table.values())))
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        block = slice(start, start + _CSV_BLOCK_ROWS)
+        cells = [column[block].tolist() if array else [_csv_field(cell) for cell in column[block]]
+                 for column, array in zip(table.values(), arrays)]
+        buffer.writelines(template % row for row in zip(*cells))
     return buffer.getvalue()
 
 
-def _json_cell(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
-def _render_json(columns: list[str], rows: list[list], meta: dict) -> str:
-    data = {column: [] for column in columns}
-    for row in rows:
-        for column, cell in zip(columns, row):
-            data[column].append(_json_cell(cell))
-    return json.dumps({"meta": meta, "columns": data}, indent=2) + "\n"
-
-
-def _find_non_finite(columns: list[str], rows: list[list]) -> str | None:
-    for row in rows:
-        for column, cell in zip(columns, row):
-            if isinstance(cell, (float, np.floating)) and not math.isfinite(float(cell)):
-                return column
-    return None
+def _render_json(table: dict, meta: dict) -> str:
+    columns = []
+    for name, column in table.items():
+        # these separators put one cell per line, at the depth indent=2
+        # gives a column's cells
+        cells = json.dumps(column.tolist() if isinstance(column, np.ndarray) else column,
+                           separators=(",\n      ", ": "))
+        body = f"[\n      {cells[1:-1]}\n    ]" if len(column) else "[]"
+        columns.append(f"    {json.dumps(name)}: {body}")
+    meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
+    return ('{\n  "meta": ' + meta_text + ',\n  "columns": {\n'
+            + ",\n".join(columns) + "\n  }\n}\n")
 
 
 if __name__ == "__main__":

@@ -195,7 +195,7 @@ def simulate_parallel_sources(
         stop = min(start + batch, trials)
         rows = stop - start
         loop_index = np.empty((m, rows), dtype=np.int64)
-        held = np.empty((m, rows), dtype=np.int64)
+        held = np.empty((m, rows))
         out_uniform = np.empty((m, rows))
         for s, config in enumerate(configs):
             columns = buffer[: widths[s], :rows]
@@ -390,11 +390,13 @@ def _first_herald(
 
 def _thermal_inverse_cdf(uniforms: np.ndarray, bin_means: np.ndarray) -> np.ndarray:
     """Map uniforms to thermal photon numbers per bin via the geometric
-    quantile function; row k uses the mean of bin k."""
+    quantile function; row k uses the mean of bin k.  The numbers are
+    integer-valued doubles, and the herald and thinning tests read them
+    as such; the largest (~1.5e17 at the sampling cap) is exact."""
     ratio = bin_means / (1.0 + bin_means)
     safe = np.where(ratio > 0.0, ratio, 0.5)
     log_ratio = np.where(ratio > 0.0, np.log(safe), -np.inf)
-    return np.floor(np.log1p(-uniforms) / log_ratio[:, None]).astype(np.int64)
+    return np.floor(np.log1p(-uniforms) / log_ratio[:, None])
 
 
 def _herald_probability(photon_numbers: np.ndarray, config: ProtocolConfig) -> np.ndarray:
@@ -405,7 +407,7 @@ def _herald_probability(photon_numbers: np.ndarray, config: ProtocolConfig) -> n
     uniform per bin.
     """
     eta = config.detector.efficiency
-    n = photon_numbers.astype(float)
+    n = photon_numbers
     if eta == 1.0:
         if config.detector.kind is DetectorKind.NUMBER_RESOLVED:
             return (photon_numbers == 1).astype(float)
@@ -431,7 +433,7 @@ def _single_photon(
     exact ``P0 = [n == 0]`` and ``P1 = [n == 1]``, since ``log1p(-1)``
     is ``-inf``.  Held counts of 0 never give a single photon.
     """
-    n = held.astype(float)
+    n = held
     lossless = tau == 1.0
     log_loss = np.log1p(-np.where(lossless, 0.0, tau))
     p0 = np.where(lossless, n == 0.0, np.exp(n * log_loss))

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loopsource
@@ -21,7 +23,8 @@ from loopsource import (
     herald_train,
     unconditional_fidelity,
 )
-from loopsource.cli import assess_feasibility, main
+from loopsource import cli
+from loopsource.cli import FIGURES, assess_feasibility, main
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -319,3 +322,110 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[1] == "1,0.25,0.5"
+
+
+# Renderer oracle: every command's output equals what the stdlib writes
+# row by row from the same cells.
+
+_ORACLE_RUNS = [
+    *(["figure", fig] for fig in sorted(set(FIGURES) - {"fig8"})),
+    ["figure", "fig8", "--t", "1..2"],
+    ["sweep", "--nbar", "0,0.5,2", "--t", "1..3", "--eta", "0.9"],
+    ["herald", "--nbar", "0.1,0.2,0.3", "--t", "3", "--eta", "0.9"],
+    ["fidelity", "--nbar", "0.5", "--t", "3", "--eta", "0.9"],
+    ["optimize", "--t", "3", "--eta", "0.95"],
+    ["optimize", "--t", "3", "--eta", "0.95", "--biased"],
+    ["simulate", "--nbar", "0.5", "--t", "3", "--trials", "2000", "--seed", "5"],
+    ["simulate", "--nbar", "0.5", "--t", "3", "--trials", "2000", "--seed", "5", "--histogram"],
+    ["simulate", "--nbar", "0", "--t", "2", "--trials", "50"],
+    ["parallel", "--nbar", "0.5", "--t", "3", "--sources", "2", "--trials", "2000"],
+    ["parallel", "--nbar", "0.5", "--t", "3", "--sources", "2", "--trials", "2000",
+     "--histogram"],
+    ["parallel", "--nbar", "0", "--t", "2", "--sources", "2", "--trials", "50", "--histogram"],
+    ["feasibility", "--rate", "1e9"],
+]
+
+
+def _row_wise_csv(columns: dict) -> str:
+    def field(cell):
+        if cell is None:
+            return "undefined"
+        if isinstance(cell, bool):
+            return str(cell).lower()
+        if isinstance(cell, float):
+            return format(cell, ".17g")
+        return str(cell)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in zip(*columns.values()):
+        writer.writerow([field(cell) for cell in row])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("args", _ORACLE_RUNS, ids=" ".join)
+def test_renderers_match_row_wise_stdlib_output(tmp_path, args):
+    code, text = run_cli(args + ["--format", "json"], tmp_path, "out.json")
+    assert code == 0
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=2) + "\n"
+    code, csv_text = run_cli(args, tmp_path, "out.csv")
+    assert code == 0
+    assert csv_text == _row_wise_csv(data["columns"])
+
+
+@pytest.mark.parametrize("args, column", [
+    (["fidelity", "--nbar", "1e200", "--t", "2"], "loop_fidelity"),
+    (["sweep", "--nbar", "1e200,0.5", "--t", "1..2"], "conditional"),
+])
+def test_exit_3_names_the_first_non_finite_column(capsys, args, column):
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: non-finite value in column '{column}'\n"
+
+
+def test_non_finite_check_scans_rows_before_columns(monkeypatch, capsys):
+    # column-major order would report "early"; row 0 holds "late"'s inf
+    table = {
+        "early": np.array([1.0, math.nan]),
+        "undefined": [None, None],
+        "late": [math.inf, 2.0],
+    }
+    monkeypatch.setitem(cli._COMMANDS, "feasibility", lambda args: (table, {}))
+    assert main(["feasibility", "--rate", "1"]) == 3
+    assert capsys.readouterr().err == "error: non-finite value in column 'late'\n"
+
+
+def test_largest_seed_renders_exactly(tmp_path):
+    seed = 2**64 - 1
+    args = ["simulate", "--seed", str(seed), "--trials", "10"]
+    code, text = run_cli(args, tmp_path)
+    assert code == 0
+    header, rows = read_csv(text)
+    assert rows[0][header.index("seed")] == "18446744073709551615"
+    code, text = run_cli(args + ["--format", "json"], tmp_path, "out.json")
+    assert code == 0
+    data = json.loads(text)
+    assert data["meta"]["seed"] == seed
+    assert data["columns"]["seed"] == [seed]
+
+
+def test_renderers_match_stdlib_on_every_cell_kind(monkeypatch, tmp_path):
+    # cells no command emits today: bools, strings csv must quote, negatives
+    table = {
+        "flag": [True, False],
+        "label": ["a,b", 'say "hi"'],
+        "n": [2**64 - 1, -3],
+        "x": np.array([0.1, -0.0]),
+        "maybe": [None, 1.5],
+    }
+    monkeypatch.setitem(cli._COMMANDS, "feasibility", lambda args: (table, {"k": [1]}))
+    code, text = run_cli(["feasibility", "--rate", "1", "--format", "json"], tmp_path, "t.json")
+    assert code == 0
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=2) + "\n"
+    assert data["columns"]["flag"] == [True, False]
+    code, csv_text = run_cli(["feasibility", "--rate", "1"], tmp_path, "t.csv")
+    assert code == 0
+    assert csv_text == _row_wise_csv(data["columns"])
+    assert csv_text.splitlines()[1] == 'true,"a,b",18446744073709551615,0.10000000000000001,undefined'
