@@ -228,11 +228,12 @@ def detector_limited_fidelity(source: SourceModel, det: DetectorModel) -> float:
     """Herald-conditioned fidelity when the switch and fibre are lossless,
     leaving the detector as the only imperfection.  Independent of the
     number of time-bins."""
-    nbar = source.mean_photon_number
+    # A float64 power overflows to inf where a Python float's raises.
+    nbar = np.float64(source.mean_photon_number)
     eta = det.efficiency
     if det.kind is DetectorKind.NUMBER_RESOLVED:
-        return ((1.0 + eta * nbar) / (1.0 + nbar)) ** 2
-    return (1.0 + eta * nbar) / (1.0 + nbar) ** 2
+        return float(((1.0 + eta * nbar) / (1.0 + nbar)) ** 2)
+    return float((1.0 + eta * nbar) / (1.0 + nbar) ** 2)
 
 
 def detector_limited_fidelity_oracle(source: SourceModel, det: DetectorModel) -> float:

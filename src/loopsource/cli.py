@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -129,8 +130,7 @@ def assess_feasibility(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # Out-of-range inputs surface as non-finite cells; the scan below
         # reports them, so the intermediate warnings carry no information.
@@ -239,6 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     feasibility.add_argument("--detector-rate", type=float, default=DEFAULT_DETECTOR_RATE,
                              help="highest herald rate the detector resolves, in Hz")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses: built on the first call rather than
+    at import, which every CLI start would pay, and reused after."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------

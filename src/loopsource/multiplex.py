@@ -20,6 +20,7 @@ import numpy as np
 from .analytic import _loop_fidelity_array, _single_shot_array, closed_form
 from .models import (
     ConstantPump,
+    DetectorKind,
     OutcomeDistribution,
     PerBinPump,
     ProtocolConfig,
@@ -31,10 +32,6 @@ _ORACLE_MAX_OUTCOMES = 200_000
 
 _GRID_POINTS = 64
 _GOLDEN_XTOL = 1e-6
-# Per-bin searches refine to this fraction of the pump level: about the
-# square root of machine epsilon, below which the objective is flat to
-# rounding at its maximum.
-_BIN_RTOL = 1e-8
 # Per-loop fidelities hold only to a few ulps (the lossless resolved
 # plateau F = 1 reads 1 +- 2.2e-16), so objective values closer than
 # this fraction of the size of their terms count as ties.
@@ -140,7 +137,7 @@ def optimize_constant(
     grid = np.geomspace(lo, hi, _GRID_POINTS)
     values = phi(grid)
     tie = _TIE_RTOL * float(np.max(np.abs(values)))
-    x_best, v_best = _scan_and_refine(phi, grid, values, tie=tie)
+    x_best, v_best = _scan_and_refine(phi, grid, values, tie)
     return OptimizationResult(
         schedule=ConstantPump(x_best),
         objective_value=float(v_best),
@@ -161,9 +158,12 @@ def optimize_schedule(
     l's terms depend only on its own pump level.  The optimum is therefore
     the Bellman recursion ``W_t = 0``,
     ``W_l = max_n [S(n)(F_l(n) - lambda) + (1 - S(n)) W_{l+1}]``, run from
-    the oldest bin to the newest.  Each bin is a 1-D search: a logarithmic
-    grid scan followed by golden-section refinement of the best bracket,
-    with ties going to the lowest pump level.
+    the oldest bin to the newest.  Each bin's maximum is exact: the term
+    is rational in n, so its stationary points are the real roots of a
+    polynomial of degree 6 or less (see :func:`_stationarity_terms`), and
+    the maximum lies at one of them or at a bound.  Candidate values
+    within a relative ``_TIE_RTOL`` of the best tie, and ties go to the
+    lowest pump level.
 
     ``lambda`` is 0 for the unconditional objective.  The conditional
     objective is the ratio U/H with H the herald probability; Dinkelbach
@@ -171,15 +171,18 @@ def optimize_schedule(
     stops increasing.  The reported value is the closed form of the
     returned schedule, 0 when the train can never herald.  Returns the
     schedule in reverse-chronological order (entry 0 is the final bin);
-    ``evaluations`` counts the pump levels the per-bin searches evaluated.
+    ``evaluations`` counts the candidate pump levels evaluated.
     """
     lo, hi = _check_bounds(bounds)
     evaluate, _ = _counted_objective(config, objective)
     eta_d = config.detector.efficiency
     kind = config.detector.kind
     taus = transmission(config.loss, np.arange(config.time_bins))
-    grid = np.geomspace(lo, hi, _GRID_POINTS)
-    largest_single = float(np.max(_single_shot_array(grid, eta_d, kind)))
+    numerators, denominators = _stationarity_terms(eta_d, taus, kind)
+    # S rises with n for a bucket detector and peaks at n = 1/eta_d for a
+    # resolved one.
+    peak = hi if kind is DetectorKind.BUCKET or eta_d * hi <= 1.0 else max(lo, 1.0 / eta_d)
+    largest_single = float(_single_shot_array(peak, eta_d, kind))
     evaluations = 0
 
     def backward_induction(lam: float) -> np.ndarray:
@@ -187,18 +190,24 @@ def optimize_schedule(
         schedule = np.empty(config.time_bins)
         future = 0.0
         for loops in reversed(range(config.time_bins)):
-
-            def phi(nbar, tau=taus[loops], future=future):
-                nonlocal evaluations
-                evaluations += np.size(nbar)
-                single = _single_shot_array(nbar, eta_d, kind)
-                fidelity = _loop_fidelity_array(nbar, eta_d, tau, kind)
-                return single * (fidelity - lam) + (1.0 - single) * future
-
-            tie = _TIE_RTOL * (largest_single * (1.0 + lam) + abs(future))
-            schedule[loops], future = _scan_and_refine(
-                phi, grid, phi(grid), rtol=_BIN_RTOL, tie=tie
+            # np.roots of an all-zero polynomial (a blind detector, or the
+            # lossless plateau where every level is optimal) is empty,
+            # leaving the bounds alone.  Rounding can split a double root
+            # into a complex pair; its real part is still a candidate, and
+            # a spurious candidate costs one evaluation but cannot win.
+            roots = np.roots(
+                numerators[loops] - (lam + future) * denominators[loops]
+            ).real
+            candidates = np.concatenate(
+                ([lo], np.sort(roots[(roots > lo) & (roots < hi)]), [hi])
             )
+            evaluations += candidates.size
+            single = _single_shot_array(candidates, eta_d, kind)
+            fidelity = _loop_fidelity_array(candidates, eta_d, taus[loops], kind)
+            values = single * (fidelity - lam) + (1.0 - single) * future
+            tie = _TIE_RTOL * (largest_single * (1.0 + lam) + abs(future))
+            best = int(np.argmax(values >= values.max() - tie))
+            schedule[loops], future = candidates[best], values[best]
         return schedule
 
     lam = 0.0
@@ -216,19 +225,74 @@ def optimize_schedule(
     )
 
 
-def _scan_and_refine(
-    fn, grid: np.ndarray, values, rtol: float | None = None, tie: float = 0.0
-) -> tuple[float, float]:
+def _stationarity_terms(eta_d: float, taus: np.ndarray, kind: DetectorKind):
+    """Coefficient rows ``[t, degree + 1]`` (highest power first, as
+    ``np.roots`` takes them) of polynomials ``A_l`` and ``B_l`` in the pump
+    level n such that ``A_l - c B_l`` has the sign of the derivative of bin
+    l's Bellman term ``S F_l - c S``.
+
+    With ``x = eta_d n`` the detector factor cancels in
+    ``S F_l = P / R**j``, and ``dS/dn = D / (1 + x)**j``.  Clearing the
+    positive denominators ``R**(j+1) (1 + x)**j`` of the derivative leaves
+    ``A = (P' R - j P R') (1 + x)**j`` and ``B = D R**(j+1)``:
+
+    - bucket (j = 2, degree 6): ``P = eta_d tau n (1 + 2n + k n**2)`` with
+      ``k = eta_d + tau (1 - eta_d)(2 - tau)``,
+      ``R = (1 + tau n)(1 + b n)`` with ``b = (1 - eta_d) tau + eta_d``,
+      and ``D = eta_d``;
+    - resolved (j = 3, degree 5): ``P = eta_d tau n (1 + (1 + a) n)`` and
+      ``R = 1 + (1 - a) n`` with ``a = (1 - eta_d)(1 - tau)``, and
+      ``D = eta_d (1 - x)``.
+    """
+    tau = np.asarray(taus, dtype=float)[:, None]
+    one, zero = np.ones_like(tau), np.zeros_like(tau)
+    if kind is DetectorKind.BUCKET:
+        j = 2
+        k = eta_d + tau * (1.0 - eta_d) * (2.0 - tau)
+        b = (1.0 - eta_d) * tau + eta_d
+        numer = eta_d * tau * np.hstack((k, 2.0 * one, one, zero))
+        denom = _polymul(np.hstack((tau, one)), np.hstack((b, one)))
+        slope = np.array([eta_d])
+    else:
+        j = 3
+        a = (1.0 - eta_d) * (1.0 - tau)
+        numer = eta_d * tau * np.hstack((1.0 + a, one, zero))
+        denom = np.hstack((1.0 - a, one))
+        slope = np.array([-eta_d * eta_d, eta_d])
+    # P' R and P R' have the same degree, so their rows align.
+    gradient = _polymul(_polyder(numer), denom) - j * _polymul(numer, _polyder(denom))
+    scale = slope
+    for _ in range(j):
+        gradient = _polymul(gradient, np.array([eta_d, 1.0]))
+        scale = _polymul(scale, denom)
+    return gradient, _polymul(scale, denom)
+
+
+def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of polynomials stored as coefficient rows ``[..., m]`` and
+    ``[..., k]``, highest power first, broadcast over the leading axes."""
+    m, k = p.shape[-1], q.shape[-1]
+    out = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]) + (m + k - 1,))
+    for i in range(k):
+        out[..., i : i + m] += p * q[..., i : i + 1]
+    return out
+
+
+def _polyder(p: np.ndarray) -> np.ndarray:
+    """Derivative of coefficient rows ``[..., m]``, highest power first."""
+    return p[..., :-1] * np.arange(p.shape[-1] - 1, 0, -1)
+
+
+def _scan_and_refine(fn, grid: np.ndarray, values, tie: float) -> tuple[float, float]:
     """Maximum of ``fn`` given its ``values`` on an ascending ``grid``:
     golden-section refinement of the bracket around the grid argmax, to
-    ``_GOLDEN_XTOL`` or, if given, ``rtol`` times the bracket's upper end.
-    Values within ``tie`` of each other tie, and ties go to the lowest
-    pump level."""
+    ``_GOLDEN_XTOL``.  Values within ``tie`` of each other tie, and ties
+    go to the lowest pump level."""
     values = np.asarray(values)
     best = int(np.argmax(values >= values.max() - tie))
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, grid.size - 1)]
-    x_best, v_best = _golden_max(fn, a, b, _GOLDEN_XTOL if rtol is None else rtol * b)
+    x_best, v_best = _golden_max(fn, a, b, _GOLDEN_XTOL)
     if v_best <= values[best] + tie:
         x_best, v_best = float(grid[best]), float(values[best])
     return x_best, v_best

@@ -301,6 +301,36 @@ def test_numerical_failure_exit_code(capsys):
     assert "non-finite" in err
 
 
+def test_fig5_at_overflowing_pump_exits_without_traceback(capsys):
+    # (1 + nbar)**2 on a Python float raised OverflowError here
+    assert main(["figure", "fig5", "--nbar", "1e200"]) in (0, 3)
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    runs = [
+        ["herald", "--nbar", "0.5", "--t", "3"],
+        ["optimize", "--biased", "--t", "3"],
+        ["figure", "fig2", "--t", "1..3"],
+    ]
+    fresh = []
+    for args in runs:
+        cli._parser.cache_clear()
+        assert main(args) == 0
+        fresh.append(capsys.readouterr().out)
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as usage:
+        main(["herald", "--no-such-flag"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    parser = cli._parser()
+    reused = []
+    for args in runs:
+        assert main(args) == 0
+        reused.append(capsys.readouterr().out)
+    assert cli._parser() is parser
+    assert reused == fresh
+
+
 def test_bad_subcommand_is_a_usage_error():
     # the child imports the package from wherever this process found it
     src = str(Path(loopsource.__file__).resolve().parents[1])

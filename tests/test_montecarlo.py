@@ -557,11 +557,13 @@ def test_sampler_rejects_pump_above_its_limit(capsys):
     assert "cannot be sampled" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.stats alone used to cost over a second of every CLI start
+# scipy.stats alone used to cost over a second of every CLI start, and
+# numpy.polynomial adds ~4 ms to it
+@pytest.mark.parametrize("module", ["scipy", "numpy.polynomial"])
+def test_cli_import_leaves_module_unloaded(module):
     src = Path(loopsource.__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, loopsource.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, loopsource.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(src), "PATH": ""},

@@ -21,6 +21,8 @@ from loopsource import (
     unconditional_fidelity,
 )
 from loopsource.analytic import _loop_fidelity_array, _single_shot_array
+from loopsource.models import transmission
+from loopsource.multiplex import _stationarity_terms
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -230,6 +232,76 @@ def test_optimize_schedule_plateau_returns_lowest_pump():
     result = optimize_schedule(config, Objective.CONDITIONAL)
     assert result.objective_value == pytest.approx(1.0, abs=1e-12)
     assert result.schedule.mean_photon_numbers == (1e-3,) * 4
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+@pytest.mark.parametrize(
+    "eta_d, tau", [(1.0, 1.0), (1.0, 0.7), (0.9, 1.0), (0.85, 0.6), (1e-3, 0.9), (0.5, 0.05)]
+)
+def test_stationarity_polynomial_has_the_sign_of_the_bellman_slope(kind, eta_d, tau):
+    """A - c B against a central difference of g(n) = S F - c S, which the
+    closed forms compute without the polynomials."""
+    rng = np.random.default_rng(17)
+    n = np.geomspace(1e-3, 1e3, 400) * rng.uniform(0.9, 1.1, 400)
+    c = rng.uniform(0.0, 2.0, 400)
+    numerators, denominators = _stationarity_terms(eta_d, np.array([tau]), kind)
+    poly = np.array([np.polyval(numerators[0] - ci * denominators[0], ni) for ni, ci in zip(n, c)])
+
+    def g(nbar):
+        single = _single_shot_array(nbar, eta_d, kind)
+        return single * (_loop_fidelity_array(nbar, eta_d, tau, kind) - c)
+
+    step = 1e-5 * n
+    slope = (g(n + step) - g(n - step)) / (2.0 * step)
+    # skip points where the slope is within rounding of the difference
+    resolved = np.abs(slope) * n > 1e-8 * (np.abs(g(n)) + 1e-300)
+    assert resolved.sum() > 300
+    assert np.array_equal(np.sign(poly[resolved]), np.sign(slope[resolved]))
+
+
+def _dense_bellman_best(config, objective, bounds, points=20_000):
+    """Best objective over schedules whose every bin lies on a dense log
+    grid: the per-bin Bellman recursion of optimize_schedule with a grid
+    argmax in place of the exact candidates, and Dinkelbach iteration for
+    the conditional objective."""
+    eta_d, kind = config.detector.efficiency, config.detector.kind
+    taus = transmission(config.loss, np.arange(config.time_bins))
+    grid = np.geomspace(*bounds, points)
+    single = _single_shot_array(grid, eta_d, kind)
+    closed_form = (
+        unconditional_fidelity if objective is Objective.UNCONDITIONAL else conditional_fidelity
+    )
+    lam = 0.0
+    while True:
+        schedule, future = [0.0] * config.time_bins, 0.0
+        for loops in reversed(range(config.time_bins)):
+            fidelity = _loop_fidelity_array(grid, eta_d, taus[loops], kind)
+            values = single * (fidelity - lam) + (1.0 - single) * future
+            best = int(np.argmax(values))
+            schedule[loops], future = grid[best], values[best]
+        pump = PerBinPump(tuple(schedule))
+        value = closed_form(ProtocolConfig(config.time_bins, pump, config.detector, config.loss))
+        if objective is Objective.UNCONDITIONAL or value <= lam:
+            return max(value, lam)
+        lam = value
+
+
+@pytest.mark.parametrize("bounds", [(1e-6, 1e6), (0.5, 0.6)])
+@pytest.mark.parametrize("seed", range(8))
+def test_optimize_schedule_is_not_beaten_by_a_dense_per_bin_grid(seed, bounds):
+    rng = np.random.default_rng(seed)
+    for kind in (RESOLVED, BUCKET):
+        for objective in Objective:
+            eta_d, eta_s, eta_f = rng.uniform(0.5, 1.0, 3)
+            config = ProtocolConfig(
+                int(rng.integers(1, 7)),
+                ConstantPump(1.0),
+                DetectorModel(kind, float(eta_d)),
+                LossModel(float(eta_s), float(eta_f)),
+            )
+            result = optimize_schedule(config, objective, bounds)
+            oracle = _dense_bellman_best(config, objective, bounds)
+            assert oracle <= result.objective_value + 1e-12
 
 
 efficiencies = st.floats(0.5, 1.0)
