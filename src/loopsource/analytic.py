@@ -92,14 +92,23 @@ def closed_form(nbars, eta_d, taus, kind: DetectorKind) -> ClosedForm:
     """
     nbars = np.asarray(nbars, dtype=float)
     singles = _single_shot_array(nbars, eta_d, kind)
-    survival = (1.0 - singles).cumprod(axis=-1)
-    weights = singles.copy()
-    weights[..., 1:] *= survival[..., :-1]
+    weights, survival = _freshest_herald(singles, 1.0 - singles)
     # Bins that can never herald get zero weight; report 0 rather than a
     # conditional value for an impossible event.
     per_loop = np.where(singles > 0.0, _loop_fidelity_array(nbars, eta_d, taus, kind), 0.0)
     unconditional = (weights * per_loop).sum(axis=-1)
     return ClosedForm(singles, weights, survival[..., -1], per_loop, unconditional)
+
+
+def _freshest_herald(singles, misses):
+    """Freshest-herald weights ``S_l prod_{k<l}(1 - S_k)`` and running
+    survival ``prod_{k<=l}(1 - S_k)`` over the last axis, given each bin's
+    herald and miss probabilities ``S`` and ``1 - S``.  Products, not
+    differences of survivals, so neither tiny S nor tiny 1 - S cancels."""
+    survival = np.cumprod(misses, axis=-1)
+    weights = np.array(singles, dtype=float)
+    weights[..., 1:] *= survival[..., :-1]
+    return weights, survival
 
 
 def _single_shot_array(nbars, eta_d: float, kind: DetectorKind):

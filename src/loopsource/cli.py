@@ -38,6 +38,7 @@ from . import __version__
 # here to attribute time to layers.
 from .analytic import (
     ClosedForm,
+    _freshest_herald,
     closed_form,
     conditional_fidelity,
     detector_limited_fidelity,
@@ -61,7 +62,7 @@ from .models import (
 from .montecarlo import run_simulation, simulate_parallel_sources
 from .multiplex import (
     Objective,
-    _m_source_weights,
+    _m_source_bin,
     m_source_distribution,
     optimize_constant,
     optimize_schedule,
@@ -699,7 +700,7 @@ def _fig10(args: argparse.Namespace, defaults: dict):
         for kind in _KINDS:
             result = _trains(kind, nbars, eta, _eta_chain(eta, t))
             for m in source_counts:
-                weights = _m_source_weights(result.single_shot[:, 0], t, m)[:, :-1]
+                weights, _ = _freshest_herald(*_m_source_bin(result.single_shot, m))
                 cells.append(np.sum(weights * result.per_loop, axis=-1))
         by_eta.append(cells)
     # the table runs nbar-major: column c is by_eta[:, c, :] transposed

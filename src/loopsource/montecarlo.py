@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _single_shot_array
+from .analytic import _freshest_herald, _single_shot_array
 from .models import (
     DetectorKind,
     OutcomeDistribution,
@@ -253,14 +253,13 @@ def _herald_batch(
     output-thinning uniform.
 
     Only the freshest herald counts, so bins older than a trial's first
-    heralding bin cannot change its result and are not evaluated.
-    Bins ``[0, d)`` run over the whole batch; the trials still
-    unheralded after them go through the remaining bins in blocks of
-    doubling width, split at ``D``, and leave as they herald.  Trials
-    still unheralded after bin ``D`` read their tail range from
-    ``stream``.  Each evaluated cell goes through the same expressions
-    as a full-width pass, and the layout depends on the configuration
-    alone, so results do not depend on it.
+    heralding bin cannot change its result and are not evaluated.  Bins
+    ``[0, d)`` run over the whole batch, one gathered block ``[d, D)``
+    over the trials still unheralded, and one block ``[D, t)``, read
+    from ``stream``'s tail ranges, over those still unheralded after it.
+    Each evaluated cell goes through the same expressions as a
+    full-width pass, and the layout depends on the configuration alone,
+    so results do not depend on it.
     """
     t = config.time_bins
     means = config.bin_means()
@@ -268,35 +267,23 @@ def _herald_batch(
     tail_bins = t - column_bins
     thermal, herald = columns[:column_bins], columns[column_bins : 2 * column_bins]
     loop_index, held = _first_herald(thermal[:d], herald[:d], means[:d], config)
-    if d < t:
-        active = np.flatnonzero(loop_index == d)
-        loop_index[active] = t
-        tails = None
-        start, width = d, d
-        while active.size and start < t:
-            stop = min(start + width, t)
-            if start < column_bins:
-                stop = min(stop, column_bins)
-                block_thermal = thermal[start:stop, active]
-                block_herald = herald[start:stop, active]
-            else:
-                if tails is None:
-                    trials = [first_trial + row for row in active.tolist()]
-                    tails = _read_tails(stream, trials, 2 * tail_bins)
-                # a tail holds thermal draws of bins [D, t), then herald draws
-                offset = start - column_bins
-                block_thermal = tails[:, offset : offset + stop - start].T
-                block_herald = tails[:, tail_bins + offset : tail_bins + offset + stop - start].T
-            index, block_held = _first_herald(
-                block_thermal, block_herald, means[start:stop], config
-            )
-            hit = index < stop - start
-            loop_index[active[hit]] = start + index[hit]
-            held[active[hit]] = block_held[hit]
-            active = active[~hit]
-            if tails is not None:
-                tails = tails[~hit]
-            start, width = stop, 2 * width
+    active = np.flatnonzero(loop_index == d) if d < t else np.empty(0, dtype=np.intp)
+    loop_index[active] = t
+    for start, stop in ((d, column_bins), (column_bins, t)):
+        if start == stop or not active.size:
+            continue
+        if start < column_bins:
+            block_thermal, block_herald = thermal[start:, active], herald[start:, active]
+        else:
+            trials = [first_trial + row for row in active.tolist()]
+            tails = _read_tails(stream, trials, 2 * tail_bins)
+            # a tail holds the thermal draws of bins [D, t), then the herald draws
+            block_thermal, block_herald = tails[:, :tail_bins].T, tails[:, tail_bins:].T
+        index, block_held = _first_herald(block_thermal, block_herald, means[start:stop], config)
+        hit = index < stop - start
+        loop_index[active[hit]] = start + index[hit]
+        held[active[hit]] = block_held[hit]
+        active = active[~hit]
     return loop_index, held, columns[2 * column_bins]
 
 
@@ -309,7 +296,7 @@ def _layout(config: ProtocolConfig) -> tuple[int, int]:
     singles = _single_shot_array(
         config.bin_means(), config.detector.efficiency, config.detector.kind
     )
-    unheralded = np.cumprod(1.0 - singles)
+    _, unheralded = _freshest_herald(singles, 1.0 - singles)
 
     def through(share: float) -> int:
         below = np.flatnonzero(unheralded <= share)

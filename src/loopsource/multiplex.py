@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import _loop_fidelity_array, _single_shot_array, closed_form
+from .analytic import _freshest_herald, _loop_fidelity_array, _single_shot_array, closed_form
 from .models import (
     ConstantPump,
     DetectorKind,
@@ -59,23 +59,24 @@ def m_source_distribution(
 ) -> OutcomeDistribution:
     """Freshest-herald distribution for m identical sources.
 
-    Uses survival functions: the kept index is at least u exactly when
-    every source's index is, so P(min >= u) = P(l >= u)**m and the pmf
-    falls out by differencing.
-    """
+    The kept index is the minimum over sources: a bin of the bank heralds
+    unless every source misses it, so m sources are one source with
+    per-bin herald probability ``S_m = 1 - (1 - S)**m``, and the pmf is
+    that source's law ``S_m (1 - S_m)**l``, with ``(1 - S_m)**t`` last."""
     _check_single_shot(single_shot)
-    _check_time_bins(time_bins)
-    if sources < 1:
-        raise ValueError(f"source count must be >= 1, got {sources}")
-    return OutcomeDistribution(tuple(_m_source_weights(single_shot, time_bins, sources)))
+    _check_count(time_bins, "time_bins")
+    _check_count(sources, "source count")
+    weights, survival = _freshest_herald(*_m_source_bin(np.full(time_bins, single_shot), sources))
+    return OutcomeDistribution(tuple(weights) + (float(survival[-1]),))
 
 
-def _m_source_weights(single_shot, time_bins: int, sources: int) -> np.ndarray:
-    """The pmf of :func:`m_source_distribution` as an array ``[..., t+1]``,
-    broadcast over an array of herald probabilities."""
-    miss = np.asarray(1.0 - single_shot)[..., None]
-    survival = miss ** (np.arange(time_bins + 1, dtype=float) * sources)
-    return np.concatenate((survival[..., :-1] - survival[..., 1:], survival[..., -1:]), axis=-1)
+def _m_source_bin(single_shot, sources: int):
+    """Herald and miss probabilities of one bin of m identical sources,
+    elementwise: ``-expm1(L)`` and ``exp(L)`` with ``L = m log1p(-S)``,
+    so neither cancels when S or 1 - S is tiny; ``S = 1`` gives (1, 0)."""
+    with np.errstate(divide="ignore"):
+        log_miss = sources * np.log1p(-np.asarray(single_shot, dtype=float))
+    return -np.expm1(log_miss), np.exp(log_miss)
 
 
 def m_source_distribution_oracle(
@@ -84,9 +85,8 @@ def m_source_distribution_oracle(
     """Brute-force enumeration of all (t+1)**m joint source outcomes,
     scoring each by the minimum index.  Exponential in m; a test oracle."""
     _check_single_shot(single_shot)
-    _check_time_bins(time_bins)
-    if sources < 1:
-        raise ValueError(f"source count must be >= 1, got {sources}")
+    _check_count(time_bins, "time_bins")
+    _check_count(sources, "source count")
     if (time_bins + 1) ** sources > _ORACLE_MAX_OUTCOMES:
         raise ValueError("enumeration too large; the oracle is meant for small m and t")
     miss = 1.0 - single_shot
@@ -346,9 +346,10 @@ def _check_single_shot(single_shot: float) -> None:
         raise ValueError(f"herald probability must lie in [0, 1], got {single_shot}")
 
 
-def _check_time_bins(time_bins: int) -> None:
-    if not (isinstance(time_bins, int) and time_bins >= 1):
-        raise ValueError(f"time_bins must be a positive integer, got {time_bins}")
+def _check_count(value: int, name: str) -> None:
+    # bool is an int subclass, but True is no count
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:

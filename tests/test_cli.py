@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import io
 import json
 import math
@@ -16,11 +18,14 @@ from loopsource import (
     DetectorKind,
     DetectorModel,
     LossModel,
+    Objective,
     ProtocolConfig,
     SourceModel,
     conditional_fidelity,
+    fidelity_report,
     herald_single_shot,
     herald_train,
+    optimize_constant,
     unconditional_fidelity,
 )
 from loopsource import cli
@@ -268,6 +273,74 @@ def test_fig7_bucket_beats_resolved_at_low_efficiency(tmp_path):
     resolved = float(rows[0][header.index("unconditional_resolved")])
     bucket = float(rows[0][header.index("unconditional_bucket")])
     assert bucket > resolved
+
+
+def _json_columns(args, tmp_path):
+    code, text = run_cli(args + ["--format", "json"], tmp_path, "out.json")
+    assert code == 0
+    return json.loads(text)["columns"]
+
+
+def test_fig10_single_source_columns_are_the_one_source_closed_form(tmp_path):
+    """The m = 1 bank goes through the m-source law; it must agree with the
+    one-source kernel to the last bits."""
+    columns = _json_columns(["figure", "fig10"], tmp_path)
+    t = FIGURES["fig10"][2]["t"]
+    for kind in DetectorKind:
+        worst = 0.0
+        cells = zip(columns["nbar"], columns["eta"], columns[f"unconditional_{kind.value}_m1"])
+        for nbar, eta, value in cells:
+            config = ProtocolConfig(
+                t, ConstantPump(nbar), DetectorModel(kind, eta), LossModel(eta, eta)
+            )
+            expected = unconditional_fidelity(config)
+            worst = max(worst, abs(value - expected) / expected)
+        assert worst <= 1e-15, kind
+
+
+def test_fig3_reoptimize_uses_each_curves_conditional_optimum(tmp_path):
+    args = ["figure", "fig3", "--t", "1..3"]
+    plain = _json_columns(args, tmp_path)
+    columns = _json_columns(args + ["--reoptimize"], tmp_path)
+    assert columns["time_bins"] == [1, 2, 3]
+    for kind in DetectorKind:
+        for eta in FIGURES["fig3"][2]["etas"]:
+            detector, loss = DetectorModel(kind, eta), LossModel(eta, eta)
+            template = ProtocolConfig(3, ConstantPump(1.0), detector, loss)
+            nbar = optimize_constant(template, Objective.CONDITIONAL).schedule.mean_photon_number
+            label = f"{kind.value}_eta{eta:g}"
+            for row, t in enumerate(columns["time_bins"]):
+                report = fidelity_report(ProtocolConfig(t, ConstantPump(nbar), detector, loss))
+                assert columns[f"herald_{label}"][row] == report.herald_probability
+                assert columns[f"fidelity_{label}"][row] == report.conditional
+    # the flag did change the pump levels
+    assert any(plain[name] != values for name, values in columns.items())
+
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_bench_layer_functions_are_bound_on_cli():
+    """bench/tracing.py wraps each name of its LAYER_FUNCTIONS where
+    loopsource.cli binds it; a missing name breaks `bench/run.py --trace 1`."""
+    tree = ast.parse((_BENCH / "tracing.py").read_text())
+    layers = next(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "LAYER_FUNCTIONS"
+    )
+    names = [name for group in ast.literal_eval(layers).values() for name in group]
+    assert "main" in names
+    assert [name for name in names if not callable(getattr(cli, name, None))] == []
+
+
+@pytest.mark.parametrize("script", sorted(path.name for path in _BENCH.glob("*.py")))
+def test_bench_imports_from_the_package_exist(script):
+    missing = []
+    for node in ast.walk(ast.parse((_BENCH / script).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "loopsource":
+            module = importlib.import_module(node.module)
+            missing += [alias.name for alias in node.names if not hasattr(module, alias.name)]
+    assert missing == []
 
 
 def test_usage_error_on_schedule_length_mismatch(tmp_path, capsys):

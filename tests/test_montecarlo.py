@@ -169,7 +169,7 @@ _LAYOUT_CONFIGS = {
     "nbar30": ProtocolConfig(
         48, ConstantPump(30.0), DetectorModel(BUCKET, 0.9), LossModel(0.05, 0.9)
     ),
-    # prefix 32 of 200: survivors reach the last doubling block
+    # prefix 32 of 200: survivors reach the tail block [D, t)
     "t200": ProtocolConfig(
         200, ConstantPump(0.05), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)
     ),
@@ -206,7 +206,8 @@ def test_layout_configurations_cover_every_prefix_length():
     assert any(1 < d < t for d, _, t in layouts)
     assert any(d == t > 1 for d, _, t in layouts)
     assert any(d == t == 1 for d, _, t in layouts)
-    # column segments that end inside, and after, the doubling blocks
+    # column segments that end inside the train (all three stages run) and
+    # at its end (no tail block)
     assert any(d < column_bins < t for d, column_bins, t in layouts)
     assert any(d < column_bins == t for d, column_bins, t in layouts)
 

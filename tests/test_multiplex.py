@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,38 @@ def test_distribution_validation():
         m_source_distribution(0.5, 0, 2)
     with pytest.raises(ValueError):
         m_source_distribution(0.5, 3, 0)
+
+
+@pytest.mark.parametrize("distribution", [m_source_distribution, m_source_distribution_oracle])
+@pytest.mark.parametrize("sources", [1.5, 2.0, True, False, 0, -1, "2", None, np.int64(2)])
+def test_source_count_must_be_a_positive_int(distribution, sources):
+    with pytest.raises(ValueError, match="source count must be a positive integer"):
+        distribution(0.5, 3, sources)
+
+
+@pytest.mark.parametrize("distribution", [m_source_distribution, m_source_distribution_oracle])
+@pytest.mark.parametrize("time_bins", [2.0, True, 0])
+def test_m_source_time_bins_must_be_a_positive_int(distribution, time_bins):
+    with pytest.raises(ValueError, match="time_bins must be a positive integer"):
+        distribution(0.5, time_bins, 2)
+
+
+# S = 0, S = 1, or log-uniform over [1e-15, 1]: rare heralds, where
+# differencing survivals cancels, and near-certain ones, where 1 - S_m does
+herald_probabilities = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(-15.0, 0.0).map(lambda e: 10.0**e)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(single=herald_probabilities, t=st.integers(1, 8), m=st.integers(1, 4))
+def test_m_source_distribution_matches_enumeration(single, t, m):
+    fast = np.array(m_source_distribution(single, t, m).probabilities)
+    slow = np.array(m_source_distribution_oracle(single, t, m).probabilities)
+    # subnormal entries carry no relative precision, so they get an
+    # absolute floor of the smallest normal number
+    assert np.all(np.abs(fast - slow) <= 1e-13 * np.abs(slow) + np.finfo(float).tiny)
+    assert abs(math.fsum(fast) - 1.0) <= 1e-12
 
 
 def _bucket_config(t, eta=0.95):
