@@ -28,6 +28,7 @@ from .models import (
     ProtocolConfig,
     SourceModel,
     UndefinedConditionalError,
+    _check_count,
     detect_prob,
     herald_outcome,
     thermal_pmf,
@@ -92,7 +93,12 @@ def closed_form(nbars, eta_d, taus, kind: DetectorKind) -> ClosedForm:
     """
     nbars = np.asarray(nbars, dtype=float)
     singles = _single_shot_array(nbars, eta_d, kind)
-    weights, survival = _freshest_herald(singles, 1.0 - singles)
+    # A bucket detector misses with probability 1/(1 + x), x = nbar eta_d,
+    # which keeps its relative precision where 1 - S would cancel as
+    # heralds become certain; a resolved one heralds at most 1/4 of the
+    # time, so 1 - S loses nothing there.
+    misses = 1.0 / (1.0 + nbars * eta_d) if kind is DetectorKind.BUCKET else 1.0 - singles
+    weights, survival = _freshest_herald(singles, misses)
     # Bins that can never herald get zero weight; report 0 rather than a
     # conditional value for an impossible event.
     per_loop = np.where(singles > 0.0, _loop_fidelity_array(nbars, eta_d, taus, kind), 0.0)
@@ -155,8 +161,7 @@ def herald_single_shot_oracle(source: SourceModel, det: DetectorModel) -> float:
 
 def herald_train(source: SourceModel, det: DetectorModel, time_bins: int) -> float:
     """Probability of at least one herald across a train of pulses."""
-    if time_bins < 1:
-        raise ValueError(f"time_bins must be >= 1, got {time_bins}")
+    _check_count(time_bins, "time_bins")
     nbars = np.full(time_bins, source.mean_photon_number)
     return float(closed_form(nbars, det.efficiency, 1.0, det.kind).herald)
 

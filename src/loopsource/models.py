@@ -44,6 +44,16 @@ class DetectorOutcome(Enum):
     CLICK = "click"
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no count, index or seed
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_count(value: int, name: str) -> None:
+    if not (_is_int(value) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _check_probability(value: float, name: str) -> None:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -145,8 +155,7 @@ class ProtocolConfig:
     loss: LossModel
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.time_bins, int) and self.time_bins >= 1):
-            raise ValueError(f"time_bins must be a positive integer, got {self.time_bins}")
+        _check_count(self.time_bins, "time_bins")
         if isinstance(self.pump, PerBinPump):
             if len(self.pump.mean_photon_numbers) != self.time_bins:
                 raise ValueError(

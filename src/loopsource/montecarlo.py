@@ -43,6 +43,8 @@ from .models import (
     DetectorKind,
     OutcomeDistribution,
     ProtocolConfig,
+    _check_count,
+    _is_int,
     transmission,
 )
 
@@ -173,8 +175,7 @@ def simulate_parallel_sources(
     for config in configs[1:]:
         if config.time_bins != time_bins:
             raise ValueError("all parallel sources must share the same number of time-bins")
-    if not (_is_int(trials) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer, got {trials}")
+    _check_count(trials, "trials")
     _check_seed(seed)
     for config in configs:
         _check_sampleable(config)
@@ -426,11 +427,6 @@ def _single_photon(
     p0 = np.where(lossless, n == 0.0, np.exp(n * log_loss))
     p1 = np.where(lossless, n == 1.0, n * tau * np.exp((n - 1.0) * log_loss))
     return (p0 < out_uniform) & (out_uniform <= p0 + p1)
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is no count and no seed
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_seed(seed: int) -> None:

@@ -11,7 +11,6 @@ level per time-bin).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +23,7 @@ from .models import (
     OutcomeDistribution,
     PerBinPump,
     ProtocolConfig,
+    _check_count,
     transmission,
 )
 
@@ -31,7 +31,9 @@ from .models import (
 _ORACLE_MAX_OUTCOMES = 200_000
 
 _GRID_POINTS = 64
-_GOLDEN_XTOL = 1e-6
+# optimize_constant stops once its bracket is within this fraction of
+# the winning level.
+_XTOL = 1e-6
 # Per-loop fidelities hold only to a few ulps (the lossless resolved
 # plateau F = 1 reads 1 +- 2.2e-16), so objective values closer than
 # this fraction of the size of their terms count as ties.
@@ -123,24 +125,29 @@ def optimize_constant(
     bounds: tuple[float, float] = (1e-3, 10.0),
 ) -> OptimizationResult:
     """Best constant pump level within ``bounds`` for the chosen
-    objective: a coarse logarithmic scan followed by golden-section
-    refinement of the best bracket.  Values within a relative
-    ``_TIE_RTOL`` of the largest count as ties, and ties go to the lowest
-    pump level.
+    objective, by scan and zoom.  Each round evaluates ``_GRID_POINTS``
+    levels in one kernel call, log-spaced over the bounds first, then
+    evenly spaced between the two neighbours of the last winner, and
+    picks its winner by :func:`_best_candidate`.  The loop stops once
+    that bracket is within ``_XTOL`` of the winner, a relative tolerance,
+    so it ends at any finite bounds.  The reported value is the closed
+    form of the returned level; ``evaluations`` counts the levels scanned.
     """
     lo, hi = _check_bounds(bounds)
     evaluate, evals = _counted_objective(config, objective)
-
-    def phi(x):
-        return evaluate(np.repeat(np.asarray(x)[..., None], config.time_bins, axis=-1))
-
-    grid = np.geomspace(lo, hi, _GRID_POINTS)
-    values = phi(grid)
-    tie = _TIE_RTOL * float(np.max(np.abs(values)))
-    x_best, v_best = _scan_and_refine(phi, grid, values, tie)
+    levels, width = np.geomspace(lo, hi, _GRID_POINTS), np.inf
+    while True:
+        values = evaluate(np.repeat(levels[:, None], config.time_bins, axis=1))
+        best = _best_candidate(values, np.fmax.reduce(np.abs(values)))
+        left, right = levels[max(best - 1, 0)], levels[min(best + 1, levels.size - 1)]
+        # Brackets nest, so one that stops narrowing has run out of
+        # doubles (subnormal levels, where _XTOL of the level is 0).
+        if right - left <= _XTOL * levels[best] or right - left >= width:
+            break
+        levels, width = np.linspace(left, right, _GRID_POINTS), right - left
     return OptimizationResult(
-        schedule=ConstantPump(x_best),
-        objective_value=float(v_best),
+        schedule=ConstantPump(float(levels[best])),
+        objective_value=float(values[best]),
         objective_kind=objective,
         evaluations=evals(),
     )
@@ -162,8 +169,8 @@ def optimize_schedule(
     is rational in n, so its stationary points are the real roots of a
     polynomial of degree 6 or less (see :func:`_stationarity_terms`), and
     the maximum lies at one of them or at a bound.  Candidate values
-    within a relative ``_TIE_RTOL`` of the best tie, and ties go to the
-    lowest pump level.
+    are compared by :func:`_best_candidate`, with ties measured against
+    the size of the bin's terms.
 
     ``lambda`` is 0 for the unconditional objective.  The conditional
     objective is the ratio U/H with H the herald probability; Dinkelbach
@@ -205,8 +212,7 @@ def optimize_schedule(
             single = _single_shot_array(candidates, eta_d, kind)
             fidelity = _loop_fidelity_array(candidates, eta_d, taus[loops], kind)
             values = single * (fidelity - lam) + (1.0 - single) * future
-            tie = _TIE_RTOL * (largest_single * (1.0 + lam) + abs(future))
-            best = int(np.argmax(values >= values.max() - tie))
+            best = _best_candidate(values, largest_single * (1.0 + lam) + abs(future))
             schedule[loops], future = candidates[best], values[best]
         return schedule
 
@@ -283,41 +289,12 @@ def _polyder(p: np.ndarray) -> np.ndarray:
     return p[..., :-1] * np.arange(p.shape[-1] - 1, 0, -1)
 
 
-def _scan_and_refine(fn, grid: np.ndarray, values, tie: float) -> tuple[float, float]:
-    """Maximum of ``fn`` given its ``values`` on an ascending ``grid``:
-    golden-section refinement of the bracket around the grid argmax, to
-    ``_GOLDEN_XTOL``.  Values within ``tie`` of each other tie, and ties
-    go to the lowest pump level."""
-    values = np.asarray(values)
-    best = int(np.argmax(values >= values.max() - tie))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid.size - 1)]
-    x_best, v_best = _golden_max(fn, a, b, _GOLDEN_XTOL)
-    if v_best <= values[best] + tie:
-        x_best, v_best = float(grid[best]), float(values[best])
-    return x_best, v_best
-
-
-def _golden_max(fn, a: float, b: float, xtol: float):
-    """Golden-section search for a maximum on [a, b].  On plateaus the
-    left probe wins, biasing results toward the lower end."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = fn(c)
-    fd = fn(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
+def _best_candidate(values: np.ndarray, scale: float) -> int:
+    """Index of the best of ``values``, taken over ascending pump levels.
+    A NaN candidate never wins (an overflowed closed form reads NaN).
+    Values within ``_TIE_RTOL * scale`` of the largest tie, and ties go to
+    the lowest pump level."""
+    return int(np.argmax(values >= np.fmax.reduce(values) - _TIE_RTOL * scale))
 
 
 def _counted_objective(config: ProtocolConfig, objective: Objective):
@@ -346,14 +323,8 @@ def _check_single_shot(single_shot: float) -> None:
         raise ValueError(f"herald probability must lie in [0, 1], got {single_shot}")
 
 
-def _check_count(value: int, name: str) -> None:
-    # bool is an int subclass, but True is no count
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def _check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
     lo, hi = bounds
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bounds must satisfy 0 < lo < hi, got {bounds}")
+    if not (0.0 < lo < hi < np.inf):
+        raise ValueError(f"bounds must satisfy 0 < lo < hi < inf, got {bounds}")
     return float(lo), float(hi)

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,25 @@ def test_herald_probability_stays_at_most_one_when_heralds_are_near_certain():
     assert herald_train(source, config.detector, 40) == 1.0
     assert outcome_distribution(config).herald_probability == 1.0
     assert 0.0 <= conditional_fidelity(config) <= 1.0
+
+
+@pytest.mark.parametrize("nbar", [1e4, 1e6, 1e8])
+def test_bucket_law_keeps_relative_precision_when_heralds_are_near_certain(nbar):
+    # exact rational arithmetic on the same input doubles; a miss
+    # probability formed as 1 - S was off by up to 1.2e-8 relative here
+    eta_d, t = 0.9, 3
+    x = Fraction(nbar) * Fraction(eta_d)
+    single, miss = x / (1 + x), 1 / (1 + x)
+    exact = [single * miss**l for l in range(t)] + [miss**t]
+    fast = outcome_distribution(_config(BUCKET, nbar, t, eta_d=eta_d)).probabilities
+    for value, reference in zip(fast, exact):
+        assert abs(Fraction(value) - reference) <= Fraction(1e-15) * reference
+
+
+@pytest.mark.parametrize("time_bins", [True, 2.5, 0])
+def test_herald_train_length_must_be_a_positive_int(time_bins):
+    with pytest.raises(ValueError, match="time_bins must be a positive integer"):
+        herald_train(SourceModel(0.5), DetectorModel(BUCKET, 0.9), time_bins)
 
 
 def test_herald_probability_is_shared_by_every_reader():

@@ -225,6 +225,36 @@ def test_optimize_biased_emits_one_row_per_bin(tmp_path):
     assert by_loop[2] > by_loop[1] > by_loop[0]
 
 
+@pytest.mark.parametrize("biased", [[], ["--biased"]])
+def test_optimize_rejects_unbounded_pump_levels(biased, capsys):
+    assert main(["optimize", "--t", "3", "--nbar-max", "inf"] + biased) == 2
+    assert "bounds must satisfy 0 < lo < hi < inf" in capsys.readouterr().err
+
+
+def test_optimize_ends_at_bounds_finer_than_an_absolute_tolerance():
+    # an absolute 1e-6 bracket is below the spacing of doubles at 1e12,
+    # so a search that waits for one never returns
+    args = ["optimize", "--t", "3", "--eta", "0.9", "--nbar-min", "1e12", "--nbar-max", "1e15"]
+    assert _run_in_child(args, timeout=60).returncode == 0
+
+
+def test_optimize_ignores_candidates_that_overflow(tmp_path):
+    # the closed forms overflow to NaN at 1e200; the optimum is near 1
+    args = ["optimize", "--t", "3", "--eta", "0.9"]
+    _, text = run_cli(args + ["--biased", "--nbar-max", "1e100"], tmp_path, "a.csv")
+    _, overflow = run_cli(args + ["--biased", "--nbar-max", "1e200"], tmp_path, "b.csv")
+    assert overflow == text
+    # the constant scan's grid follows the bounds, so its last bits may
+    # differ; the level agrees to the search tolerance
+    rows = [read_csv(run_cli(args + ["--nbar-max", top], tmp_path, f"{top}.csv")[1])
+            for top in ("1e100", "1e200")]
+    header, (near,), (far,) = rows[0][0], rows[0][1], rows[1][1]
+    nbar, value = header.index("nbar"), header.index("value")
+    assert float(far[nbar]) == pytest.approx(float(near[nbar]), rel=1e-6)
+    assert float(far[value]) == pytest.approx(float(near[value]), rel=1e-14)
+    assert 0.5 < float(near[nbar]) < 1.0
+
+
 def test_feasibility_reference_points():
     ghz = assess_feasibility(1e9)
     assert ghz.fibre_length == pytest.approx(2.0, abs=0.1)
@@ -404,17 +434,21 @@ def test_parser_is_built_once_and_reused(capsys):
     assert reused == fresh
 
 
-def test_bad_subcommand_is_a_usage_error():
+def _run_in_child(args, **kwargs):
     # the child imports the package from wherever this process found it
     src = str(Path(loopsource.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "loopsource.cli", "frobnicate"],
+    return subprocess.run(
+        [sys.executable, "-m", "loopsource.cli", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
     )
-    assert result.returncode == 2
+
+
+def test_bad_subcommand_is_a_usage_error():
+    assert _run_in_child(["frobnicate"]).returncode == 2
 
 
 def test_console_script_entry_point():

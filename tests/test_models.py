@@ -155,6 +155,12 @@ def test_model_validation_errors():
         ProtocolConfig(0, ConstantPump(1.0), DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
 
 
+@pytest.mark.parametrize("time_bins", [True, 2.5, 0])
+def test_protocol_time_bins_must_be_a_positive_int(time_bins):
+    with pytest.raises(ValueError, match="time_bins must be a positive integer"):
+        ProtocolConfig(time_bins, ConstantPump(1.0), DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
+
+
 def test_per_bin_pump_length_must_match():
     pump = PerBinPump((0.1, 0.2, 0.3))
     config = ProtocolConfig(3, pump, DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))

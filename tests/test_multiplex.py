@@ -22,9 +22,9 @@ from loopsource import (
     parallel_unconditional_fidelity,
     unconditional_fidelity,
 )
-from loopsource.analytic import _loop_fidelity_array, _single_shot_array
+from loopsource.analytic import _loop_fidelity_array, _single_shot_array, closed_form
 from loopsource.models import transmission
-from loopsource.multiplex import _stationarity_terms
+from loopsource.multiplex import _TIE_RTOL, _stationarity_terms
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -195,6 +195,34 @@ def test_optimize_constant_respects_bounds():
     config = _bucket_config(3)
     result = optimize_constant(config, Objective.UNCONDITIONAL, (0.5, 0.6))
     assert 0.5 <= result.schedule.mean_photon_number <= 0.6
+
+
+def test_optimize_constant_ends_at_subnormal_bounds():
+    # the relative tolerance is 0 there; the zoom stops when its bracket
+    # runs out of doubles (tests/test_cli.py runs bounds at 1e12 and up
+    # in a subprocess with a timeout)
+    config = _bucket_config(3)
+    result = optimize_constant(config, Objective.UNCONDITIONAL, (1e-322, 1e-320))
+    assert 1e-322 <= result.schedule.mean_photon_number <= 1e-320
+
+
+@pytest.mark.parametrize("bounds", [(1e-3, 10.0), (1e-6, 1e6), (0.5, 0.6)])
+@pytest.mark.parametrize("t", [1, 3, 7, 20])
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_optimize_constant_is_not_beaten_by_a_dense_log_grid(kind, objective, t, bounds):
+    config = ProtocolConfig(
+        t, ConstantPump(1.0), DetectorModel(kind, 0.9), LossModel(0.95, 0.9)
+    )
+    result = optimize_constant(config, objective, bounds)
+    grid = np.geomspace(*bounds, 20_000)
+    taus = transmission(config.loss, np.arange(t))
+    values = getattr(
+        closed_form(np.repeat(grid[:, None], t, axis=1), 0.9, taus, kind), objective.value
+    )
+    best = float(np.max(values))
+    assert bounds[0] <= result.schedule.mean_photon_number <= bounds[1]
+    assert best <= result.objective_value + _TIE_RTOL * best
 
 
 def test_optimize_schedule_single_bin_matches_constant():
