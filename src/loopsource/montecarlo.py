@@ -11,24 +11,24 @@ photon and anything above is more.  Only the single-photon event is
 counted, so the engine evaluates those two terms in closed form, O(1)
 per trial for every photon number the sampler can draw.
 
-Reproducibility contract: a trial reads ``2t + 1`` uniforms, numbered
-``j``: the thermal draw of bin ``k`` is ``j = k``, its herald draw
-``j = t + k`` and the thinning draw ``j = 2t``.  They come from a Philox
-stream keyed by (seed, source index) whose 256-bit counter is split into
-disjoint ranges, two segments of them:
+Reproducibility contract.  Trials run in pages of ``_PAGE_TRIALS``, and
+bins (newest first) in blocks fixed by the configurations alone (see
+``_Bank.blocks``).  At the start of a block the page's trials that no
+source has heralded yet are ranked in trial order, and the trial of rank
+``r`` reads words ``[r w, (r + 1) w)`` of each source's thermal range and
+herald range of (page, block), ``w`` being the block width; word
+``r w + k`` belongs to the block's bin ``k``.  The thinning draw of the
+page's trial ``i`` is word ``i`` of the page's thinning range in source
+0's stream.  Source ``s`` reads the Philox stream keyed by
+``(seed, s)``, whose 256-bit counter ``(c, block, page, kind)`` names
+one range per (kind, page, block), ``c`` counting its 4-word blocks.
 
-* the column segment holds bins ``[0, D)`` and the thinning draw: uniform
-  ``j`` of trial ``i`` is word ``i`` of column range ``j``, so a batch
-  generates each column natively and contiguously;
-* the tail segment holds bins ``[D, t)``: trial ``i`` owns tail range
-  ``i``, which holds its thermal then its herald draws of those bins in
-  bin order, and is generated only for a trial still unheralded after
-  bin ``D``.
-
-``D`` depends on the configuration alone (see ``_layout``).  Every
-uniform therefore has one fixed address, and results are bit-identical
-for a given (config, trials, seed) no matter how trials are chunked;
-``simulate_trial`` rebuilds one trial from the same addresses.
+Only the bins up to a trial's freshest herald in any source can change
+its result, so no uniform is generated for a trial after its block of
+that herald.  A trial's uniforms depend only on the trials before it in
+its page: results are bit-identical for given (configs, seed) however
+many trials follow, and ``simulate_trial`` replays a trial by running
+its page up to it.
 """
 
 from __future__ import annotations
@@ -48,11 +48,12 @@ from .models import (
     transmission,
 )
 
-# Trials are simulated in batches; the batch size only groups work and
-# cannot influence results (each uniform has a fixed stream address).
-# The budget caps the column-segment uniforms of one batch over all
-# sources (8 MB), which also bounds the herald stage's temporaries.
-_MAX_BATCH = 1 << 16
+# Both sizes are part of the address contract above.  A page's arrays
+# are O(page) and its block arrays O(page x block width), and block
+# widths are capped so that one page's thermal and herald uniforms of a
+# block, over all sources, stay within the budget (8 MB); this also
+# bounds the herald stage's temporaries.
+_PAGE_TRIALS = 1 << 14
 _BATCH_BUDGET_DRAWS = 1 << 20
 
 # Largest mean photon number whose geometric ratio nbar/(1+nbar) is
@@ -60,20 +61,8 @@ _BATCH_BUDGET_DRAWS = 1 << 20
 # would divide by log(1) = 0.
 _MAX_SAMPLEABLE_NBAR = 4.0e15
 
-# The herald stage evaluates bins for the whole batch until at most this
-# expected share of trials is still unheralded, then only for those.
-_DENSE_UNHERALDED_SHARE = 0.25
-
-# The column segment covers the bins up to the one by which at most this
-# expected share of trials is still unheralded; the rest generate their
-# older bins one trial at a time.
-_COLUMN_UNHERALDED_SHARE = 1.0 / 64.0
-
-# Third word of the Philox counter: which segment a range belongs to.
-# The second word numbers the ranges of a segment, and the first counts
-# 4-word blocks within a range.
-_COLUMN_SEGMENT = 0
-_TAIL_SEGMENT = 1
+# Fourth word of the Philox counter: which kind of uniform a range holds.
+_THERMAL, _HERALD, _THINNING = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -126,33 +115,27 @@ class SimulationSummary:
 
 
 def draws_per_trial(time_bins: int) -> int:
-    """Uniforms a trial can read: one thermal and one herald draw per bin
-    plus one output-thinning draw."""
+    """Uniforms a trial can read from one source: one thermal and one
+    herald draw per bin plus one output-thinning draw."""
     return 2 * time_bins + 1
 
 
 def simulate_trial(
-    config: ProtocolConfig, seed: int, trial_index: int, source_index: int = 0
+    configs: list[ProtocolConfig], seed: int, trial_index: int
 ) -> TrialOutcome:
-    """Replay trial ``trial_index`` of source ``source_index`` of a seeded
-    run: its uniforms are read from their stream addresses and go through
-    the batch engine's herald stage, so the outcome is the one the batch
-    run produced."""
-    _check_seed(seed)
-    for name, value in (("trial index", trial_index), ("source index", source_index)):
-        if not (_is_int(value) and 0 <= value < 2**64):
-            raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
-    _check_sampleable(config)
-    stream = _Stream(seed, source_index)
-    columns = np.empty((2 * _layout(config)[1] + 1, 1))
-    _read_columns(stream, config, trial_index, columns)
-    loop_index, held, out_uniform = _herald_batch(columns, config, stream, trial_index)
-    loop = int(loop_index[0])
-    if loop == config.time_bins:
+    """Replay trial ``trial_index`` of a seeded run of the bank
+    ``configs``: its page runs up to it through the batch engine's page
+    function, so the outcome is the one the batch run produced, at the
+    cost of at most one page."""
+    if not (_is_int(trial_index) and 0 <= trial_index < 2**64):
+        raise ValueError(f"trial index must be an unsigned 64-bit integer, got {trial_index}")
+    bank = _Bank(configs, seed)
+    page, row = divmod(trial_index, _PAGE_TRIALS)
+    loop_index, single = bank.page(page, row + 1)
+    loop = int(loop_index[-1])
+    if loop == bank.time_bins:
         return TrialOutcome(herald_loop_index=None, single_photon=False, heralded=False)
-    tau = transmission(config.loss, np.arange(config.time_bins))[loop]
-    single = _single_photon(held, tau, out_uniform)
-    return TrialOutcome(herald_loop_index=loop, single_photon=bool(single[0]), heralded=True)
+    return TrialOutcome(herald_loop_index=loop, single_photon=bool(single[-1]), heralded=True)
 
 
 def run_simulation(config: ProtocolConfig, trials: int, seed: int) -> SimulationSummary:
@@ -169,52 +152,14 @@ def simulate_parallel_sources(
     loss chain when their loss models agree, and the tie rule keeps the
     choice deterministic regardless).
     """
-    if len(configs) == 0:
-        raise ValueError("need at least one source configuration")
-    time_bins = configs[0].time_bins
-    for config in configs[1:]:
-        if config.time_bins != time_bins:
-            raise ValueError("all parallel sources must share the same number of time-bins")
     _check_count(trials, "trials")
-    _check_seed(seed)
-    for config in configs:
-        _check_sampleable(config)
-
-    m = len(configs)
-    widths = [2 * _layout(config)[1] + 1 for config in configs]
-    batch = max(1024, min(_MAX_BATCH, _BATCH_BUDGET_DRAWS // sum(widths)))
-    # One buffer serves every source in turn; its rows are column ranges.
-    buffer = np.empty((max(widths), min(batch, trials)))
-    streams = [_Stream(seed, s) for s in range(m)]
-    loops = np.arange(time_bins)
-    tau_table = np.stack([transmission(config.loss, loops) for config in configs])
-
-    loop_counts = np.zeros(time_bins + 1, dtype=np.int64)
+    bank = _Bank(configs, seed)
+    loop_counts = np.zeros(bank.time_bins + 1, dtype=np.int64)
     single_photon_trials = 0
-    start = 0
-    while start < trials:
-        stop = min(start + batch, trials)
-        rows = stop - start
-        loop_index = np.empty((m, rows), dtype=np.int64)
-        held = np.empty((m, rows))
-        out_uniform = np.empty((m, rows))
-        for s, config in enumerate(configs):
-            columns = buffer[: widths[s], :rows]
-            _read_columns(streams[s], config, start, columns)
-            loop_index[s], held[s], out_uniform[s] = _herald_batch(
-                columns, config, streams[s], start
-            )
-        winner = np.argmin(loop_index, axis=0)
-        cols = np.arange(rows)
-        best_loop = loop_index[winner, cols]
-        # Unheralded trials hold no photons, so the test reads False for
-        # them whatever loss chain entry they are paired with.
-        best_tau = tau_table[winner, np.minimum(best_loop, time_bins - 1)]
-        single = _single_photon(held[winner, cols], best_tau, out_uniform[winner, cols])
-        loop_counts += np.bincount(best_loop, minlength=time_bins + 1)
+    for page, first in enumerate(range(0, trials, _PAGE_TRIALS)):
+        loop_index, single = bank.page(page, min(_PAGE_TRIALS, trials - first))
+        loop_counts += np.bincount(loop_index, minlength=bank.time_bins + 1)
         single_photon_trials += int(np.count_nonzero(single))
-        start = stop
-
     return _summarize(trials, seed, loop_counts, single_photon_trials)
 
 
@@ -242,73 +187,90 @@ def _proportion(successes: int, denominator: int) -> Estimate:
     return Estimate(value=p, standard_error=math.sqrt(p * (1.0 - p) / denominator))
 
 
-def _herald_batch(
-    columns: np.ndarray, config: ProtocolConfig, stream: _Stream, first_trial: int
-):
-    """Vectorized herald stage for the batch of trials from ``first_trial``.
+class _Bank:
+    """The sources of one seeded run: their streams, loss chains and
+    block plan, and the page function that simulates their trials."""
 
-    ``columns`` holds the batch's column segment, one row per range
-    (see ``_read_columns``) and one column per trial.  Returns per trial
-    the winning loop index (time_bins when nothing heralded), the
-    pre-loss photon number held for it, and the untouched
-    output-thinning uniform.
+    def __init__(self, configs: list[ProtocolConfig], seed: int) -> None:
+        if len(configs) == 0:
+            raise ValueError("need at least one source configuration")
+        self.time_bins = configs[0].time_bins
+        for config in configs[1:]:
+            if config.time_bins != self.time_bins:
+                raise ValueError("all parallel sources must share the same number of time-bins")
+        _check_seed(seed)
+        for config in configs:
+            _check_sampleable(config)
+        self.configs = list(configs)
+        self.means = [config.bin_means() for config in configs]
+        self.streams = [_Stream(seed, s) for s in range(len(configs))]
+        loops = np.arange(self.time_bins)
+        self.taus = np.stack([transmission(config.loss, loops) for config in configs])
+        share = 1.0
+        for config, means in zip(configs, self.means):
+            singles = _single_shot_array(means, config.detector.efficiency, config.detector.kind)
+            share = share * _freshest_herald(singles, 1.0 - singles)[1]
+        # The expected share of trials no source has heralded by each bin,
+        # negated so that it ascends.
+        self._falling_share = -share
+        self._max_width = max(1, _BATCH_BUDGET_DRAWS // (2 * len(configs) * _PAGE_TRIALS))
 
-    Only the freshest herald counts, so bins older than a trial's first
-    heralding bin cannot change its result and are not evaluated.  Bins
-    ``[0, d)`` run over the whole batch, one gathered block ``[d, D)``
-    over the trials still unheralded, and one block ``[D, t)``, read
-    from ``stream``'s tail ranges, over those still unheralded after it.
-    Each evaluated cell goes through the same expressions as a
-    full-width pass, and the layout depends on the configuration alone,
-    so results do not depend on it.
-    """
-    t = config.time_bins
-    means = config.bin_means()
-    d, column_bins = _layout(config)
-    tail_bins = t - column_bins
-    thermal, herald = columns[:column_bins], columns[column_bins : 2 * column_bins]
-    loop_index, held = _first_herald(thermal[:d], herald[:d], means[:d], config)
-    active = np.flatnonzero(loop_index == d) if d < t else np.empty(0, dtype=np.intp)
-    loop_index[active] = t
-    for start, stop in ((d, column_bins), (column_bins, t)):
-        if start == stop or not active.size:
-            continue
-        if start < column_bins:
-            block_thermal, block_herald = thermal[start:, active], herald[start:, active]
-        else:
-            trials = [first_trial + row for row in active.tolist()]
-            tails = _read_tails(stream, trials, 2 * tail_bins)
-            # a tail holds the thermal draws of bins [D, t), then the herald draws
-            block_thermal, block_herald = tails[:, :tail_bins].T, tails[:, tail_bins:].T
-        index, block_held = _first_herald(block_thermal, block_herald, means[start:stop], config)
-        hit = index < stop - start
-        loop_index[active[hit]] = start + index[hit]
-        held[active[hit]] = block_held[hit]
-        active = active[~hit]
-    return loop_index, held, columns[2 * column_bins]
+    def blocks(self):
+        """``(start, stop)`` of each block of bins, newest first.  A block
+        ends at the first bin by which the bank's expected unheralded
+        share has halved since the block began, or after ``_max_width``
+        bins, so a page's block arrays fit ``_BATCH_BUDGET_DRAWS``."""
+        start, level = 0, 1.0
+        while start < self.time_bins:
+            halved = int(np.searchsorted(self._falling_share, -0.5 * level))
+            stop = min(max(halved, start) + 1, start + self._max_width, self.time_bins)
+            yield start, stop
+            level = -self._falling_share[stop - 1]
+            start = stop
 
-
-def _layout(config: ProtocolConfig) -> tuple[int, int]:
-    """The dense prefix ``d`` of the herald stage and the width ``D`` of
-    the column segment: the number of leading bins through the first one
-    by which at most ``_DENSE_UNHERALDED_SHARE``, respectively
-    ``_COLUMN_UNHERALDED_SHARE``, of trials are expected to be still
-    unheralded, or all of them."""
-    singles = _single_shot_array(
-        config.bin_means(), config.detector.efficiency, config.detector.kind
-    )
-    _, unheralded = _freshest_herald(singles, 1.0 - singles)
-
-    def through(share: float) -> int:
-        below = np.flatnonzero(unheralded <= share)
-        return int(below[0]) + 1 if below.size else config.time_bins
-
-    return through(_DENSE_UNHERALDED_SHARE), through(_COLUMN_UNHERALDED_SHARE)
+    def page(self, page: int, rows: int):
+        """Loop index of the freshest herald of each of the page's first
+        ``rows`` trials (the number of bins when no source heralded), and
+        whether it output a single photon."""
+        t = self.time_bins
+        loop_index = np.full(rows, t)
+        held, tau = np.zeros(rows), np.zeros(rows)
+        live = np.arange(rows)
+        buffer = np.empty(2 * rows * self._max_width)
+        for block, (start, stop) in enumerate(self.blocks()):
+            if not live.size:
+                break
+            width, size = stop - start, live.size * (stop - start)
+            thermal, herald = buffer[:size], buffer[size : 2 * size]
+            for s, config in enumerate(self.configs):
+                self.streams[s].read(_THERMAL, page, block, thermal)
+                self.streams[s].read(_HERALD, page, block, herald)
+                # Rank-major words: one row per live trial, one column per bin.
+                photons = _thermal_inverse_cdf(
+                    thermal.reshape(-1, width).T, self.means[s][start:stop]
+                ).T.ravel()
+                hits = np.flatnonzero(herald < _herald_probability(photons, config))
+                ranks, bins = np.divmod(hits, width)
+                trials, loops = live[ranks], start + bins
+                # The freshest herald is a trial's first hit, and a tie
+                # keeps the lower source.
+                fresher = loops < loop_index[trials]
+                fresher[1:] &= ranks[1:] != ranks[:-1]
+                trials, loops, hits = trials[fresher], loops[fresher], hits[fresher]
+                loop_index[trials] = loops
+                held[trials] = photons[hits]
+                tau[trials] = self.taus[s, loops]
+            live = live[loop_index[live] == t]
+        out_uniform = np.empty(rows)
+        self.streams[0].read(_THINNING, page, 0, out_uniform)
+        # Unheralded trials hold no photons, so the test reads False for
+        # them whatever transmission they are paired with.
+        return loop_index, _single_photon(held, tau, out_uniform)
 
 
 class _Stream:
     """The Philox stream of one (seed, source index) key, read by address:
-    ``read`` fills an array with consecutive words of one counter range."""
+    ``read`` fills an array with the first words of one counter range."""
 
     def __init__(self, seed: int, source_index: int) -> None:
         self._key = (seed, source_index)
@@ -316,64 +278,18 @@ class _Stream:
             np.random.Philox(key=np.array(self._key, dtype=np.uint64))
         )
 
-    def read(self, segment: int, index: int, word: int, out: np.ndarray) -> None:
-        """Fill ``out`` with the uniforms at words ``word, word + 1, ...``
-        of range ``index`` of ``segment``.  Each 4-word block has its own
-        counter value, so this is the same as generating the range from
-        its start and dropping the first ``word`` uniforms."""
+    def read(self, kind: int, page: int, block: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the uniforms at words ``0, 1, ...`` of the
+        range of ``kind`` for (``page``, ``block``)."""
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": (word // 4, index, segment, 0), "key": self._key},
+            "state": {"counter": (0, block, page, kind), "key": self._key},
             "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        if word % 4:
-            self._gen.random(word % 4)
         self._gen.random(out=out)
-
-
-def _read_columns(
-    stream: _Stream, config: ProtocolConfig, first_trial: int, out: np.ndarray
-) -> None:
-    """Fill ``out`` (2D + 1 rows, one column per trial from
-    ``first_trial``) with the column segment: the thermal draws of bins
-    ``[0, D)``, their herald draws and the thinning draw."""
-    t = config.time_bins
-    column_bins = (out.shape[0] - 1) // 2
-    ranges = (*range(column_bins), *range(t, t + column_bins), 2 * t)
-    for row, index in zip(out, ranges):
-        stream.read(_COLUMN_SEGMENT, index, first_trial, row)
-
-
-def _read_tails(stream: _Stream, trials: list[int], width: int) -> np.ndarray:
-    """The first ``width`` words of the given trials' tail ranges, one
-    row each: the thermal then the herald draws of bins ``[D, t)``."""
-    out = np.empty((len(trials), width))
-    for row, trial in zip(out, trials):
-        stream.read(_TAIL_SEGMENT, trial, 0, row)
-    return out
-
-
-def _first_herald(
-    thermal_uniforms: np.ndarray,
-    herald_uniforms: np.ndarray,
-    bin_means: np.ndarray,
-    config: ProtocolConfig,
-):
-    """First heralding bin of each trial (the number of bins when none)
-    and the photon number drawn there (0 when none).  Rows are bins and
-    columns trials."""
-    photon_numbers = _thermal_inverse_cdf(thermal_uniforms, bin_means)
-    heralds = herald_uniforms < _herald_probability(photon_numbers, config)
-    any_herald = heralds.any(axis=0)
-    # argmax picks the first heralding row, which is the most recent
-    # bin because rows run from newest to oldest.
-    first = np.argmax(heralds, axis=0)
-    index = np.where(any_herald, first, heralds.shape[0])
-    trials = np.arange(heralds.shape[1])
-    return index, np.where(any_herald, photon_numbers[first, trials], 0)
 
 
 def _thermal_inverse_cdf(uniforms: np.ndarray, bin_means: np.ndarray) -> np.ndarray:

@@ -202,9 +202,11 @@ def optimize_schedule(
             # leaving the bounds alone.  Rounding can split a double root
             # into a complex pair; its real part is still a candidate, and
             # a spurious candidate costs one evaluation but cannot win.
-            roots = np.roots(
-                numerators[loops] - (lam + future) * denominators[loops]
-            ).real
+            # Coefficients that overflowed (a NaN future value) leave the
+            # bounds alone too, and the NaN value reaches the caller.
+            coefficients = numerators[loops] - (lam + future) * denominators[loops]
+            finite = np.isfinite(coefficients).all()
+            roots = np.roots(coefficients).real if finite else np.empty(0)
             candidates = np.concatenate(
                 ([lo], np.sort(roots[(roots > lo) & (roots < hi)]), [hi])
             )

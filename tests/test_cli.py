@@ -255,6 +255,17 @@ def test_optimize_ignores_candidates_that_overflow(tmp_path):
     assert 0.5 < float(near[nbar]) < 1.0
 
 
+@pytest.mark.parametrize("biased", [[], ["--biased"]])
+def test_optimize_over_overflowing_bounds_exits_with_a_loopsource_message(biased, capsys):
+    # every candidate above ~6e102 overflows to NaN; the per-bin step used
+    # to hand NaN coefficients to np.roots and exit 2 with numpy's message
+    args = ["optimize", "--t", "3", "--nbar-min", "1e150", "--nbar-max", "1e160"]
+    assert main(args + biased) == 3
+    err = capsys.readouterr().err
+    assert "non-finite value in column 'value'" in err
+    assert "infs or NaNs" not in err
+
+
 def test_feasibility_reference_points():
     ghz = assess_feasibility(1e9)
     assert ghz.fibre_length == pytest.approx(2.0, abs=0.1)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -24,18 +25,12 @@ from loopsource import (
     run_simulation,
     simulate_parallel_sources,
     simulate_trial,
+    transmission,
 )
 from loopsource import montecarlo
 from loopsource.cli import main
 from loopsource.montecarlo import (
-    _COLUMN_SEGMENT,
-    _TAIL_SEGMENT,
-    _Stream,
-    _herald_batch,
     _herald_probability,
-    _layout,
-    _read_columns,
-    _read_tails,
     _single_photon,
     _thermal_inverse_cdf,
     draws_per_trial,
@@ -58,64 +53,112 @@ def _per_bin_config():
 
 
 def _train_config():
-    # the benchmark's mc_train point: S ~ 0.31 per bin, prefix 4 and
-    # column segment 12 of 50 bins
+    # the benchmark's mc_train point: S ~ 0.31 per bin, blocks of two bins
     return ProtocolConfig(
         50, ConstantPump(0.5), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)
     )
 
 
-def _philox(seed, source_index, segment, index):
-    """numpy's own generator at the start of one counter range."""
+def _bank_configs():
+    # three different sources: pump schedule, detector and loss all differ
+    return [
+        _mixed_config(),
+        ProtocolConfig(
+            4, PerBinPump((0.3, 0.0, 1.1, 0.6)), DetectorModel(BUCKET, 0.7), LossModel(0.8, 0.95)
+        ),
+        ProtocolConfig(4, ConstantPump(0.4), DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0)),
+    ]
+
+
+def _words(seed, source_index, kind, page, block, word, count):
+    """``count`` uniforms from word ``word`` of one counter range, taken
+    from numpy's own generator started at that range."""
     key = np.array([seed, source_index], dtype=np.uint64)
-    counter = np.array([0, index, segment, 0], dtype=np.uint64)
-    bit_gen = np.random.Philox(key=key, counter=counter)
-    return np.random.Generator(bit_gen)
+    counter = np.array([word // 4, block, page, kind], dtype=np.uint64)
+    generator = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return generator.random(word % 4 + count)[word % 4 :]
 
 
-def _full_width_uniforms(config, seed, trials, source_index=0):
-    """Every uniform of trials 0..trials-1, one row per trial in the
-    order of ``draws_per_trial``, generated natively range by range:
-    column ranges for bins [0, D) and the thinning draw, tail ranges for
-    bins [D, t)."""
-    t = config.time_bins
-    column_bins = _layout(config)[1]
-    uniforms = np.empty((trials, draws_per_trial(t)))
-    for j in (*range(column_bins), *range(t, t + column_bins), 2 * t):
-        uniforms[:, j] = _philox(seed, source_index, _COLUMN_SEGMENT, j).random(trials)
-    if column_bins < t:
-        for i in range(trials):
-            tail = _philox(seed, source_index, _TAIL_SEGMENT, i).random(2 * (t - column_bins))
-            uniforms[i, column_bins:t] = tail[: t - column_bins]
-            uniforms[i, t + column_bins : 2 * t] = tail[t - column_bins :]
-    return uniforms
+def _oracle_blocks(configs):
+    """The documented block plan, bin by bin: a block ends at the first
+    bin by which the bank's expected unheralded share has halved since
+    the block began, and holds at most budget / (2 m page) bins."""
+    t = configs[0].time_bins
+    share = np.ones(t)
+    for config in configs:
+        singles = [herald_single_shot(SourceModel(n), config.detector) for n in config.bin_means()]
+        share = share * np.cumprod(1.0 - np.array(singles))
+    max_width = max(1, montecarlo._BATCH_BUDGET_DRAWS // (2 * len(configs) * montecarlo._PAGE_TRIALS))
+    blocks, start, level = [], 0, 1.0
+    while start < t:
+        stop = start + 1
+        while stop < t and stop - start < max_width and share[stop - 1] > level / 2:
+            stop += 1
+        blocks.append((start, stop))
+        start, level = stop, share[stop - 1]
+    return blocks
+
+
+def _oracle_run(configs, seed, trials):
+    """Every trial's (loop index, single photon, winning source), one trial
+    at a time from the documented addresses: in each block, the rank of a
+    trial that no source has heralded yet is the number of earlier trials
+    of its page still unheralded there, and it reads words
+    [rank w, (rank + 1) w) of each source's thermal and herald ranges."""
+    t, page_trials = configs[0].time_bins, montecarlo._PAGE_TRIALS
+    blocks = _oracle_blocks(configs)
+    outcomes = []
+    for i in range(trials):
+        page, row = divmod(i, page_trials)
+        if row == 0:
+            live_before = [0] * len(blocks)
+        best = None
+        for block, (start, stop) in enumerate(blocks):
+            width, rank = stop - start, live_before[block]
+            live_before[block] += 1
+            for s, config in enumerate(configs):
+                thermal = _words(seed, s, 0, page, block, rank * width, width)
+                herald = _words(seed, s, 1, page, block, rank * width, width)
+                photons = _thermal_inverse_cdf(thermal[:, None], config.bin_means()[start:stop])
+                heralds = herald < _herald_probability(photons[:, 0], config)
+                if heralds.any():
+                    k = int(np.argmax(heralds))
+                    if best is None or start + k < best[0]:
+                        best = (start + k, s, photons[k, 0])
+            if best is not None:
+                break
+        if best is None:
+            outcomes.append((t, False, None))
+            continue
+        loop, source, held = best
+        tau = transmission(configs[source].loss, loop)
+        u = _words(seed, 0, 2, page, 0, row, 1)
+        outcomes.append((loop, bool(_single_photon(np.array([held]), tau, u)[0]), source))
+    return outcomes
 
 
 def test_draws_per_trial_counts_the_uniforms_a_trial_reads(monkeypatch):
     for t in range(1, 40):
         assert draws_per_trial(t) == 2 * t + 1
-    # a replayed trial reads its column segment, plus its tail when it is
-    # still unheralded after bin D: then every uniform of the trial
-    config = _train_config()
-    column_bins = _layout(config)[1]
-    read = _Stream.read
-    words = []
+    # a trial reads at most one thermal and one herald draw per bin from
+    # each source, and the page one thinning draw per trial
+    configs = _bank_configs()
+    words = [0]
+    read = montecarlo._Stream.read
 
-    def counted(self, segment, index, word, out):
-        words[-1] += out.size
-        read(self, segment, index, word, out)
+    def counted(self, kind, page, block, out):
+        words[0] += out.size
+        read(self, kind, page, block, out)
 
-    monkeypatch.setattr(_Stream, "read", counted)
-    for i in range(500):
-        words.append(0)
-        simulate_trial(config, 5, i)
-    assert set(words) == {2 * column_bins + 1, draws_per_trial(config.time_bins)}
+    monkeypatch.setattr(montecarlo._Stream, "read", counted)
+    simulate_parallel_sources(configs, 5000, 5)
+    assert 5000 < words[0] <= 5000 * (len(configs) * (draws_per_trial(4) - 1) + 1)
 
 
 def test_trial_outcomes_are_well_formed():
     config = _mixed_config()
     for i in range(300):
-        outcome = simulate_trial(config, 12, i)
+        outcome = simulate_trial([config], 12, i)
         if outcome.heralded:
             assert 0 <= outcome.herald_loop_index < config.time_bins
         else:
@@ -130,9 +173,9 @@ def test_trial_outcomes_are_well_formed():
         _per_bin_config(),
         # lossless: every transmission is exactly 1
         ProtocolConfig(3, ConstantPump(0.9), DetectorModel(BUCKET, 0.8), LossModel(1.0, 1.0)),
-        # heavy pump: at this seed and train length a trial holds 318 photons
+        # heavy pump: a heralded bin holds ~30 photons on average
         ProtocolConfig(48, ConstantPump(30.0), DetectorModel(BUCKET, 0.9), LossModel(0.05, 0.9)),
-        # column segment 12 of 50 bins: survivors read their tail range
+        # blocks of two bins: some trials herald after the first block
         _train_config(),
         # pump just below the sampler's limit of 4e15 (warnings fail the
         # suite); the first loop keeps about one of the ~nbar held photons
@@ -142,15 +185,15 @@ def test_trial_outcomes_are_well_formed():
         ),
     ],
 )
-def test_per_trial_streams_reproduce_the_batch_run(config):
-    """Addressing trial i directly must give the exact trial the batched
-    engine produced, so the two paths are interchangeable evidence."""
+def test_per_trial_replay_reproduces_the_batch_run(config):
+    """Replaying trial i through its page must give the exact trial the
+    batch run produced, so the two paths are interchangeable evidence."""
     trials, seed = 2000, 5
-    t, column_bins = config.time_bins, _layout(config)[1]
+    t = config.time_bins
     counts = [0] * (t + 1)
     singles = 0
     for i in range(trials):
-        outcome = simulate_trial(config, seed, i)
+        outcome = simulate_trial([config], seed, i)
         index = outcome.herald_loop_index if outcome.heralded else t
         counts[index] += 1
         if outcome.single_photon:
@@ -159,21 +202,38 @@ def test_per_trial_streams_reproduce_the_batch_run(config):
     assert tuple(counts) == summary.loop_counts
     assert singles / trials == summary.unconditional_fidelity.value
     if config == _train_config():
-        # some trials herald in bins only their tail range holds
-        assert column_bins < t and sum(counts[column_bins:t]) > 0
+        assert sum(counts[2:t]) > 0
+
+
+def _check_against_oracle(configs, seed, trials):
+    outcomes = _oracle_run(configs, seed, trials)
+    t = configs[0].time_bins
+    counts = np.bincount([loop for loop, _, _ in outcomes], minlength=t + 1)
+    summary = simulate_parallel_sources(configs, trials, seed)
+    assert summary.loop_counts == tuple(counts.tolist())
+    assert summary.unconditional_fidelity.value == sum(o[1] for o in outcomes) / trials
+    for i in (0, trials // 2, trials - 1):
+        loop, single, _ = outcomes[i]
+        replay = simulate_trial(configs, seed, i)
+        assert (replay.herald_loop_index, replay.single_photon) == (
+            (None, False) if loop == t else (loop, single)
+        )
+    return outcomes
 
 
 _LAYOUT_CONFIGS = {
+    # two-bin blocks: S ~ 0.31 per bin
     "mc_train": _train_config(),
-    # prefix 1: nearly every trial heralds in the newest bin
+    # nearly every trial heralds in the newest bin
     "nbar30": ProtocolConfig(
         48, ConstantPump(30.0), DetectorModel(BUCKET, 0.9), LossModel(0.05, 0.9)
     ),
-    # prefix 32 of 200: survivors reach the tail block [D, t)
+    # blocks of 16 bins
     "t200": ProtocolConfig(
         200, ConstantPump(0.05), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)
     ),
-    # rare heralds: the prefix is the whole train
+    # rare heralds: the share never halves, so a block ends at the width
+    # cap or at the end of the train
     "rare": ProtocolConfig(
         50, ConstantPump(1e-3), DetectorModel(RESOLVED, 0.9), LossModel(0.9, 0.9)
     ),
@@ -199,168 +259,152 @@ _LAYOUT_CONFIGS = {
 }
 
 
-def test_layout_configurations_cover_every_prefix_length():
-    layouts = [(*_layout(c), c.time_bins) for c in _LAYOUT_CONFIGS.values()]
-    assert all(1 <= d <= column_bins <= t for d, column_bins, t in layouts)
-    assert any(d == 1 < t for d, _, t in layouts)
-    assert any(1 < d < t for d, _, t in layouts)
-    assert any(d == t > 1 for d, _, t in layouts)
-    assert any(d == t == 1 for d, _, t in layouts)
-    # column segments that end inside the train (all three stages run) and
-    # at its end (no tail block)
-    assert any(d < column_bins < t for d, column_bins, t in layouts)
-    assert any(d < column_bins == t for d, column_bins, t in layouts)
+@pytest.fixture
+def small_pages(monkeypatch):
+    """Pages of 64 trials, so that a few hundred trials span several."""
+    monkeypatch.setattr(montecarlo, "_PAGE_TRIALS", 64)
 
 
 @pytest.mark.parametrize("config", _LAYOUT_CONFIGS.values(), ids=_LAYOUT_CONFIGS.keys())
-def test_herald_stage_matches_full_width_oracle(config):
-    """The herald stage skips bins that cannot hold a trial's freshest
-    herald; evaluating every bin of every trial must give the same
-    result row for row."""
-    t, trials = config.time_bins, 20_000
-    uniforms = _full_width_uniforms(config, 3, trials)
-    photon_numbers = _thermal_inverse_cdf(uniforms[:, :t].T, config.bin_means()).T
-    heralds = uniforms[:, t : 2 * t] < _herald_probability(photon_numbers, config)
-    heralded = heralds.any(axis=1)
-    first = np.argmax(heralds, axis=1)
-    expected_loop = np.where(heralded, first, t)
-    expected_held = photon_numbers[np.arange(len(first)), first][heralded]
-
-    stream = _Stream(3, 0)
-    columns = np.empty((2 * _layout(config)[1] + 1, trials))
-    _read_columns(stream, config, 0, columns)
-    loop_index, held, out_uniform = _herald_batch(columns, config, stream, 0)
-    assert np.array_equal(loop_index, expected_loop)
-    assert np.array_equal(held[heralded], expected_held)
-    assert np.array_equal(out_uniform, uniforms[:, 2 * t])
+def test_batch_run_matches_per_trial_oracle(small_pages, config):
+    """The page engine evaluates blocks for the live trials of a page at
+    once; reading each trial's documented words on its own and applying
+    the freshest-herald rule bin by bin must give the same trials."""
+    _check_against_oracle([config], 3, 300)
 
 
-@pytest.mark.parametrize("sources", [1, 3])
-def test_results_do_not_depend_on_the_batch_size(monkeypatch, sources):
-    configs = [_train_config()] * sources
-    trials, seed = 5000, 44
-    tail_trials = set()
-    read_tails = montecarlo._read_tails
-
-    def recorded(stream, trial_indices, width):
-        tail_trials.update(trial_indices)
-        return read_tails(stream, trial_indices, width)
-
-    monkeypatch.setattr(montecarlo, "_read_tails", recorded)
-    whole = simulate_parallel_sources(configs, trials, seed)
-    calls = []
-
-    def counted(columns, config, stream, first_trial):
-        calls.append(columns.shape[1])
-        return _herald_batch(columns, config, stream, first_trial)
-
-    monkeypatch.setattr(montecarlo, "_MAX_BATCH", 1024)
-    monkeypatch.setattr(montecarlo, "_BATCH_BUDGET_DRAWS", 1024)
-    monkeypatch.setattr(montecarlo, "_herald_batch", counted)
-    chunked = simulate_parallel_sources(configs, trials, seed)
-    assert calls == [1024] * (4 * sources) + [904] * sources
-    assert chunked == whole
-    # some trials herald in bins only their tail range holds
-    t, column_bins = configs[0].time_bins, _layout(configs[0])[1]
-    loops = [
-        simulate_trial(configs[0], seed, i, source_index=s).herald_loop_index
-        for i in sorted(tail_trials)
-        for s in range(sources)
-    ]
-    assert any(loop is not None and loop >= column_bins for loop in loops)
-    if sources == 1:
-        assert sum(whole.loop_counts[column_bins:t]) > 0
+@pytest.mark.parametrize("budget", [1 << 20, 2 * 3 * 64], ids=["halving", "capped"])
+@pytest.mark.parametrize("bank", ["heterogeneous", "identical"])
+def test_parallel_run_matches_per_trial_oracle(small_pages, monkeypatch, bank, budget):
+    """The same for banks of three sources, including ties, which go to
+    the lowest source index, and blocks cut to one bin by the budget."""
+    monkeypatch.setattr(montecarlo, "_BATCH_BUDGET_DRAWS", budget)
+    configs = _bank_configs() if bank == "heterogeneous" else [_per_bin_config()] * 3
+    outcomes = _check_against_oracle(configs, 8, 400)
+    assert {source for _, _, source in outcomes} >= {0, 1, 2}
+    widths = {stop - start for start, stop in _oracle_blocks(configs)}
+    assert widths == ({1} if budget < 1 << 20 else {1, 2})
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        ProtocolConfig(6, ConstantPump(0.3), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.95)),
-        # column segment 7 of 10 bins: some sources read their tail range
-        ProtocolConfig(10, ConstantPump(1.0), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.95)),
-    ],
-    ids=["columns_only", "tail"],
-)
-def test_per_trial_streams_reproduce_the_parallel_run(config):
-    """Replaying every source of every trial and keeping the freshest
-    herald (ties to the lowest source index) must give the batch run."""
-    sources, trials, seed = 3, 1500, 8
-    t, column_bins = config.time_bins, _layout(config)[1]
-    counts = [0] * (t + 1)
-    singles = ties = in_tail = 0
-    for i in range(trials):
-        outcomes = [simulate_trial(config, seed, i, source_index=s) for s in range(sources)]
-        loops = [o.herald_loop_index if o.heralded else t for o in outcomes]
-        best = min(loops)
-        winner = outcomes[loops.index(best)]
-        ties += best < t and loops.count(best) > 1
-        in_tail += any(column_bins <= loop < t for loop in loops)
-        counts[best] += 1
-        singles += winner.single_photon
-    assert ties > 0
-    assert (in_tail > 0) == (column_bins < t)
-    summary = simulate_parallel_sources([config] * sources, trials, seed)
-    assert tuple(counts) == summary.loop_counts
-    assert singles / trials == summary.unconditional_fidelity.value
+def test_block_plan_follows_the_halving_rule():
+    banks = {name: montecarlo._Bank([c], 0) for name, c in _LAYOUT_CONFIGS.items()}
+    banks["bank"] = montecarlo._Bank(_bank_configs(), 0)
+    plans = {}
+    for name, bank in banks.items():
+        blocks = list(bank.blocks())
+        assert blocks == _oracle_blocks(bank.configs), name
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == bank.time_bins
+        plans[name] = [stop - start for start, stop in blocks]
+    assert plans["mc_train"] == [2] * 25
+    assert plans["nbar30"] == [1] * 48
+    assert plans["t200"] == [16] * 12 + [8]
+    assert plans["bank"] == [1, 2, 1]
+    # the share never halves: a blind detector fills the train, and rare
+    # heralds meet one source's cap of 32 bins at pages of 2**14 trials
+    assert plans["eta0"] == [6]
+    assert plans["rare"] == [32, 18]
 
 
-def test_stream_ranges_are_native_philox_ranges():
-    """A column range read batch by batch at the engine's 1024-row
-    boundaries, a single replayed word and whole tail ranges equal one
-    native Generator.random over the same counter range."""
-    stream = _Stream(7, 2)
-    column = np.empty(5000)
-    for first in range(0, 5000, 1024):
-        stream.read(_COLUMN_SEGMENT, 33, first, column[first : first + 1024])
-    assert np.array_equal(column, _philox(7, 2, _COLUMN_SEGMENT, 33).random(5000))
-    word = np.empty(1)
-    stream.read(_COLUMN_SEGMENT, 33, 1027, word)
-    assert word[0] == column[1027]
-    trials = [0, 33, 4097, 2**64 - 1]
-    tails = _read_tails(stream, trials, 70)
-    for tail, trial in zip(tails, trials):
-        assert np.array_equal(tail, _philox(7, 2, _TAIL_SEGMENT, trial).random(70))
-    assert not np.array_equal(tails[1], column[:70])
+@pytest.mark.parametrize("configs", [[_per_bin_config()], _bank_configs()], ids=["m1", "m3"])
+def test_trial_outcome_does_not_depend_on_the_trials_after_it(small_pages, configs):
+    """Running one more trial adds that trial's replayed outcome and
+    changes no earlier one, across page boundaries too."""
+    t, seed = configs[0].time_bins, 21
+    previous = np.zeros(t + 1, dtype=np.int64)
+    singles = 0
+    for trials in range(1, 140):
+        summary = simulate_parallel_sources(configs, trials, seed)
+        outcome = simulate_trial(configs, seed, trials - 1)
+        previous[outcome.herald_loop_index if outcome.heralded else t] += 1
+        singles += outcome.single_photon
+        assert summary.loop_counts == tuple(previous.tolist())
+        assert summary.unconditional_fidelity.value == singles / trials
 
 
-def test_stream_ranges_never_share_a_counter(monkeypatch):
-    """Every read of a run stays inside its own counter range (the block
-    count never carries into the range words), and within a range no
-    word is read twice, so distinct (source, column) ranges and the tail
-    ranges of distinct trials never share a counter."""
+def test_stream_reads_native_philox_ranges():
+    stream = montecarlo._Stream(7, 2)
+    out = np.empty(70)
+    for kind, page, block in [(0, 0, 0), (1, 3, 5), (2, 2**50, 0), (0, 1, 99_999)]:
+        stream.read(kind, page, block, out)
+        assert np.array_equal(out, _words(7, 2, kind, page, block, 0, 70))
+    assert np.array_equal(_words(7, 2, 1, 3, 5, 9, 20), _words(7, 2, 1, 3, 5, 0, 29)[9:])
+
+
+@pytest.mark.parametrize("configs", [[_train_config()], _bank_configs()], ids=["m1", "m3"])
+def test_no_counter_is_read_twice(small_pages, monkeypatch, configs):
+    """Each read fills one range from its first word without carrying into
+    the next range, and no (key, kind, page, block) range is read twice:
+    every source reads the same live trials of each block, and source 0
+    one thinning word per trial of each page."""
     reads = []
-    read = _Stream.read
+    read = montecarlo._Stream.read
 
-    def recorded(self, segment, index, word, out):
-        read(self, segment, index, word, out)
-        counter = self._gen.bit_generator.state["state"]["counter"].tolist()
-        reads.append((self._key, segment, index, word, out.size, tuple(counter)))
+    def recorded(self, kind, page, block, out):
+        read(self, kind, page, block, out)
+        counter = tuple(self._gen.bit_generator.state["state"]["counter"].tolist())
+        assert counter == ((out.size + 3) // 4, block, page, kind)
+        reads.append((self._key, kind, page, block, out.size))
 
-    monkeypatch.setattr(_Stream, "read", recorded)
-    monkeypatch.setattr(montecarlo, "_MAX_BATCH", 1024)
-    monkeypatch.setattr(montecarlo, "_BATCH_BUDGET_DRAWS", 1024)
-    config, trials, seed = _train_config(), 5000, 44
-    simulate_parallel_sources([config] * 2, trials, seed)
+    monkeypatch.setattr(montecarlo._Stream, "read", recorded)
+    trials, seed = 300, 44
+    simulate_parallel_sources(configs, trials, seed)
+    ranges = [r[:4] for r in reads]
+    assert len(ranges) == len(set(ranges))
+    sizes = {}
+    for key, kind, page, block, size in reads:
+        sizes.setdefault((kind == 2, page, block), set()).add(size)
+    assert all(len(s) == 1 for s in sizes.values())
+    pages = range(-(-trials // 64))
+    thinning = {(page, size) for (k, page, _), (size,) in sizes.items() if k}
+    assert thinning == {(page, min(64, trials - 64 * page)) for page in pages}
+    keys = {key for key, kind, *_ in reads if kind != 2}
+    assert keys == {(seed, s) for s in range(len(configs))}
 
-    spans = {}
-    for key, segment, index, word, size, counter in reads:
-        # the last block generated is the one holding the last word read
-        assert counter == ((word + size + 3) // 4, index, segment, 0)
-        spans.setdefault((key, segment, index), []).append((word, word + size))
-    for ranges in spans.values():
-        ranges.sort()
-        assert all(end <= start for (_, end), (start, _) in zip(ranges, ranges[1:]))
-    # each source read its 2D + 1 column ranges batch by batch and the
-    # whole tail range of some trials, once each
-    t, column_bins = config.time_bins, _layout(config)[1]
-    columns = (*range(column_bins), *range(t, t + column_bins), 2 * t)
-    batches = [(first, min(first + 1024, trials)) for first in range(0, trials, 1024)]
-    keys = [(seed, source) for source in range(2)]
-    column_ranges = {(k, i): r for (k, seg, i), r in spans.items() if seg == _COLUMN_SEGMENT}
-    assert column_ranges == {(key, column): batches for key in keys for column in columns}
-    tail_ranges = {(k, i): r for (k, seg, i), r in spans.items() if seg == _TAIL_SEGMENT}
-    assert {k for k, _ in tail_ranges} == set(keys)
-    assert all(r == [(0, 2 * (t - column_bins))] for r in tail_ranges.values())
+
+def test_uniform_count_at_the_parallel_benchmark_point(monkeypatch):
+    """At fig9's point (4 sources, t=10) only ~28% of a trial's column
+    draws can change its result; generating uniforms only for trials no
+    source has heralded yet must stay below half of sources x (2t + 1)."""
+    config = ProtocolConfig(10, ConstantPump(0.1), DetectorModel(BUCKET, 0.95), LossModel(0.95, 0.95))
+    words = [0]
+    read = montecarlo._Stream.read
+
+    def counted(self, kind, page, block, out):
+        words[0] += out.size
+        read(self, kind, page, block, out)
+
+    monkeypatch.setattr(montecarlo._Stream, "read", counted)
+    trials = 40_000
+    simulate_parallel_sources([config] * 4, trials, 3)
+    assert words[0] < 0.5 * 4 * draws_per_trial(10) * trials
+
+
+@pytest.mark.parametrize("nbar, trials", [(0.5, 20_000), (1e-4, 2_000)])
+def test_long_train_memory_is_bounded(monkeypatch, nbar, trials):
+    """t = 1e5 bins, the top of the documented domain: peak allocation
+    stays under 64 MiB, and a rare-herald run generates at most 1.5 x 2t
+    uniforms per trial."""
+    config = ProtocolConfig(
+        100_000, ConstantPump(nbar), DetectorModel(BUCKET, 0.9), LossModel(0.99, 0.999)
+    )
+    words = [0]
+    read = montecarlo._Stream.read
+
+    def counted(self, kind, page, block, out):
+        words[0] += out.size
+        read(self, kind, page, block, out)
+
+    monkeypatch.setattr(montecarlo._Stream, "read", counted)
+    tracemalloc.start()
+    try:
+        summary = run_simulation(config, trials, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert words[0] <= 1.5 * 2 * config.time_bins * trials
+    assert summary.herald_rate.value > 0.99
 
 
 def test_same_seed_same_summary():
@@ -501,15 +545,17 @@ def test_seed_validation():
     with pytest.raises(ValueError):
         run_simulation(config, 100, True)
     with pytest.raises(ValueError):
-        simulate_trial(config, True, 0)
+        simulate_trial([config], True, 0)
     with pytest.raises(ValueError):
-        simulate_trial(config, 0, True)
+        simulate_trial([config], 0, True)
     with pytest.raises(ValueError):
-        simulate_trial(config, 0, -1)
+        simulate_trial([config], 0, -1)
     with pytest.raises(ValueError):
-        simulate_trial(config, 0, 2**64)
-    # the last addressable seed, trial and source still replay
-    simulate_trial(config, 2**64 - 1, 2**64 - 1, source_index=2**64 - 1)
+        simulate_trial([config], 0, 2**64)
+    with pytest.raises(ValueError):
+        simulate_trial([], 0, 0)
+    # the last addressable seed and trial still replay
+    simulate_trial([config], 2**64 - 1, 2**64 - 1)
 
 
 def _oracle_boundaries(n: int, tau: float) -> tuple[Fraction, Fraction]:
@@ -553,7 +599,7 @@ def test_sampler_rejects_pump_above_its_limit(capsys):
     with pytest.raises(ValueError, match="cannot be sampled"):
         run_simulation(config, 10, 0)
     with pytest.raises(ValueError, match="cannot be sampled"):
-        simulate_trial(config, 0, 0)
+        simulate_trial([config], 0, 0)
     assert main(["simulate", "--nbar", "5e15", "--t", "2", "--trials", "10"]) == 2
     assert "cannot be sampled" in capsys.readouterr().err
 
