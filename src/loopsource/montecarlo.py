@@ -49,10 +49,11 @@ from .models import (
 )
 
 # Both sizes are part of the address contract above.  A page's arrays
-# are O(page) and its block arrays O(page x block width), and block
-# widths are capped so that one page's thermal and herald uniforms of a
-# block, over all sources, stay within the budget (8 MB); this also
-# bounds the herald stage's temporaries.
+# are O(page) and its block arrays O(page x block width).  Sources run
+# one after another through the same arrays, so block widths are capped
+# so that one source's thermal and herald uniforms of a page's block
+# stay within the budget (8 MB) whatever the number of sources; this
+# also bounds the herald stage's temporaries.
 _PAGE_TRIALS = 1 << 14
 _BATCH_BUDGET_DRAWS = 1 << 20
 
@@ -213,7 +214,7 @@ class _Bank:
         # The expected share of trials no source has heralded by each bin,
         # negated so that it ascends.
         self._falling_share = -share
-        self._max_width = max(1, _BATCH_BUDGET_DRAWS // (2 * len(configs) * _PAGE_TRIALS))
+        self._max_width = max(1, _BATCH_BUDGET_DRAWS // (2 * _PAGE_TRIALS))
 
     def blocks(self):
         """``(start, stop)`` of each block of bins, newest first.  A block
