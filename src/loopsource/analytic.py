@@ -91,17 +91,16 @@ def closed_form(nbars, eta_d, taus, kind: DetectorKind) -> ClosedForm:
     switch keeps the freshest herald, so bin l wins with weight
     ``S_l * prod_{k<l}(1 - S_k)``.
     """
-    nbars = np.asarray(nbars, dtype=float)
-    singles = _single_shot_array(nbars, eta_d, kind)
-    # A bucket detector misses with probability 1/(1 + x), x = nbar eta_d,
-    # which keeps its relative precision where 1 - S would cancel as
-    # heralds become certain; a resolved one heralds at most 1/4 of the
-    # time, so 1 - S loses nothing there.
-    misses = 1.0 / (1.0 + nbars * eta_d) if kind is DetectorKind.BUCKET else 1.0 - singles
+    return _closed_form_rows(nbars, eta_d, _bin_rows(eta_d, taus, kind))
+
+
+def _closed_form_rows(nbars, eta_d, rows) -> ClosedForm:
+    """:func:`closed_form` given the bins' rows (see :func:`_bin_rows`)."""
+    singles, misses, fidelity = _bin_law(nbars, eta_d, rows)
     weights, survival = _freshest_herald(singles, misses)
     # Bins that can never herald get zero weight; report 0 rather than a
     # conditional value for an impossible event.
-    per_loop = np.where(singles > 0.0, _loop_fidelity_array(nbars, eta_d, taus, kind), 0.0)
+    per_loop = np.where(singles > 0.0, fidelity, 0.0)
     unconditional = (weights * per_loop).sum(axis=-1)
     return ClosedForm(singles, weights, survival[..., -1], per_loop, unconditional)
 
@@ -117,39 +116,70 @@ def _freshest_herald(singles, misses):
     return weights, survival
 
 
-def _single_shot_array(nbars, eta_d: float, kind: DetectorKind):
-    x = np.asarray(nbars, dtype=float) * eta_d
-    if kind is DetectorKind.NUMBER_RESOLVED:
-        return x / (1.0 + x) ** 2
-    return x / (1.0 + x)
+def _bin_rows(eta_d, taus, kind: DetectorKind):
+    """The per-bin law at pump level n, with ``x = eta_d n`` and transmission
+    tau (``taus``): herald probability ``S = x/(1 + x)**(j-1)``, single-photon
+    fidelity ``F = Q (1 + x)**(j-1) / R**j`` and ``S F = x Q / R**j``.
+    Returns ``(Q, R, j)``, Q and R as tuples of coefficients in n of one
+    degree, highest power first, broadcasting against eta_d and taus.  With
+    ``b = eta_d + (1 - eta_d) tau``, which never cancels, and ``a = 1 - b``,
+    exact to an ulp of 1 as ``1 + a`` and ``a tau`` need: bucket ``j = 2``,
+    ``Q = tau (b + a tau, 2, 1)``, ``R = (1 + tau n)(1 + b n)``; resolved
+    ``j = 3``, ``Q = tau (1 + a, 1)``, ``R = (b, 1)``."""
+    b = eta_d + (1.0 - eta_d) * taus
+    a = 1.0 - b
+    if kind is DetectorKind.BUCKET:
+        return (taus * (b + a * taus), 2.0 * taus, taus), (taus * b, taus + b, 1.0), 2
+    return (taus * (1.0 + a), taus), (b, 1.0), 3
 
 
-def _loop_fidelity_array(nbars, eta_d: float, taus, kind: DetectorKind):
-    """Single-photon fidelity of a herald with mean photon number
-    ``nbars`` whose output survives transmission ``taus`` (elementwise)."""
-    nbar = np.asarray(nbars, dtype=float)
-    tau = np.asarray(taus, dtype=float)
-    if kind is DetectorKind.NUMBER_RESOLVED:
-        shrink = nbar * (1.0 - eta_d) * (1.0 - tau)
-        return (
-            tau * (1.0 + eta_d * nbar) ** 2 * (1.0 + nbar + shrink)
-            / (1.0 + nbar - shrink) ** 3
-        )
-    num = tau * (1.0 + eta_d * nbar) * (
-        1.0 + 2.0 * nbar + nbar**2 * eta_d + nbar**2 * tau * (1.0 - eta_d) * (2.0 - tau)
-    )
-    den = (1.0 + nbar * tau) ** 2 * (1.0 + nbar * ((1.0 - eta_d) * tau + eta_d)) ** 2
-    return num / den
+def _bin_law(nbars, eta_d, rows):
+    """``(S, 1 - S, F)`` of each bin from its ``rows`` (see :func:`_bin_rows`).
+    S, by successive divisions, is finite for every finite x; the bucket
+    miss 1/(1 + x) keeps its precision where 1 - S cancels, and a resolved
+    detector heralds at most 1/4 of the time.  F is taken in the thermal
+    ratio ``q = 1/(1 + n)``, ``p = n q``, where a row of degree d reads
+    ``sum_i c_i p**(d-i) q**i``, as ``F = (Q/R) ((q + eta_d p) q**(d-1) / R)**(j-1)``:
+    term by term the ratios are at most 2 and 1 (``tau, eta_d <= b``), so F is
+    finite for every finite n, and exactly 1 where the forms are equal (the
+    lossless resolved plateau).  R underflows only where tau = eta_d = 0 and
+    Q = 0; the floor keeps F at 0 there."""
+    numerator, denominator, j = rows
+    n = np.asarray(nbars, dtype=float)
+    single = n * eta_d
+    miss = 1.0 + single
+    for _ in range(j - 1):
+        single /= miss
+    miss = 1.0 / miss if j == 2 else 1.0 - single
+    q = 1.0 / (1.0 + n)
+    p = n * q
+    q_powers = [1.0, q]  # q**i up to the rows' degree
+    while len(q_powers) < len(denominator):
+        q_powers.append(q_powers[-1] * q)
+    scale = np.maximum(_homogeneous(denominator, p, q_powers), _SMALLEST_SUBNORMAL)
+    photon = (eta_d * p + q) / scale * q_powers[-2]
+    fidelity = _homogeneous(numerator, p, q_powers) / scale
+    for _ in range(j - 1):
+        fidelity *= photon
+    return single, miss, fidelity
+
+
+def _homogeneous(row, p, q_powers):
+    """``sum_i row[i] p**(d-i) q**i`` by Horner's rule in p."""
+    value = row[0] * p
+    value += row[1] * q_powers[1]
+    for coefficient, q_power in zip(row[2:], q_powers[2:]):
+        value *= p
+        value += coefficient * q_power
+    return value
 
 
 def herald_single_shot(source: SourceModel, det: DetectorModel) -> float:
-    """Probability that a single pump pulse produces a successful herald.
-
-    For a number-resolved detector the herald is exactly one count,
-    x/(1+x)^2 with x = nbar*eta_d; for a bucket detector any click
-    heralds, x/(1+x).
-    """
-    return float(_single_shot_array(source.mean_photon_number, det.efficiency, det.kind))
+    """Probability that a single pump pulse produces a successful herald:
+    exactly one count on a number-resolved detector, any click on a
+    bucket detector."""
+    rows = _bin_rows(det.efficiency, 1.0, det.kind)
+    return float(_bin_law(source.mean_photon_number, det.efficiency, rows)[0])
 
 
 def herald_single_shot_oracle(source: SourceModel, det: DetectorModel) -> float:
@@ -214,10 +244,8 @@ def fidelity_after_loops(
         raise UndefinedConditionalError(
             "heralding probability is zero; the per-loop fidelity is undefined"
         )
-    tau = transmission(loss, loops)
-    return float(
-        _loop_fidelity_array(source.mean_photon_number, det.efficiency, tau, det.kind)
-    )
+    rows = _bin_rows(det.efficiency, transmission(loss, loops), det.kind)
+    return float(_bin_law(source.mean_photon_number, det.efficiency, rows)[2])
 
 
 def fidelity_after_loops_oracle(
@@ -242,12 +270,8 @@ def detector_limited_fidelity(source: SourceModel, det: DetectorModel) -> float:
     """Herald-conditioned fidelity when the switch and fibre are lossless,
     leaving the detector as the only imperfection.  Independent of the
     number of time-bins."""
-    # A float64 power overflows to inf where a Python float's raises.
-    nbar = np.float64(source.mean_photon_number)
-    eta = det.efficiency
-    if det.kind is DetectorKind.NUMBER_RESOLVED:
-        return float(((1.0 + eta * nbar) / (1.0 + nbar)) ** 2)
-    return float((1.0 + eta * nbar) / (1.0 + nbar) ** 2)
+    rows = _bin_rows(det.efficiency, 1.0, det.kind)
+    return float(_bin_law(source.mean_photon_number, det.efficiency, rows)[2])
 
 
 def detector_limited_fidelity_oracle(source: SourceModel, det: DetectorModel) -> float:
@@ -268,15 +292,11 @@ def large_nbar_asymptote(eta: float, nbar: float) -> float:
 
 
 def outcome_distribution(config: ProtocolConfig) -> OutcomeDistribution:
-    """Distribution of 'the last herald fired l loops before output'.
-
-    The switch keeps the most recent heralded bin, so the final bin wins
-    whenever it heralds and earlier bins only matter if every later bin
-    failed: p(l) = S_l * prod_{k<l}(1 - S_k), with the leftover product
-    as the no-herald mass.
-    """
+    """Distribution of 'the last herald fired l loops before output': the
+    freshest-herald weights of :func:`closed_form`, then the no-herald
+    mass."""
     result = _closed_form_of(config)
-    return OutcomeDistribution(tuple(result.weights) + (float(result.no_herald),))
+    return OutcomeDistribution(np.append(result.weights, result.no_herald))
 
 
 def unconditional_fidelity(config: ProtocolConfig) -> float:

@@ -38,6 +38,9 @@ from . import __version__
 # here to attribute time to layers.
 from .analytic import (
     ClosedForm,
+    _bin_law,
+    _bin_rows,
+    _closed_form_of,
     _freshest_herald,
     closed_form,
     conditional_fidelity,
@@ -348,14 +351,13 @@ def _cmd_herald(args: argparse.Namespace):
     t = _single_t(args)
     config = _config_from_args(args, t)
     nbars = config.bin_means()
-    train = outcome_distribution(config).herald_probability
-    singles = [herald_single_shot(SourceModel(nbar), config.detector) for nbar in nbars.tolist()]
+    result = _closed_form_of(config)
     order = _loop_order(t, args.chronological)
     table = {
         "loops_before_output": order,
         "nbar": nbars[order],
-        "single_shot": np.array(singles)[order],
-        "train": np.full(t, train),
+        "single_shot": result.single_shot[order],
+        "train": np.full(t, result.herald),
     }
     return table, _base_meta(args)
 
@@ -387,7 +389,7 @@ def _cmd_sweep(args: argparse.Namespace):
     t_values = _parse_t_values(args.t)
     nbars = _parse_float_list(args.nbar, "--nbar")
     detector, loss = _models_from_args(args)
-    singles = [herald_single_shot(SourceModel(nbar), detector) for nbar in nbars]
+    nbars = [SourceModel(nbar).mean_photon_number for nbar in nbars]
     # keep only the three output columns of each train length's closed form
     parts = []
     for t in t_values:
@@ -397,7 +399,7 @@ def _cmd_sweep(args: argparse.Namespace):
     table = {
         "time_bins": [t for t in t_values for _ in nbars],
         "nbar": np.tile(nbars, len(t_values)),
-        "single_shot": np.tile(singles, len(t_values)),
+        "single_shot": np.tile(result.single_shot[:, 0], len(t_values)),
         "train": train,
         "conditional": [value if herald > 0.0 else None
                         for value, herald in zip(conditional.tolist(), train.tolist())],
@@ -610,16 +612,11 @@ def _fig3(args: argparse.Namespace, defaults: dict):
 
 
 def _fig5(args: argparse.Namespace, defaults: dict):
-    nbars = _override_list(args.nbar, defaults["nbars"], "--nbar")
-    eta_grid = np.linspace(0.0, 1.0, defaults["eta_d_points"])
-    sources = [SourceModel(nbar) for nbar in nbars]
-    table = {"eta_d": np.repeat(eta_grid, len(nbars)), "nbar": np.tile(nbars, len(eta_grid))}
+    nbars = _override_nbars(args.nbar, defaults["nbars"])
+    etas = np.linspace(0.0, 1.0, defaults["eta_d_points"])[:, None]  # rows of the grid
+    table = {"eta_d": np.repeat(etas, len(nbars)), "nbar": np.tile(nbars, len(etas))}
     for kind, name in zip(_KINDS, ("fidelity_resolved", "fidelity_bucket")):
-        table[name] = np.array([
-            detector_limited_fidelity(source, DetectorModel(kind, eta_d))
-            for eta_d in eta_grid.tolist()
-            for source in sources
-        ])
+        table[name] = _bin_law(nbars, etas, _bin_rows(etas, 1.0, kind))[2].ravel()
     return table
 
 

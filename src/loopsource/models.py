@@ -178,13 +178,14 @@ class OutcomeDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probabilities)
+        values = np.asarray(self.probabilities, dtype=float)
+        probs = tuple(values.tolist())
         object.__setattr__(self, "probabilities", probs)
         if len(probs) < 2:
             raise ValueError("need at least one time-bin entry plus the no-herald entry")
-        for p in probs:
-            if not (-1e-15 <= p <= 1.0 + 1e-12):
-                raise ValueError(f"probability entry out of range: {p}")
+        outside = ~((values >= -1e-15) & (values <= 1.0 + 1e-12))  # NaN is outside
+        if outside.any():
+            raise ValueError(f"probability entry out of range: {probs[np.argmax(outside)]}")
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _freshest_herald, _single_shot_array
+from .analytic import _bin_law, _bin_rows, _freshest_herald
 from .models import (
     DetectorKind,
     OutcomeDistribution,
@@ -171,14 +171,13 @@ def _summarize(
     herald_rate = _proportion(heralded, trials)
     unconditional = _proportion(single_photon_trials, trials)
     conditional = _proportion(single_photon_trials, heralded) if heralded > 0 else None
-    frequencies = tuple(float(c) / trials for c in loop_counts)
     return SimulationSummary(
         trials=trials,
         herald_rate=herald_rate,
         conditional_fidelity=conditional,
         unconditional_fidelity=unconditional,
-        loop_histogram=OutcomeDistribution(frequencies),
-        loop_counts=tuple(int(c) for c in loop_counts),
+        loop_histogram=OutcomeDistribution(loop_counts / trials),
+        loop_counts=tuple(loop_counts.tolist()),
         seed=seed,
     )
 
@@ -209,7 +208,8 @@ class _Bank:
         self.taus = np.stack([transmission(config.loss, loops) for config in configs])
         share = 1.0
         for config, means in zip(configs, self.means):
-            singles = _single_shot_array(means, config.detector.efficiency, config.detector.kind)
+            eta_d = config.detector.efficiency
+            singles = _bin_law(means, eta_d, _bin_rows(eta_d, 1.0, config.detector.kind))[0]
             share = share * _freshest_herald(singles, 1.0 - singles)[1]
         # The expected share of trials no source has heralded by each bin,
         # negated so that it ascends.

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import _freshest_herald, _loop_fidelity_array, _single_shot_array, closed_form
+from .analytic import _bin_law, _bin_rows, _closed_form_rows, _freshest_herald
 from .models import (
     ConstantPump,
     DetectorKind,
@@ -34,9 +34,8 @@ _GRID_POINTS = 64
 # optimize_constant stops once its bracket is within this fraction of
 # the winning level.
 _XTOL = 1e-6
-# Per-loop fidelities hold only to a few ulps (the lossless resolved
-# plateau F = 1 reads 1 +- 2.2e-16), so objective values closer than
-# this fraction of the size of their terms count as ties.
+# Objective values hold to a few ulps of their terms' size (F = 1 is exact on
+# the lossless resolved plateau, but S rounds), so closer values count as ties.
 _TIE_RTOL = 8 * np.finfo(float).eps
 # Dinkelbach's ratio increases strictly until it converges, so this cap
 # only guards against rounding noise keeping it moving.
@@ -69,7 +68,7 @@ def m_source_distribution(
     _check_count(time_bins, "time_bins")
     _check_count(sources, "source count")
     weights, survival = _freshest_herald(*_m_source_bin(np.full(time_bins, single_shot), sources))
-    return OutcomeDistribution(tuple(weights) + (float(survival[-1]),))
+    return OutcomeDistribution(np.append(weights, survival[-1]))
 
 
 def _m_source_bin(single_shot, sources: int):
@@ -184,12 +183,13 @@ def optimize_schedule(
     evaluate, _ = _counted_objective(config, objective)
     eta_d = config.detector.efficiency
     kind = config.detector.kind
-    taus = transmission(config.loss, np.arange(config.time_bins))
-    numerators, denominators = _stationarity_terms(eta_d, taus, kind)
+    taus = transmission(config.loss, np.arange(config.time_bins)).tolist()
+    bins = [_bin_rows(eta_d, tau, kind) for tau in taus]
+    numerators, denominators = _stationarity_terms(eta_d, bins)
     # S rises with n for a bucket detector and peaks at n = 1/eta_d for a
     # resolved one.
     peak = hi if kind is DetectorKind.BUCKET or eta_d * hi <= 1.0 else max(lo, 1.0 / eta_d)
-    largest_single = float(_single_shot_array(peak, eta_d, kind))
+    largest_single = float(_bin_law(peak, eta_d, bins[0])[0])
     evaluations = 0
 
     def backward_induction(lam: float) -> np.ndarray:
@@ -211,9 +211,8 @@ def optimize_schedule(
                 ([lo], np.sort(roots[(roots > lo) & (roots < hi)]), [hi])
             )
             evaluations += candidates.size
-            single = _single_shot_array(candidates, eta_d, kind)
-            fidelity = _loop_fidelity_array(candidates, eta_d, taus[loops], kind)
-            values = single * (fidelity - lam) + (1.0 - single) * future
+            single, miss, fidelity = _bin_law(candidates, eta_d, bins[loops])
+            values = single * (fidelity - lam) + miss * future
             best = _best_candidate(values, largest_single * (1.0 + lam) + abs(future))
             schedule[loops], future = candidates[best], values[best]
         return schedule
@@ -233,40 +232,23 @@ def optimize_schedule(
     )
 
 
-def _stationarity_terms(eta_d: float, taus: np.ndarray, kind: DetectorKind):
+def _stationarity_terms(eta_d: float, bins):
     """Coefficient rows ``[t, degree + 1]`` (highest power first, as
     ``np.roots`` takes them) of polynomials ``A_l`` and ``B_l`` in the pump
     level n such that ``A_l - c B_l`` has the sign of the derivative of bin
-    l's Bellman term ``S F_l - c S``.
+    l's Bellman term ``S F_l - c S``, from each bin's :func:`_bin_rows`.
 
-    With ``x = eta_d n`` the detector factor cancels in
-    ``S F_l = P / R**j``, and ``dS/dn = D / (1 + x)**j``.  Clearing the
-    positive denominators ``R**(j+1) (1 + x)**j`` of the derivative leaves
-    ``A = (P' R - j P R') (1 + x)**j`` and ``B = D R**(j+1)``:
-
-    - bucket (j = 2, degree 6): ``P = eta_d tau n (1 + 2n + k n**2)`` with
-      ``k = eta_d + tau (1 - eta_d)(2 - tau)``,
-      ``R = (1 + tau n)(1 + b n)`` with ``b = (1 - eta_d) tau + eta_d``,
-      and ``D = eta_d``;
-    - resolved (j = 3, degree 5): ``P = eta_d tau n (1 + (1 + a) n)`` and
-      ``R = 1 + (1 - a) n`` with ``a = (1 - eta_d)(1 - tau)``, and
-      ``D = eta_d (1 - x)``.
-    """
-    tau = np.asarray(taus, dtype=float)[:, None]
-    one, zero = np.ones_like(tau), np.zeros_like(tau)
-    if kind is DetectorKind.BUCKET:
-        j = 2
-        k = eta_d + tau * (1.0 - eta_d) * (2.0 - tau)
-        b = (1.0 - eta_d) * tau + eta_d
-        numer = eta_d * tau * np.hstack((k, 2.0 * one, one, zero))
-        denom = _polymul(np.hstack((tau, one)), np.hstack((b, one)))
-        slope = np.array([eta_d])
-    else:
-        j = 3
-        a = (1.0 - eta_d) * (1.0 - tau)
-        numer = eta_d * tau * np.hstack((1.0 + a, one, zero))
-        denom = np.hstack((1.0 - a, one))
-        slope = np.array([-eta_d * eta_d, eta_d])
+    With ``x = eta_d n``, ``S F_l = P / R**j`` with ``P = eta_d n Q`` and
+    ``dS/dn = D / (1 + x)**j`` with ``D = eta_d (1 - (j - 2) x)``.  Clearing
+    the positive denominators ``R**(j+1) (1 + x)**j`` of the derivative
+    leaves ``A = (P' R - j P R') (1 + x)**j`` and ``B = D R**(j+1)``, of
+    degree 6 (bucket) or 5 (resolved)."""
+    # P = eta_d n Q: Q's coefficients moved up one power
+    numer = eta_d * np.array([numer_row + (0.0,) for numer_row, _, _ in bins])
+    denom = np.array([denom_row for _, denom_row, _ in bins])
+    j = bins[0][2]
+    # D has degree j - 2: its leading coefficient is dropped for a bucket.
+    slope = eta_d * np.array([-(j - 2) * eta_d, 1.0])[3 - j :]
     # P' R and P R' have the same degree, so their rows align.
     gradient = _polymul(_polyder(numer), denom) - j * _polymul(numer, _polyder(denom))
     scale = slope
@@ -307,15 +289,15 @@ def _counted_objective(config: ProtocolConfig, objective: Objective):
     if not isinstance(objective, Objective):
         raise ValueError(f"objective must be an Objective, got {objective!r}")
     eta_d = config.detector.efficiency
-    kind = config.detector.kind
     taus = transmission(config.loss, np.arange(config.time_bins))
+    rows = _bin_rows(eta_d, taus, config.detector.kind)
     field = objective.value  # the ClosedForm field of the same name
     count = 0
 
     def evaluate(nbars: np.ndarray):
         nonlocal count
         count += np.size(nbars) // config.time_bins
-        return getattr(closed_form(nbars, eta_d, taus, kind), field)
+        return getattr(_closed_form_rows(nbars, eta_d, rows), field)
 
     return evaluate, lambda: count
 

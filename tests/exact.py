@@ -1,0 +1,63 @@
+"""Exact rational reference for the per-bin law, shared by the tests.
+
+Each function converts its double inputs to ``Fraction`` exactly and
+evaluates the direct closed forms of the herald probability S and the
+single-photon fidelity F (not the coefficient rows the package
+evaluates), so a test can hold any output to a number of ulps.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from fractions import Fraction
+
+from loopsource import DetectorKind
+
+
+def bin_law(nbar, eta_d, tau, kind: DetectorKind) -> tuple[Fraction, Fraction, Fraction]:
+    """``(S, F, S F)`` of one bin at pump level ``nbar`` whose herald is
+    seen through ``eta_d`` and whose photon survives ``tau``."""
+    n, eta, tau = Fraction(nbar), Fraction(eta_d), Fraction(tau)
+    x = eta * n
+    if kind is DetectorKind.NUMBER_RESOLVED:
+        shrink = n * (1 - eta) * (1 - tau)
+        single = x / (1 + x) ** 2
+        fidelity = tau * (1 + x) ** 2 * (1 + n + shrink) / (1 + n - shrink) ** 3
+    else:
+        single = x / (1 + x)
+        fidelity = (
+            tau * (1 + x) * (1 + 2 * n + n**2 * eta + n**2 * tau * (1 - eta) * (2 - tau))
+            / ((1 + n * tau) ** 2 * (1 + n * ((1 - eta) * tau + eta)) ** 2)
+        )
+    return single, fidelity, single * fidelity
+
+
+def train(nbars, eta_d, taus, kind: DetectorKind) -> tuple[list[Fraction], Fraction, Fraction]:
+    """``(per_loop, herald, unconditional)`` of a train whose bin l (l
+    loops before output) has pump level ``nbars[l]`` and transmission
+    ``taus[l]``: the freshest herald wins with weight
+    ``S_l prod_{k<l}(1 - S_k)``."""
+    per_loop, herald, unconditional, survival = [], Fraction(0), Fraction(0), Fraction(1)
+    for nbar, tau in zip(nbars, taus):
+        single, fidelity, _ = bin_law(nbar, eta_d, tau, kind)
+        per_loop.append(fidelity)
+        herald += survival * single
+        unconditional += survival * single * fidelity
+        survival *= 1 - single
+    return per_loop, herald, unconditional
+
+
+def is_normal(exact: Fraction) -> bool:
+    """Whether ``exact`` rounds to a normal double (or to zero exactly)."""
+    return exact == 0 or sys.float_info.min <= abs(exact) <= sys.float_info.max
+
+
+def within_ulps(value: float, exact: Fraction, ulps: int = 16) -> bool:
+    """Whether ``value`` is within ``ulps`` units in the last place of the
+    exact value."""
+    return abs(Fraction(value) - exact) <= ulps * Fraction(math.ulp(float(exact)))
+
+
+def within_rel(value: float, exact: Fraction, rel: float) -> bool:
+    return abs(Fraction(value) - exact) <= Fraction(rel) * abs(exact)

@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import exact
 import numpy as np
 import pytest
 
@@ -30,6 +31,7 @@ from loopsource import (
     prep_pmf_oracle,
     unconditional_fidelity,
 )
+from loopsource.analytic import _bin_law, _bin_rows, closed_form
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -293,12 +295,63 @@ def test_bucket_law_keeps_relative_precision_when_heralds_are_near_certain(nbar)
     # exact rational arithmetic on the same input doubles; a miss
     # probability formed as 1 - S was off by up to 1.2e-8 relative here
     eta_d, t = 0.9, 3
-    x = Fraction(nbar) * Fraction(eta_d)
-    single, miss = x / (1 + x), 1 / (1 + x)
-    exact = [single * miss**l for l in range(t)] + [miss**t]
+    single = exact.bin_law(nbar, eta_d, 1.0, BUCKET)[0]
+    miss = 1 - single
+    exact_probabilities = [single * miss**l for l in range(t)] + [miss**t]
     fast = outcome_distribution(_config(BUCKET, nbar, t, eta_d=eta_d)).probabilities
-    for value, reference in zip(fast, exact):
+    for value, reference in zip(fast, exact_probabilities):
         assert abs(Fraction(value) - reference) <= Fraction(1e-15) * reference
+
+
+# nbar 0 and 1e-300..1.7e308, efficiencies at the edges of [0, 1] and
+# inside it, plus seeded draws; the law overflowed above nbar ~1e77 and
+# cancelled at resolved nbar 1e8, eta_d = tau = 1e-9
+_EXACT_NBARS = [0.0, 1e-300, 1e-100, 1e-9, 1e-3, 0.5, 1.0, 7.3, 1e3, 1e8,
+                1e50, 1e80, 1e103, 1.3e154, 1e200, 1e300, 1.7e308]
+_EXACT_EFFICIENCIES = [0.0, 1e-9, 1e-6, 0.5, 0.9, 1.0]
+
+
+def _exact_grid():
+    rng = np.random.default_rng(2015)
+    nbars = _EXACT_NBARS + (10.0 ** rng.uniform(-300.0, 308.0, 8)).tolist()
+    etas = _EXACT_EFFICIENCIES + rng.uniform(0.0, 1.0, 3).tolist()
+    taus = _EXACT_EFFICIENCIES + rng.uniform(0.0, 1.0, 3).tolist()
+    return nbars, etas, taus
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_per_bin_law_matches_exact_rationals_over_the_domain(kind):
+    nbars, etas, taus = _exact_grid()
+    # axes nbar, eta_d, tau, and a train of one bin
+    n = np.array(nbars)[:, None, None, None]
+    eta = np.array(etas)[None, :, None, None]
+    tau = np.array(taus)[None, None, :, None]
+    single, miss, fidelity = np.broadcast_arrays(*_bin_law(n, eta, _bin_rows(eta, tau, kind)))
+    result = closed_form(n, eta, tau, kind)
+    assert np.isfinite(fidelity).all() and np.isfinite(result.unconditional).all()
+    assert ((0.0 <= fidelity) & (fidelity <= 1.0)).all()
+    assert ((0.0 <= single) & (single <= 1.0)).all()
+    for (i, j, k, _), f in np.ndenumerate(fidelity):
+        reference = exact.bin_law(nbars[i], etas[j], taus[k], kind)
+        exact_single, exact_fidelity, exact_product = reference
+        if taus[k] == 0.0:
+            assert f == 0.0
+        for value, reference in ((f, exact_fidelity), (single[i, j, k, 0], exact_single),
+                                 (miss[i, j, k, 0], 1 - exact_single),
+                                 (result.unconditional[i, j, k], exact_product)):
+            if exact.is_normal(reference):
+                assert exact.within_ulps(value, reference), (nbars[i], etas[j], taus[k])
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_lossless_resolved_plateau_is_exactly_one(kind):
+    nbars = np.array(_EXACT_NBARS + np.geomspace(1e-8, 1e8, 200).tolist())
+    fidelity = _bin_law(nbars, 1.0, _bin_rows(1.0, 1.0, kind))[2]
+    if kind is RESOLVED:
+        assert (fidelity == 1.0).all()
+    else:
+        # F = 1/(1 + n): the herald lets two-photon events through
+        assert (fidelity <= 1.0).all()
 
 
 @pytest.mark.parametrize("time_bins", [True, 2.5, 0])

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import exact
 import numpy as np
 import pytest
 
@@ -30,6 +31,7 @@ from loopsource import (
 )
 from loopsource import cli
 from loopsource.cli import FIGURES, assess_feasibility, main
+from loopsource.models import transmission
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -239,7 +241,8 @@ def test_optimize_ends_at_bounds_finer_than_an_absolute_tolerance():
 
 
 def test_optimize_ignores_candidates_that_overflow(tmp_path):
-    # the closed forms overflow to NaN at 1e200; the optimum is near 1
+    # bounds up to 1e200 leave the optimum near 1 alone (the closed forms
+    # once overflowed to NaN there)
     args = ["optimize", "--t", "3", "--eta", "0.9"]
     _, text = run_cli(args + ["--biased", "--nbar-max", "1e100"], tmp_path, "a.csv")
     _, overflow = run_cli(args + ["--biased", "--nbar-max", "1e200"], tmp_path, "b.csv")
@@ -256,14 +259,20 @@ def test_optimize_ignores_candidates_that_overflow(tmp_path):
 
 
 @pytest.mark.parametrize("biased", [[], ["--biased"]])
-def test_optimize_over_overflowing_bounds_exits_with_a_loopsource_message(biased, capsys):
-    # every candidate above ~6e102 overflows to NaN; the per-bin step used
-    # to hand NaN coefficients to np.roots and exit 2 with numpy's message
+def test_optimize_over_bounds_past_the_old_overflow_is_finite_and_exact(biased, tmp_path):
+    # every candidate above ~6e102 used to overflow to NaN: the constant
+    # scan exited 3 and the per-bin step exited 2 with numpy's message
     args = ["optimize", "--t", "3", "--nbar-min", "1e150", "--nbar-max", "1e160"]
-    assert main(args + biased) == 3
-    err = capsys.readouterr().err
-    assert "non-finite value in column 'value'" in err
-    assert "infs or NaNs" not in err
+    code, text = run_cli(args + biased, tmp_path)
+    assert code == 0
+    header, rows = read_csv(text)
+    cells = [dict(zip(header, row)) for row in rows]
+    nbars = [float(row["nbar"]) for row in cells]
+    if not biased:
+        nbars *= 3
+    assert all(1e150 <= nbar <= 1e160 for nbar in nbars)
+    _, _, unconditional = exact.train(nbars, 1.0, [1.0] * 3, DetectorKind.BUCKET)
+    assert exact.within_rel(float(cells[0]["value"]), unconditional, 1e-14)
 
 
 def test_feasibility_reference_points():
@@ -409,15 +418,73 @@ def test_usage_error_on_range_t_where_scalar_needed(capsys):
 
 
 def test_numerical_failure_exit_code(capsys):
-    code = main(["fidelity", "--nbar", "1e200", "--t", "2"])
+    # the pulse period 1/rate overflows
+    code = main(["feasibility", "--rate", "1e-310"])
     assert code == 3
     err = capsys.readouterr().err
     assert "non-finite" in err
 
 
-def test_fig5_at_overflowing_pump_exits_without_traceback(capsys):
+def test_fig5_at_overflowing_pump_exits_without_traceback(tmp_path):
     # (1 + nbar)**2 on a Python float raised OverflowError here
-    assert main(["figure", "fig5", "--nbar", "1e200"]) in (0, 3)
+    code, text = run_cli(["figure", "fig5", "--nbar", "1e200"], tmp_path)
+    assert code == 0
+    header, rows = read_csv(text)
+    for row in rows:
+        cells = dict(zip(header, row))
+        for name, kind in (("fidelity_resolved", DetectorKind.NUMBER_RESOLVED),
+                           ("fidelity_bucket", DetectorKind.BUCKET)):
+            reference = exact.bin_law(1e200, float(cells["eta_d"]), 1.0, kind)[1]
+            if exact.is_normal(reference):
+                assert exact.within_ulps(float(cells[name]), reference)
+
+
+_WAS_OVERFLOWING = [
+    # loop_fidelity read 0 in every cell
+    ["fidelity", "--nbar", "1e80", "--t", "3", "--eta", "0.9"],
+    # these exited 3
+    ["fidelity", "--nbar", "1e103", "--t", "2"],
+    ["fidelity", "--nbar", "1e200", "--t", "2"],
+    ["sweep", "--nbar", "1e200", "--t", "1"],
+    ["sweep", "--nbar", "1e200,0.5", "--t", "1..2"],
+    # 0 * inf
+    ["fidelity", "--eta-s", "0", "--nbar", "1e200", "--t", "2"],
+    # the resolved herald read 0 and its fidelity undefined
+    ["herald", "--detector", "resolved", "--nbar", "1e200", "--t", "2"],
+    ["fidelity", "--detector", "resolved", "--nbar", "1e200", "--t", "2"],
+]
+
+
+@pytest.mark.parametrize("args", _WAS_OVERFLOWING, ids=" ".join)
+def test_huge_pump_levels_are_finite_and_exact(args, tmp_path):
+    code, text = run_cli(args, tmp_path)
+    assert code == 0
+    header, rows = read_csv(text)
+    flags = dict(zip(args[1::2], args[2::2]))
+    kind = DetectorKind.NUMBER_RESOLVED if "resolved" in args else DetectorKind.BUCKET
+    eta = float(flags.get("--eta", 1.0))
+    loss = LossModel(float(flags.get("--eta-s", eta)), eta)
+    for row in rows:
+        cells = dict(zip(header, row))
+        t = int(cells.get("time_bins", len(rows)))
+        nbar = float(cells["nbar"])
+        taus = transmission(loss, np.arange(t))
+        per_loop, herald, unconditional = exact.train([nbar] * t, eta, taus, kind)
+        assert herald > 0
+        single = exact.bin_law(nbar, eta, 1.0, kind)[0]
+        expected = {
+            "single_shot": single,
+            "train": herald,
+            "unconditional": unconditional,
+            "conditional": unconditional / herald,
+        }
+        if "loops_before_output" in cells:
+            expected["loop_fidelity"] = per_loop[int(cells["loops_before_output"])]
+        for name, reference in expected.items():
+            if name in cells:
+                assert exact.within_rel(float(cells[name]), reference, 1e-14), name
+    if "--eta-s" in flags:
+        assert {row[header.index("loop_fidelity")] for row in rows} == {"0"}
 
 
 def test_parser_is_built_once_and_reused(capsys):
@@ -524,8 +591,8 @@ def test_renderers_match_row_wise_stdlib_output(tmp_path, args):
 
 
 @pytest.mark.parametrize("args, column", [
-    (["fidelity", "--nbar", "1e200", "--t", "2"], "loop_fidelity"),
-    (["sweep", "--nbar", "1e200,0.5", "--t", "1..2"], "conditional"),
+    (["feasibility", "--rate", "1e-310"], "bin_separation"),
+    (["feasibility", "--rate", "1e-310", "--format", "json"], "bin_separation"),
 ])
 def test_exit_3_names_the_first_non_finite_column(capsys, args, column):
     assert main(args) == 3

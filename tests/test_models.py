@@ -190,6 +190,18 @@ def test_outcome_distribution_validation():
     assert parallel.herald_probability == 0.9375
 
 
+@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+@pytest.mark.parametrize("where", [0, 50_000, 100_000])
+def test_long_outcome_distribution_names_its_bad_entry(bad, where):
+    # the range check runs over all 100,001 entries at once
+    entries = np.full(100_001, 1.0 / 100_001)
+    entries[where] = bad
+    with pytest.raises(ValueError, match=f"probability entry out of range: {bad}"):
+        OutcomeDistribution(entries)
+    entries[where] = 1.0 / 100_001
+    assert OutcomeDistribution(entries).probabilities == tuple(entries.tolist())
+
+
 def test_thermal_pmf_rejects_negative_count():
     with pytest.raises(ValueError):
         thermal_pmf(SourceModel(1.0), -1)

@@ -22,7 +22,7 @@ from loopsource import (
     parallel_unconditional_fidelity,
     unconditional_fidelity,
 )
-from loopsource.analytic import _loop_fidelity_array, _single_shot_array, closed_form
+from loopsource.analytic import _bin_law, _bin_rows, closed_form
 from loopsource.models import transmission
 from loopsource.multiplex import _TIE_RTOL, _stationarity_terms
 
@@ -254,10 +254,8 @@ def _joint_grid_best(config, objective, points=100):
     unconditional, no_later = 0.0, 1.0
     for loops, nbars in enumerate(np.ix_(*[grid] * config.time_bins)):
         tau = config.loss.switch_efficiency * per_loop**loops
-        single = _single_shot_array(nbars, eta_d, kind)
-        unconditional = unconditional + no_later * single * _loop_fidelity_array(
-            nbars, eta_d, tau, kind
-        )
+        single, _, fidelity = _bin_law(nbars, eta_d, _bin_rows(eta_d, tau, kind))
+        unconditional = unconditional + no_later * single * fidelity
         no_later = no_later * (1.0 - single)
     if objective is Objective.CONDITIONAL:
         unconditional = unconditional / (1.0 - no_later)
@@ -306,12 +304,12 @@ def test_stationarity_polynomial_has_the_sign_of_the_bellman_slope(kind, eta_d, 
     rng = np.random.default_rng(17)
     n = np.geomspace(1e-3, 1e3, 400) * rng.uniform(0.9, 1.1, 400)
     c = rng.uniform(0.0, 2.0, 400)
-    numerators, denominators = _stationarity_terms(eta_d, np.array([tau]), kind)
+    numerators, denominators = _stationarity_terms(eta_d, [_bin_rows(eta_d, tau, kind)])
     poly = np.array([np.polyval(numerators[0] - ci * denominators[0], ni) for ni, ci in zip(n, c)])
 
     def g(nbar):
-        single = _single_shot_array(nbar, eta_d, kind)
-        return single * (_loop_fidelity_array(nbar, eta_d, tau, kind) - c)
+        single, _, fidelity = _bin_law(nbar, eta_d, _bin_rows(eta_d, tau, kind))
+        return single * (fidelity - c)
 
     step = 1e-5 * n
     slope = (g(n + step) - g(n - step)) / (2.0 * step)
@@ -329,7 +327,7 @@ def _dense_bellman_best(config, objective, bounds, points=20_000):
     eta_d, kind = config.detector.efficiency, config.detector.kind
     taus = transmission(config.loss, np.arange(config.time_bins))
     grid = np.geomspace(*bounds, points)
-    single = _single_shot_array(grid, eta_d, kind)
+    single = _bin_law(grid, eta_d, _bin_rows(eta_d, 1.0, kind))[0]
     closed_form = (
         unconditional_fidelity if objective is Objective.UNCONDITIONAL else conditional_fidelity
     )
@@ -337,7 +335,7 @@ def _dense_bellman_best(config, objective, bounds, points=20_000):
     while True:
         schedule, future = [0.0] * config.time_bins, 0.0
         for loops in reversed(range(config.time_bins)):
-            fidelity = _loop_fidelity_array(grid, eta_d, taus[loops], kind)
+            fidelity = _bin_law(grid, eta_d, _bin_rows(eta_d, taus[loops], kind))[2]
             values = single * (fidelity - lam) + (1.0 - single) * future
             best = int(np.argmax(values))
             schedule[loops], future = grid[best], values[best]
