@@ -134,30 +134,30 @@ def _bin_rows(eta_d, taus, kind: DetectorKind):
 
 
 def _bin_law(nbars, eta_d, rows):
-    """``(S, 1 - S, F)`` of each bin from its ``rows`` (see :func:`_bin_rows`).
-    S, by successive divisions, is finite for every finite x; the bucket
-    miss 1/(1 + x) keeps its precision where 1 - S cancels, and a resolved
-    detector heralds at most 1/4 of the time.  F is taken in the thermal
-    ratio ``q = 1/(1 + n)``, ``p = n q``, where a row of degree d reads
-    ``sum_i c_i p**(d-i) q**i``, as ``F = (Q/R) ((q + eta_d p) q**(d-1) / R)**(j-1)``:
-    term by term the ratios are at most 2 and 1 (``tau, eta_d <= b``), so F is
-    finite for every finite n, and exactly 1 where the forms are equal (the
-    lossless resolved plateau).  R underflows only where tau = eta_d = 0 and
-    Q = 0; the floor keeps F at 0 there."""
+    """``(S, 1 - S, F)`` of each bin from its ``rows`` (see :func:`_bin_rows`),
+    in the thermal ratio ``q = 1/(1 + n)``, ``p = n q``: ``1 + x`` reads
+    ``X = q + eta_d p`` and a row of degree d reads ``sum_i c_i p**(d-i) q**i``,
+    each term at most its coefficient.  Then ``S = (eta_d p/X) (q/X)**(j-2)``
+    and ``F = (Q/R) (X q**(d-1) / R)**(j-1)``, whose ratios are at most 1, 2
+    and 1 term by term (``tau, eta_d <= b``), so both are finite for every
+    finite n and F is exactly 1 where the forms are equal (the lossless
+    resolved plateau).  A bucket misses with ``q/X``, not a cancelling 1 - S.
+    R underflows only where tau = eta_d = 0 and Q = 0; the floor keeps F at 0."""
     numerator, denominator, j = rows
     n = np.asarray(nbars, dtype=float)
-    single = n * eta_d
-    miss = 1.0 + single
-    for _ in range(j - 1):
-        single /= miss
-    miss = 1.0 / miss if j == 2 else 1.0 - single
     q = 1.0 / (1.0 + n)
     p = n * q
+    eta_p = eta_d * p
+    x_form = eta_p + q
+    single, miss = eta_p / x_form, q / x_form
+    if j == 3:  # S = x/(1 + x)**2 is at most 1/4, so 1 - S cannot cancel
+        single *= miss
+        miss = 1.0 - single
     q_powers = [1.0, q]  # q**i up to the rows' degree
     while len(q_powers) < len(denominator):
         q_powers.append(q_powers[-1] * q)
     scale = np.maximum(_homogeneous(denominator, p, q_powers), _SMALLEST_SUBNORMAL)
-    photon = (eta_d * p + q) / scale * q_powers[-2]
+    photon = x_form / scale * q_powers[-2]
     fidelity = _homogeneous(numerator, p, q_powers) / scale
     for _ in range(j - 1):
         fidelity *= photon

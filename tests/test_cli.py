@@ -487,6 +487,18 @@ def test_huge_pump_levels_are_finite_and_exact(args, tmp_path):
         assert {row[header.index("loop_fidelity")] for row in rows} == {"0"}
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--nbar", "-1"],
+    ["sweep", "--nbar", "0.5,nan", "--t", "1..2"],
+    ["herald", "--nbar", "-1"],
+    ["herald", "--nbar", "inf"],
+], ids=" ".join)
+def test_herald_and_sweep_reject_bad_pump_levels(args, capsys):
+    # both read single_shot from the kernel, which would take any double
+    assert main(args) == 2
+    assert "mean photon number must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_parser_is_built_once_and_reused(capsys):
     runs = [
         ["herald", "--nbar", "0.5", "--t", "3"],
