@@ -304,8 +304,8 @@ def test_bucket_law_keeps_relative_precision_when_heralds_are_near_certain(nbar)
 
 
 # nbar 0 and 1e-300..1.7e308, efficiencies at the edges of [0, 1] and
-# inside it, plus seeded draws; the law overflowed above nbar ~1e77 and
-# cancelled at resolved nbar 1e8, eta_d = tau = 1e-9
+# inside it, plus seeded draws; resolved nbar 1e8 at eta_d = tau = 1e-9
+# is where a direct 1 + n - n (1 - eta_d)(1 - tau) cancels
 _EXACT_NBARS = [0.0, 1e-300, 1e-100, 1e-9, 1e-3, 0.5, 1.0, 7.3, 1e3, 1e8,
                 1e50, 1e80, 1e103, 1.3e154, 1e200, 1e300, 1.7e308]
 _EXACT_EFFICIENCIES = [0.0, 1e-9, 1e-6, 0.5, 0.9, 1.0]
@@ -332,8 +332,8 @@ def test_per_bin_law_matches_exact_rationals_over_the_domain(kind):
     assert ((0.0 <= fidelity) & (fidelity <= 1.0)).all()
     assert ((0.0 <= single) & (single <= 1.0)).all()
     for (i, j, k, _), f in np.ndenumerate(fidelity):
-        reference = exact.bin_law(nbars[i], etas[j], taus[k], kind)
-        exact_single, exact_fidelity, exact_product = reference
+        exact_single, exact_fidelity, exact_product = exact.bin_law(
+            nbars[i], etas[j], taus[k], kind)
         if taus[k] == 0.0:
             assert f == 0.0
         for value, reference in ((f, exact_fidelity), (single[i, j, k, 0], exact_single),
