@@ -399,7 +399,7 @@ def _cmd_sweep(args: argparse.Namespace):
     table = {
         "time_bins": [t for t in t_values for _ in nbars],
         "nbar": np.tile(nbars, len(t_values)),
-        "single_shot": np.tile(result.single_shot[:, 0], len(t_values)),
+        "single_shot": np.tile(result.single_shot[:, 0], len(t_values)),  # same at any t
         "train": train,
         "conditional": [value if herald > 0.0 else None
                         for value, herald in zip(conditional.tolist(), train.tolist())],
