@@ -54,15 +54,27 @@ _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 class ClosedForm(NamedTuple):
-    """Outputs of :func:`closed_form`; ``[...]`` is the batch shape and
-    the trailing axis runs over loops before output.  ``herald`` and
-    ``conditional`` are derived from the stored fields on access."""
+    """Outputs of :func:`closed_form`: per-bin arrays ``[..., t]`` over the
+    batch shape ``[...]``, the last axis running over loops before output.
+    The train quantities, of shape ``[...]``, are derived on access."""
 
     single_shot: np.ndarray  # [..., t] herald probability of each bin alone
     weights: np.ndarray  # [..., t] P(freshest herald is l loops old)
-    no_herald: np.ndarray  # [...] P(no bin heralds)
+    survival: np.ndarray  # [..., t] P(none of bins 0..l heralds)
     per_loop: np.ndarray  # [..., t] fidelity given that herald; 0 if S_l = 0
-    unconditional: np.ndarray  # [...] sum of weights times per-loop fidelities
+
+    def head(self, t: int) -> ClosedForm:
+        """The closed form of the ``t`` freshest bins, bit for bit: bin l
+        depends only on bins 0..l, and a row sum over a slice takes the same
+        pairwise order as over a fresh array."""
+        if not 1 <= t <= self.weights.shape[-1]:
+            raise ValueError(f"head length must lie in 1..{self.weights.shape[-1]}, got {t}")
+        return ClosedForm(*(field[..., :t] for field in self))
+
+    @property
+    def no_herald(self) -> np.ndarray:
+        """[...] P(no bin heralds)."""
+        return self.survival[..., -1]
 
     @property
     def herald(self) -> np.ndarray:
@@ -73,12 +85,17 @@ class ClosedForm(NamedTuple):
         return np.minimum(self.weights.sum(axis=-1), 1.0)
 
     @property
+    def unconditional(self) -> np.ndarray:
+        """[...] sum of the weights times the per-loop fidelities."""
+        return (self.weights * self.per_loop).sum(axis=-1)
+
+    @property
     def conditional(self) -> np.ndarray:
-        """[...] unconditional / herald; 0 where nothing can herald.  A
-        nonzero sum of non-negative weights is at least the smallest
-        subnormal, so that floor only replaces a zero herald probability
-        (whose unconditional value is 0)."""
-        return self.unconditional / np.maximum(self.herald, _SMALLEST_SUBNORMAL)
+        """[...] unconditional over the uncapped weight sum, so at most 1:
+        each term ``w F`` (F <= 1) rounds to at most ``w`` and both sums take
+        the same pairwise order.  The floor, the smallest subnormal, only
+        replaces a zero sum, where nothing can herald and this reads 0."""
+        return self.unconditional / np.maximum(self.weights.sum(axis=-1), _SMALLEST_SUBNORMAL)
 
 
 def closed_form(nbars, eta_d, taus, kind: DetectorKind) -> ClosedForm:
@@ -101,8 +118,7 @@ def _closed_form_rows(nbars, eta_d, rows) -> ClosedForm:
     # Bins that can never herald get zero weight; report 0 rather than a
     # conditional value for an impossible event.
     per_loop = np.where(singles > 0.0, fidelity, 0.0)
-    unconditional = (weights * per_loop).sum(axis=-1)
-    return ClosedForm(singles, weights, survival[..., -1], per_loop, unconditional)
+    return ClosedForm(singles, weights, survival, per_loop)
 
 
 def _freshest_herald(singles, misses):
@@ -211,14 +227,15 @@ def prep_pmf(source: SourceModel, det: DetectorModel, n: int) -> float:
         raise UndefinedConditionalError(
             "heralding probability is zero; the post-herald state is undefined"
         )
+    # in the thermal ratio p = nbar/(1 + nbar), q = 1/(1 + nbar), as
+    # _bin_law evaluates S: every factor stays finite for every finite nbar
+    q = 1.0 / (1.0 + nbar)
+    p = nbar * q
+    x_form = q + eta * p  # (1 + eta nbar)/(1 + nbar)
     if det.kind is DetectorKind.NUMBER_RESOLVED:
-        # (nbar*(1-eta)/(1+nbar))**(n-1) keeps the evaluation overflow-safe
-        # for large nbar; algebraically identical to the direct power form.
-        base = nbar * (1.0 - eta) / (1.0 + nbar)
-        return n * base ** (n - 1) * (1.0 + eta * nbar) ** 2 / (1.0 + nbar) ** 2
-    base = nbar / (1.0 + nbar)
+        return n * ((1.0 - eta) * p) ** (n - 1) * x_form**2
     click = 1.0 - (1.0 - eta) ** n
-    return base ** (n - 1) * click * (1.0 + eta * nbar) / (eta * (1.0 + nbar) ** 2)
+    return p ** (n - 1) * click * x_form * q / eta
 
 
 def prep_pmf_oracle(source: SourceModel, det: DetectorModel, n: int) -> float:

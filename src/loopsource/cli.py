@@ -59,7 +59,6 @@ from .models import (
     PerBinPump,
     ProtocolConfig,
     SourceModel,
-    UndefinedConditionalError,
     transmission,
 )
 from .montecarlo import run_simulation, simulate_parallel_sources
@@ -365,22 +364,15 @@ def _cmd_herald(args: argparse.Namespace):
 def _cmd_fidelity(args: argparse.Namespace):
     t = _single_t(args)
     config = _config_from_args(args, t)
-    try:
-        report = fidelity_report(config)
-        conditional: float | None = report.conditional
-        per_loop: list[float | None] = list(report.per_loop)
-        unconditional = report.unconditional
-    except UndefinedConditionalError:
-        conditional = None
-        per_loop = [None] * t
-        unconditional = unconditional_fidelity(config)
+    result = _closed_form_of(config)
+    heralds = bool(result.herald > 0.0)
     table = {
         "loops_before_output": list(range(t)),
         "nbar": config.bin_means(),
-        "transmission": np.array([transmission(config.loss, loop) for loop in range(t)]),
-        "loop_fidelity": per_loop,
-        "conditional": [conditional] * t,
-        "unconditional": np.full(t, unconditional),
+        "transmission": transmission(config.loss, np.arange(t)),  # the kernel's chain
+        "loop_fidelity": result.per_loop if heralds else [None] * t,
+        "conditional": [float(result.conditional) if heralds else None] * t,
+        "unconditional": np.full(t, result.unconditional),
     }
     return table, _base_meta(args)
 
@@ -390,12 +382,12 @@ def _cmd_sweep(args: argparse.Namespace):
     nbars = _parse_float_list(args.nbar, "--nbar")
     detector, loss = _models_from_args(args)
     nbars = [SourceModel(nbar).mean_photon_number for nbar in nbars]
-    # keep only the three output columns of each train length's closed form
-    parts = []
-    for t in t_values:
-        result = _trains(detector.kind, nbars, detector.efficiency, transmission(loss, np.arange(t)))
-        parts.append((result.herald, result.conditional, result.unconditional))
-    train, conditional, unconditional = (np.concatenate(part) for part in zip(*parts))
+    taus = transmission(loss, np.arange(t_values[-1]))
+    result = _trains(detector.kind, nbars, detector.efficiency, taus)
+    # [t, nbar] grids, raveled t-major
+    train, conditional, unconditional = (
+        _by_length(result, t_values, field).ravel()
+        for field in ("herald", "conditional", "unconditional"))
     table = {
         "time_bins": [t for t in t_values for _ in nbars],
         "nbar": np.tile(nbars, len(t_values)),
@@ -532,6 +524,12 @@ def _trains(kind: DetectorKind, nbars, eta_d, taus) -> ClosedForm:
     return closed_form(pumps, eta_d, taus, kind)
 
 
+def _by_length(result: ClosedForm, ts, field: str) -> np.ndarray:
+    """``[len(ts), ...]``: the train quantity ``field`` of each train length
+    in ``ts``, read from the longest train's closed form as its heads."""
+    return np.array([getattr(result.head(t), field) for t in ts])
+
+
 def _eta_chain(eta: float, t: int) -> np.ndarray:
     """Loss chain with switch and fibre efficiency both ``eta``."""
     return transmission(LossModel(eta, eta), np.arange(t))
@@ -572,21 +570,21 @@ def _override_t_range(text: str | None, default: tuple[int, int]) -> list[int]:
 
 def _fig2(args: argparse.Namespace, defaults: dict):
     ts = _override_t_range(args.t, defaults["t"])
-    nbar = _override_scalar(args.nbar, defaults["nbar"], "--nbar")
+    nbar = SourceModel(_override_scalar(args.nbar, defaults["nbar"], "--nbar")).mean_photon_number
     eta_d = defaults["eta_d"] if args.eta_d is None else args.eta_d
-    source = SourceModel(nbar)
     table: dict = {"time_bins": ts}
-    for kind, name in zip(_KINDS, ("herald_resolved", "herald_bucket")):
-        detector = DetectorModel(kind, eta_d)
-        table[name] = np.array([herald_train(source, detector, t) for t in ts])
+    for kind in _KINDS:
+        # the herald probability does not depend on the loss chain
+        result = _trains(kind, nbar, DetectorModel(kind, eta_d).efficiency, np.ones(ts[-1]))
+        table[f"herald_{kind.value}"] = _by_length(result, ts, "herald")
     return table
 
 
 def _fig3(args: argparse.Namespace, defaults: dict):
     ts = _override_t_range(args.t, defaults["t"])
     etas = defaults["etas"]
-    names = []
-    pumps = []
+    taus = np.stack([_eta_chain(eta, ts[-1]) for eta in etas])
+    table: dict = {"time_bins": ts}
     for kind, caption in zip(_KINDS, (defaults["nbar_resolved"], defaults["nbar_bucket"])):
         nbars = []
         for eta in etas:
@@ -594,21 +592,13 @@ def _fig3(args: argparse.Namespace, defaults: dict):
             if args.reoptimize:
                 template = _config_for(kind, 1.0, eta, eta, eta, ts[-1])
                 nbar = optimize_constant(template, Objective.CONDITIONAL).schedule.mean_photon_number
-            label = f"{kind.value}_eta{eta:g}"
-            names.extend([f"fidelity_{label}", f"herald_{label}"])
             nbars.append(nbar)
-        pumps.append((kind, nbars))
-    eta_column = np.array(etas)[:, None]
-    rows = []
-    for t in ts:
-        taus = np.stack([_eta_chain(eta, t) for eta in etas])
-        row = []
-        for kind, nbars in pumps:
-            result = _trains(kind, nbars, eta_column, taus)
-            # fidelity and herald of each eta, interleaved
-            row.extend(np.stack([result.conditional, result.herald], axis=-1).ravel())
-        rows.append(row)
-    return {"time_bins": ts, **dict(zip(names, np.array(rows).T))}
+        result = _trains(kind, nbars, np.array(etas)[:, None], taus)
+        fidelity, herald = (_by_length(result, ts, field) for field in ("conditional", "herald"))
+        for i, eta in enumerate(etas):  # fidelity and herald of each eta, interleaved
+            table[f"fidelity_{kind.value}_eta{eta:g}"] = fidelity[:, i]
+            table[f"herald_{kind.value}_eta{eta:g}"] = herald[:, i]
+    return table
 
 
 def _fig5(args: argparse.Namespace, defaults: dict):
@@ -627,14 +617,14 @@ def _fig6(args: argparse.Namespace, defaults: dict):
     table = {"nbar": np.array(nbars)}
     for kind in _KINDS:
         for eta in defaults["etas"]:
-            for t in ts:
-                table[f"unconditional_{kind.value}_eta{eta:g}_t{t}"] = _trains(
-                    kind, nbars, eta, _eta_chain(eta, t)).unconditional
+            result = _trains(kind, nbars, eta, _eta_chain(eta, max(ts)))
+            for t, values in zip(ts, _by_length(result, ts, "unconditional")):
+                table[f"unconditional_{kind.value}_eta{eta:g}_t{t}"] = values
     return table
 
 
 def _fig7(args: argparse.Namespace, defaults: dict):
-    t = int(_override_scalar(args.t, defaults["t"], "--t"))
+    t = defaults["t"] if args.t is None else _single_t(args)
     lo, hi, points = defaults["nbar_grid"]
     nbars = _override_nbars(args.nbar, np.linspace(lo, hi, points))
     lo, hi, points = defaults["eta_grid"]
@@ -666,7 +656,7 @@ def _fig8(args: argparse.Namespace, defaults: dict):
 
 
 def _fig9(args: argparse.Namespace, defaults: dict):
-    t = int(_override_scalar(args.t, defaults["t"], "--t"))
+    t = defaults["t"] if args.t is None else _single_t(args)
     nbar = _override_scalar(args.nbar, defaults["nbar"], "--nbar")
     eta = _override_scalar(args.eta, defaults["eta"], "--eta")
     max_sources = defaults["sources"] if args.sources is None else args.sources
@@ -683,27 +673,23 @@ def _fig9(args: argparse.Namespace, defaults: dict):
 
 
 def _fig10(args: argparse.Namespace, defaults: dict):
-    t = int(_override_scalar(args.t, defaults["t"], "--t"))
+    t = defaults["t"] if args.t is None else _single_t(args)
     lo, hi, points = defaults["nbar_grid"]
     nbars = _override_nbars(args.nbar, np.linspace(lo, hi, points))
     lo, hi, points = defaults["eta_grid"]
-    etas = [float(eta) for eta in np.linspace(lo, hi, points)]
-    source_counts = defaults["source_counts"]
-    names = [f"unconditional_{kind.value}_m{m}" for kind in _KINDS for m in source_counts]
-    # one kernel call per eta and detector: by_eta[eta][column][nbar]
-    by_eta = []
-    for eta in etas:
-        cells = []
-        for kind in _KINDS:
-            result = _trains(kind, nbars, eta, _eta_chain(eta, t))
-            for m in source_counts:
-                weights, _ = _freshest_herald(*_m_source_bin(result.single_shot, m))
-                cells.append(np.sum(weights * result.per_loop, axis=-1))
-        by_eta.append(cells)
-    # the table runs nbar-major: column c is by_eta[:, c, :] transposed
-    values = np.array(by_eta).transpose(1, 2, 0).reshape(len(names), -1)
-    return {"nbar": np.repeat(nbars, len(etas)), "eta": np.tile(etas, len(nbars)),
-            **dict(zip(names, values))}
+    etas = np.linspace(lo, hi, points)
+    # axes eta, nbar, loop
+    taus = np.stack([_eta_chain(eta, t) for eta in etas])[:, None, :]
+    table = {"nbar": np.repeat(nbars, len(etas)), "eta": np.tile(etas, len(nbars))}
+    for kind in _KINDS:
+        result = _trains(kind, nbars, etas[:, None, None], taus)
+        for m in defaults["source_counts"]:
+            # m sources are one source with the bank's per-bin law
+            singles, misses = _m_source_bin(result.single_shot, m)
+            bank = ClosedForm(singles, *_freshest_herald(singles, misses), result.per_loop)
+            # the table runs nbar-major
+            table[f"unconditional_{kind.value}_m{m}"] = bank.unconditional.T.ravel()
+    return table
 
 
 def _fig11(args: argparse.Namespace, defaults: dict):
@@ -713,17 +699,13 @@ def _fig11(args: argparse.Namespace, defaults: dict):
     eta_s = defaults["eta_s"] if args.eta_s is None else args.eta_s
     eta_f = defaults["eta_f"] if args.eta_f is None else args.eta_f
     detectors = [DetectorModel(kind, eta_d) for kind in _KINDS]
-    loss = LossModel(eta_s, eta_f)
-    rows = []
-    for t in ts:
-        taus = transmission(loss, np.arange(t))
-        row = []
-        for det in detectors:
-            result = _trains(det.kind, nbar, det.efficiency, taus)
-            row.extend([result.herald, result.conditional])
-        rows.append(row)
-    names = ["herald_resolved", "fidelity_resolved", "herald_bucket", "fidelity_bucket"]
-    return {"time_bins": ts, **dict(zip(names, np.array(rows).T))}
+    taus = transmission(LossModel(eta_s, eta_f), np.arange(ts[-1]))
+    table: dict = {"time_bins": ts}
+    for det in detectors:
+        result = _trains(det.kind, nbar, det.efficiency, taus)
+        table[f"herald_{det.kind.value}"] = _by_length(result, ts, "herald")
+        table[f"fidelity_{det.kind.value}"] = _by_length(result, ts, "conditional")
+    return table
 
 
 # Standard figure datasets: the builder, the overrides it accepts, and its

@@ -291,7 +291,7 @@ def _counted_objective(config: ProtocolConfig, objective: Objective):
     eta_d = config.detector.efficiency
     taus = transmission(config.loss, np.arange(config.time_bins))
     rows = _bin_rows(eta_d, taus, config.detector.kind)
-    field = objective.value  # the ClosedForm field of the same name
+    field = objective.value  # the ClosedForm attribute of the same name
     count = 0
 
     def evaluate(nbars: np.ndarray):

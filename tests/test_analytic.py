@@ -6,6 +6,8 @@ from pathlib import Path
 import exact
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopsource import (
     ConstantPump,
@@ -32,6 +34,7 @@ from loopsource import (
     unconditional_fidelity,
 )
 from loopsource.analytic import _bin_law, _bin_rows, closed_form
+from loopsource.models import transmission
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -133,6 +136,21 @@ def test_prep_pmf_matches_series_and_normalizes(kind, eta):
             assert prep_pmf(source, det, n) == pytest.approx(
                 prep_pmf_oracle(source, det, n), rel=1e-10
             )
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+@pytest.mark.parametrize("nbar", [1e100, 1e160, 1e300])
+def test_prep_pmf_is_exact_at_huge_pump(kind, nbar):
+    # (1 + nbar)**2 on Python floats raised OverflowError above ~1.3e154
+    eta = 0.9
+    n, e = Fraction(nbar), Fraction(eta)
+    single = exact.bin_law(nbar, eta, 1.0, kind)[0]
+    for k in (1, 2, 3):
+        click = k * e * (1 - e) ** (k - 1) if kind is RESOLVED else 1 - (1 - e) ** k
+        reference = click * n**k / (1 + n) ** (k + 1) / single
+        assert exact.is_normal(reference)
+        assert exact.within_ulps(prep_pmf(SourceModel(nbar), DetectorModel(kind, eta), k),
+                                 reference), k
 
 
 def test_prep_pmf_perfect_resolved_is_single_photon():
@@ -352,6 +370,59 @@ def test_lossless_resolved_plateau_is_exactly_one(kind):
     else:
         # F = 1/(1 + n): the herald lets two-photon events through
         assert (fidelity <= 1.0).all()
+
+
+_TRAIN_FIELDS = ("single_shot", "weights", "survival", "per_loop",
+                 "no_herald", "herald", "unconditional", "conditional")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    longest=st.integers(1, 300),
+    fraction=st.floats(0.0, 1.0),
+    kind=st.sampled_from([RESOLVED, BUCKET]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(longest=9, fraction=7 / 9, kind=RESOLVED, seed=1)
+@example(longest=9, fraction=8 / 9, kind=BUCKET, seed=2)
+@example(longest=300, fraction=0.03, kind=BUCKET, seed=3)
+@example(longest=300, fraction=0.43, kind=RESOLVED, seed=4)
+def test_head_is_the_closed_form_of_the_shorter_train_bit_for_bit(longest, fraction, kind, seed):
+    # heads shorter and longer than 8 and 128, where numpy's pairwise sum
+    # starts to unroll and to split; axes eta, nbar row, loop
+    t = max(1, round(fraction * longest))
+    rng = np.random.default_rng(seed)
+    etas = np.array([1.0, 0.99, 0.95, 0.5, 1e-9])
+    nbars = 10.0 ** rng.uniform(-4.0, 2.0, (1, 3, longest))
+    taus = np.stack([transmission(LossModel(eta, eta), np.arange(longest)) for eta in etas])
+    result = closed_form(nbars, etas[:, None, None], taus[:, None, :], kind)
+    head = result.head(t)
+    fresh = closed_form(nbars[..., :t], etas[:, None, None], taus[:, None, :t], kind)
+    for name in _TRAIN_FIELDS:
+        np.testing.assert_array_equal(getattr(head, name), getattr(fresh, name),
+                                      strict=True, err_msg=name)
+
+
+@pytest.mark.parametrize("t", [0, -1, 6])
+def test_head_length_must_lie_within_the_train(t):
+    # a slice would return a shorter train for -1 and the whole one for 6
+    result = closed_form(np.full(5, 0.5), 0.9, 1.0, BUCKET)
+    with pytest.raises(ValueError, match="head length"):
+        result.head(t)
+
+
+def test_conditional_stays_at_most_one_on_the_domain_grid():
+    # dividing by the herald sum capped at 1 read up to 1 + 6.7e-16 here,
+    # in 5 cells at resolved, lossless, t = 1000
+    nbars = np.geomspace(1e-8, 1e8, 100)
+    etas = np.array([1e-9, 0.5, 0.95, 1.0])
+    for kind in (RESOLVED, BUCKET):
+        for t in (1, 4, 20, 100, 1000):
+            taus = np.stack([transmission(LossModel(eta, eta), np.arange(t)) for eta in etas])
+            pumps = np.repeat(nbars[:, None], t, axis=1)
+            result = closed_form(pumps, etas[:, None, None], taus[:, None, :], kind)
+            assert (result.conditional <= 1.0).all(), (kind, t)
+            assert (result.herald <= 1.0).all(), (kind, t)
 
 
 @pytest.mark.parametrize("time_bins", [True, 2.5, 0])

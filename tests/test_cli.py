@@ -29,7 +29,8 @@ from loopsource import (
     optimize_constant,
     unconditional_fidelity,
 )
-from loopsource import cli
+from loopsource import analytic, cli
+from loopsource.analytic import closed_form
 from loopsource.cli import FIGURES, assess_feasibility, main
 from loopsource.models import transmission
 
@@ -173,6 +174,28 @@ def test_fidelity_command_reports_per_loop_rows(tmp_path):
     fid_col = header.index("loop_fidelity")
     values = [float(r[fid_col]) for r in rows]
     assert values[0] > values[1] > values[2]
+
+
+@pytest.mark.parametrize("nbar", [0.5, 0.0])
+def test_fidelity_command_reads_one_closed_form(nbar, tmp_path):
+    # at eta_s = 0.8, eta_f = 0.909 a per-loop scalar transmission(loss, 2)
+    # differs in the last bit from the kernel's array chain
+    args = ["fidelity", "--nbar", repr(nbar), "--t", "3", "--eta-d", "0.9",
+            "--eta-s", "0.8", "--eta-f", "0.909", "--format", "json"]
+    code, text = run_cli(args, tmp_path, "out.json")
+    assert code == 0
+    columns = json.loads(text)["columns"]
+    loss = LossModel(0.8, 0.909)
+    taus = transmission(loss, np.arange(3))
+    result = closed_form(np.full(3, nbar), 0.9, taus, DetectorKind.BUCKET)
+    assert columns["transmission"] == taus.tolist()
+    assert columns["unconditional"] == [float(result.unconditional)] * 3
+    if nbar == 0.0:
+        assert columns["loop_fidelity"] == columns["conditional"] == [None] * 3
+        assert columns["unconditional"] == [0.0] * 3
+    else:
+        assert columns["loop_fidelity"] == result.per_loop.tolist()
+        assert columns["conditional"] == [float(result.conditional)] * 3
 
 
 def test_chronological_flag_flips_schedule_interpretation(tmp_path):
@@ -348,6 +371,29 @@ def test_fig10_single_source_columns_are_the_one_source_closed_form(tmp_path):
         assert worst <= 1e-15, kind
 
 
+@pytest.mark.parametrize("argv, calls", [
+    (["sweep", "--t", "1..50", "--nbar", "0.1,0.5,2"], 1),
+    (["figure", "fig2"], 2),
+    (["figure", "fig3"], 2),
+    (["figure", "fig6"], 6),
+    (["figure", "fig10"], 2),
+    (["figure", "fig11"], 2),
+])
+def test_builders_read_every_train_length_from_one_kernel_call(argv, calls, monkeypatch, tmp_path):
+    """A train-length series makes one kernel call per curve family (fig6:
+    per detector and eta) and reads its shorter trains as heads."""
+    kernel, made = analytic._closed_form_rows, []
+
+    def counted(*args):
+        made.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(analytic, "_closed_form_rows", counted)
+    code, _ = run_cli(argv, tmp_path)
+    assert code == 0
+    assert len(made) == calls
+
+
 def test_fig3_reoptimize_uses_each_curves_conditional_optimum(tmp_path):
     args = ["figure", "fig3", "--t", "1..3"]
     plain = _json_columns(args, tmp_path)
@@ -414,6 +460,21 @@ def test_usage_error_on_figure_override_not_allowed(capsys):
 def test_usage_error_on_range_t_where_scalar_needed(capsys):
     code = main(["simulate", "--t", "1..5"])
     assert code == 2
+    assert "--t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # read as int(float): t = 2 ran silently, 0 and -1 raised IndexError,
+    # 0.5 named the truncated value
+    ["figure", "fig7", "--t", "2.5"],
+    ["figure", "fig9", "--t", "2.5"],
+    ["figure", "fig7", "--t", "0"],
+    ["figure", "fig10", "--t", "-1"],
+    ["figure", "fig9", "--t", "0.5"],
+    ["figure", "fig10", "--t", "1..5"],
+])
+def test_usage_error_on_figure_t_that_is_not_one_positive_int(argv, capsys):
+    assert main(argv) == 2
     assert "--t" in capsys.readouterr().err
 
 
