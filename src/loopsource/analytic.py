@@ -2,9 +2,10 @@
 
 Every quantity here has two implementations: a closed form (primary) and
 a truncated photon-number series (functions with an ``_oracle`` suffix).
-The series evaluate the defining sums directly from the elementary
-kernels in :mod:`loopsource.models`, so the two routes are independent
-and the test suite can hold them against each other.
+The series evaluate the defining sums directly from the elementary laws
+in :mod:`loopsource.models` (``thermal_pmf`` and ``detect_prob``, each
+over an array of photon numbers), so the two routes are independent and
+the test suite can hold them against each other.
 
 Heralding on the detector arm projects the stored signal arm onto a
 photon-number mixture.  A herald that fired l loops before the output
@@ -23,12 +24,14 @@ import numpy as np
 from .models import (
     DetectorKind,
     DetectorModel,
+    DetectorOutcome,
     LossModel,
     OutcomeDistribution,
     ProtocolConfig,
     SourceModel,
     UndefinedConditionalError,
     _check_count,
+    _photon_numbers,
     detect_prob,
     herald_outcome,
     thermal_pmf,
@@ -190,6 +193,14 @@ def _homogeneous(row, p, q_powers):
     return value
 
 
+def _heralded(single, what: str):
+    """``single``, a herald probability, checked to be nonzero: ``what`` is
+    conditioned on a herald."""
+    if single == 0.0:
+        raise UndefinedConditionalError(f"heralding probability is zero; {what} is undefined")
+    return single
+
+
 def herald_single_shot(source: SourceModel, det: DetectorModel) -> float:
     """Probability that a single pump pulse produces a successful herald:
     exactly one count on a number-resolved detector, any click on a
@@ -200,9 +211,9 @@ def herald_single_shot(source: SourceModel, det: DetectorModel) -> float:
 
 def herald_single_shot_oracle(source: SourceModel, det: DetectorModel) -> float:
     """Series evaluation of the single-shot herald probability,
-    sum over n of p_detect(herald|n) * p_thermal(n)."""
+    sum over n of p_thermal(n) * p_detect(herald|n)."""
     n = np.arange(1, thermal_truncation(source) + 1)
-    return float(np.sum(_thermal_vector(source, n) * _herald_vector(det, n)))
+    return float(np.sum(thermal_pmf(source, n) * detect_prob(det, herald_outcome(det.kind), n)))
 
 
 def herald_train(source: SourceModel, det: DetectorModel, time_bins: int) -> float:
@@ -218,15 +229,10 @@ def prep_pmf(source: SourceModel, det: DetectorModel, n: int) -> float:
     A herald biases the thermal statistics toward the photon numbers the
     detector is likely to flag, so this differs from the bare source law.
     """
-    if n < 1:
-        raise ValueError(f"heralded photon number must be >= 1, got {n}")
+    _photon_numbers(n, 1)
+    _heralded(herald_single_shot(source, det), "the post-herald state")
     nbar = source.mean_photon_number
     eta = det.efficiency
-    single = herald_single_shot(source, det)
-    if single == 0.0:
-        raise UndefinedConditionalError(
-            "heralding probability is zero; the post-herald state is undefined"
-        )
     # in the thermal ratio p = nbar/(1 + nbar), q = 1/(1 + nbar), as
     # _bin_law evaluates S: every factor stays finite for every finite nbar
     q = 1.0 / (1.0 + nbar)
@@ -234,20 +240,17 @@ def prep_pmf(source: SourceModel, det: DetectorModel, n: int) -> float:
     x_form = q + eta * p  # (1 + eta nbar)/(1 + nbar)
     if det.kind is DetectorKind.NUMBER_RESOLVED:
         return n * ((1.0 - eta) * p) ** (n - 1) * x_form**2
-    click = 1.0 - (1.0 - eta) ** n
-    return p ** (n - 1) * click * x_form * q / eta
+    # divide by eta first: at tiny eta and huge nbar, click * x_form * q is subnormal
+    click = detect_prob(det, DetectorOutcome.CLICK, n)
+    return p ** (n - 1) * (click / eta) * x_form * q
 
 
-def prep_pmf_oracle(source: SourceModel, det: DetectorModel, n: int) -> float:
-    """Bayes-ratio evaluation of the heralded photon-number distribution:
+def prep_pmf_oracle(source: SourceModel, det: DetectorModel, n):
+    """Bayes-ratio evaluation of the heralded photon-number distribution,
+    for an int n or elementwise over an array of photon numbers:
     p_detect(herald|n) * p_thermal(n) / (series herald probability)."""
-    if n < 1:
-        raise ValueError(f"heralded photon number must be >= 1, got {n}")
-    single = herald_single_shot_oracle(source, det)
-    if single == 0.0:
-        raise UndefinedConditionalError(
-            "heralding probability is zero; the post-herald state is undefined"
-        )
+    _photon_numbers(n, 1)
+    single = _heralded(herald_single_shot_oracle(source, det), "the post-herald state")
     return detect_prob(det, herald_outcome(det.kind), n) * thermal_pmf(source, n) / single
 
 
@@ -256,13 +259,10 @@ def fidelity_after_loops(
 ) -> float:
     """Probability that exactly one photon reaches the output when the
     herald fired ``loops`` round trips before extraction."""
-    single = herald_single_shot(source, det)
-    if single == 0.0:
-        raise UndefinedConditionalError(
-            "heralding probability is zero; the per-loop fidelity is undefined"
-        )
     rows = _bin_rows(det.efficiency, transmission(loss, loops), det.kind)
-    return float(_bin_law(source.mean_photon_number, det.efficiency, rows)[2])
+    single, _, fidelity = _bin_law(source.mean_photon_number, det.efficiency, rows)
+    _heralded(single, "the per-loop fidelity")
+    return float(fidelity)
 
 
 def fidelity_after_loops_oracle(
@@ -271,16 +271,10 @@ def fidelity_after_loops_oracle(
     """Series evaluation of the per-loop fidelity: the heralded
     photon-number distribution folded with binomial survival of exactly
     one photon."""
-    single = herald_single_shot_oracle(source, det)
-    if single == 0.0:
-        raise UndefinedConditionalError(
-            "heralding probability is zero; the per-loop fidelity is undefined"
-        )
     tau = transmission(loss, loops)
     n = np.arange(1, thermal_truncation(source) + 1)
-    prep = _thermal_vector(source, n) * _herald_vector(det, n) / single
     survive_one = n * tau * (1.0 - tau) ** (n - 1)
-    return float(np.sum(prep * survive_one))
+    return float(np.sum(prep_pmf_oracle(source, det, n) * survive_one))
 
 
 def detector_limited_fidelity(source: SourceModel, det: DetectorModel) -> float:
@@ -329,10 +323,7 @@ def conditional_fidelity(config: ProtocolConfig) -> float:
 
 def fidelity_report(config: ProtocolConfig) -> FidelityReport:
     result = _closed_form_of(config)
-    if result.herald == 0.0:
-        raise UndefinedConditionalError(
-            "the train never heralds; the conditional fidelity is undefined"
-        )
+    _heralded(result.herald, "the conditional fidelity")
     return FidelityReport(
         conditional=float(result.conditional),
         unconditional=float(result.unconditional),
@@ -347,17 +338,3 @@ def _closed_form_of(config: ProtocolConfig) -> ClosedForm:
         config.bin_means(), config.detector.efficiency, taus, config.detector.kind
     )
 
-
-def _thermal_vector(source: SourceModel, n: np.ndarray) -> np.ndarray:
-    nbar = source.mean_photon_number
-    ratio = nbar / (nbar + 1.0)
-    return ratio ** n.astype(float) / (nbar + 1.0)
-
-
-def _herald_vector(det: DetectorModel, n: np.ndarray) -> np.ndarray:
-    """Herald probability per photon number for n >= 1."""
-    eta = det.efficiency
-    nf = n.astype(float)
-    if det.kind is DetectorKind.NUMBER_RESOLVED:
-        return eta * nf * (1.0 - eta) ** (nf - 1.0)
-    return 1.0 - (1.0 - eta) ** nf

@@ -4,10 +4,11 @@ datasets as CSV or JSON.
 
 Output contract: CSV is UTF-8 with a header row and 17-significant-digit
 floats; JSON mirrors the columns as arrays under ``columns`` plus a
-``meta`` object carrying the resolved parameters, tool version, and seed
-where one applies.  Quantities conditioned on an event of probability
-zero are emitted as the literal cell ``undefined`` in CSV and ``null``
-in JSON.  Exit codes: 0 success, 2 usage error, 3 non-finite result.
+``meta`` object carrying the parsed flags (``null`` where the command
+fills in a default itself), tool version, and seed where one applies.
+Quantities conditioned on an event of probability zero are emitted as
+the literal cell ``undefined`` in CSV and ``null`` in JSON.  Exit codes:
+0 success, 2 usage error, 3 non-finite result.
 
 Every command returns ``(table, meta)``.  ``table`` maps each column
 name, in output order, to a float64 array or to a list of Python cells
@@ -104,19 +105,20 @@ def assess_feasibility(
     period, whichever is longer: a source clocked faster than the herald
     detector still needs loop round trips the detector can keep up with.
     Fibre length follows from the in-fibre light speed (c over the group
-    index) and fibre transmission from the attenuation per km.
+    index) and fibre transmission from the attenuation per km.  Each check
+    is written so that NaN fails it.
     """
-    if repetition_rate <= 0.0:
+    if not repetition_rate > 0.0:
         raise ValueError(f"repetition rate must be > 0, got {repetition_rate}")
-    if attenuation_db_per_km < 0.0:
+    if not attenuation_db_per_km >= 0.0:
         raise ValueError(f"attenuation must be >= 0, got {attenuation_db_per_km}")
     if loops < 0:
         raise ValueError(f"loop count must be >= 0, got {loops}")
     if not (0.0 <= switch_efficiency <= 1.0):
         raise ValueError(f"switch efficiency must lie in [0, 1], got {switch_efficiency}")
-    if group_index < 1.0:
+    if not group_index >= 1.0:
         raise ValueError(f"group index must be >= 1, got {group_index}")
-    if detector_rate <= 0.0:
+    if not detector_rate > 0.0:
         raise ValueError(f"detector rate must be > 0, got {detector_rate}")
     bin_separation = max(1.0 / repetition_rate, 1.0 / detector_rate)
     fibre_length = SPEED_OF_LIGHT / group_index * bin_separation
@@ -285,7 +287,8 @@ def _parse_t_values(text: str) -> list[int]:
 def _single_t(args: argparse.Namespace) -> int:
     values = _parse_t_values(args.t)
     if len(values) != 1:
-        raise UsageError(f"--t must be a single value for '{args.command}', got {args.t!r}")
+        command = f"figure {args.figure_id}" if args.command == "figure" else args.command
+        raise UsageError(f"--t must be a single value for '{command}', got {args.t!r}")
     return values[0]
 
 

@@ -7,6 +7,10 @@ loop).  The types here describe the pieces of that apparatus: thermal
 photon statistics of the source, the detector response, the switch and
 fibre losses, and the protocol configuration shared by the closed-form
 and Monte Carlo code paths.
+
+The thermal pmf and the detector's response to n photons are written
+here only, for an int or an array of photon numbers; the series oracles
+and the Monte Carlo herald test read them.
 """
 
 from __future__ import annotations
@@ -206,18 +210,31 @@ class OutcomeDistribution:
         return min(float(np.sum(self.probabilities[:-1])), 1.0)
 
 
-def thermal_pmf(source: SourceModel, n: int) -> float:
-    """Probability that the source emits exactly n photon pairs in one bin.
+def _photon_numbers(n, least: int = 0) -> np.ndarray:
+    """``n`` (an int or an array) as an array of photon numbers >= ``least``
+    of at least one dimension: numpy evaluates ``x**2`` over a 0-d exponent
+    as ``x*x``, so a scalar call would not match the array call."""
+    counts = np.atleast_1d(n)
+    if np.any(counts < least):
+        noun = "heralded photon number" if least else "photon number"
+        raise ValueError(f"{noun} must be >= {least}, got {n}")
+    return counts
 
-    The single-mode thermal law (1/(nbar+1)) * (nbar/(nbar+1))**n.
+
+def _shaped_as(value, n):
+    """``value``, computed over ``_photon_numbers(n)``, as a float for an int n."""
+    return float(value[0]) if np.ndim(n) == 0 else value
+
+
+def thermal_pmf(source: SourceModel, n):
+    """Probability that the source emits exactly n photon pairs in one bin,
+    for an int n or elementwise over an array of photon numbers.
+
+    The single-mode thermal law (1/(nbar+1)) * (nbar/(nbar+1))**n; a
+    vacuum source reads 1 at n = 0 and 0 elsewhere, as 0.0**0 is 1.
     """
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
     nbar = source.mean_photon_number
-    if nbar == 0.0:
-        return 1.0 if n == 0 else 0.0
-    ratio = nbar / (nbar + 1.0)
-    return ratio**n / (nbar + 1.0)
+    return _shaped_as((nbar / (nbar + 1.0)) ** _photon_numbers(n) / (nbar + 1.0), n)
 
 
 def thermal_truncation(source: SourceModel) -> int:
@@ -234,29 +251,45 @@ def thermal_truncation(source: SourceModel) -> int:
     return max(TRUNCATION_FLOOR, cutoff)
 
 
-def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n: int) -> float:
+def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n):
     """Conditional probability of a detection outcome given n photons hit
-    the detector.  ZERO/ONE are only defined for number-resolved detectors
-    and NO_CLICK/CLICK only for bucket detectors; by convention the
-    one-photon outcome has probability 0 when n = 0.
+    the detector, for an int n or elementwise over an array of photon
+    numbers.  ZERO/ONE are only defined for number-resolved detectors and
+    NO_CLICK/CLICK only for bucket detectors.
+
+    With ``m = log1p(-eta)``, a miss (ZERO) is ``exp(n m)``, a click is
+    ``-expm1(n m)`` and NO_CLICK its complement, and ONE is
+    ``eta n exp((n - 1) m)``, so 0 at n = 0.  None of them cancels at tiny
+    eta, where ``1 - (1 - eta)**n`` would; a perfect detector (eta = 1,
+    ``m = -inf``) takes the exact indicators.
     """
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
+    counts = _photon_numbers(n)
+    resolved = det.kind is DetectorKind.NUMBER_RESOLVED
+    if outcome is herald_outcome(det.kind):
+        value = _herald_given_n(det, counts)
+    elif outcome is DetectorOutcome.ZERO and resolved:
+        eta = det.efficiency
+        value = (counts == 0).astype(float) if eta == 1.0 else np.exp(counts * math.log1p(-eta))
+    elif outcome is DetectorOutcome.NO_CLICK and not resolved:
+        value = 1.0 - _herald_given_n(det, counts)
+    else:
+        kind = "number-resolved" if resolved else "bucket"
+        raise ValueError(f"outcome {outcome} is not defined for a {kind} detector")
+    return _shaped_as(value, n)
+
+
+def _herald_given_n(det: DetectorModel, n):
+    """The herald probability of :func:`detect_prob` (ONE or CLICK) over an
+    array of photon numbers, unchecked: the Monte Carlo herald test calls
+    it on every block, where a scan for negative counts would cost time."""
     eta = det.efficiency
-    miss = 1.0 - eta
-    if det.kind is DetectorKind.NUMBER_RESOLVED:
-        if outcome is DetectorOutcome.ZERO:
-            return miss**n
-        if outcome is DetectorOutcome.ONE:
-            if n == 0:
-                return 0.0
-            return eta * n * miss ** (n - 1)
-        raise ValueError(f"outcome {outcome} is not defined for a number-resolved detector")
-    if outcome is DetectorOutcome.NO_CLICK:
-        return miss**n
-    if outcome is DetectorOutcome.CLICK:
-        return 1.0 - miss**n
-    raise ValueError(f"outcome {outcome} is not defined for a bucket detector")
+    resolved = det.kind is DetectorKind.NUMBER_RESOLVED
+    if eta == 1.0:
+        return (n == 1 if resolved else n >= 1).astype(float)
+    log_miss = math.log1p(-eta)
+    if resolved:
+        return eta * n * np.exp((n - 1.0) * log_miss)
+    return -np.expm1(n * log_miss)
 
 
 def herald_outcome(kind: DetectorKind) -> DetectorOutcome:

@@ -38,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _bin_law, _bin_rows, _freshest_herald
+from .analytic import _closed_form_of
 from .models import (
-    DetectorKind,
     OutcomeDistribution,
     ProtocolConfig,
     _check_count,
+    _herald_given_n,
     _is_int,
     transmission,
 )
@@ -206,13 +206,9 @@ class _Bank:
         self.streams = [_Stream(seed, s) for s in range(len(configs))]
         loops = np.arange(self.time_bins)
         self.taus = np.stack([transmission(config.loss, loops) for config in configs])
-        share = 1.0
-        for config, means in zip(configs, self.means):
-            eta_d = config.detector.efficiency
-            singles = _bin_law(means, eta_d, _bin_rows(eta_d, 1.0, config.detector.kind))[0]
-            share = share * _freshest_herald(singles, 1.0 - singles)[1]
         # The expected share of trials no source has heralded by each bin,
         # negated so that it ascends.
+        share = np.prod([_closed_form_of(config).survival for config in configs], axis=0)
         self._falling_share = -share
         self._max_width = max(1, _BATCH_BUDGET_DRAWS // (2 * _PAGE_TRIALS))
 
@@ -250,7 +246,9 @@ class _Bank:
                 photons = _thermal_inverse_cdf(
                     thermal.reshape(-1, width).T, self.means[s][start:stop]
                 ).T.ravel()
-                hits = np.flatnonzero(herald < _herald_probability(photons, config))
+                # A uniform below the herald probability given the bin's
+                # photon number stands in for sampling the detector's count.
+                hits = np.flatnonzero(herald < _herald_given_n(config.detector, photons))
                 ranks, bins = np.divmod(hits, width)
                 trials, loops = live[ranks], start + bins
                 # The freshest herald is a trial's first hit, and a tie
@@ -302,25 +300,6 @@ def _thermal_inverse_cdf(uniforms: np.ndarray, bin_means: np.ndarray) -> np.ndar
     safe = np.where(ratio > 0.0, ratio, 0.5)
     log_ratio = np.where(ratio > 0.0, np.log(safe), -np.inf)
     return np.floor(np.log1p(-uniforms) / log_ratio[:, None])
-
-
-def _herald_probability(photon_numbers: np.ndarray, config: ProtocolConfig) -> np.ndarray:
-    """Chance the detector flags a herald given each bin's photon number.
-
-    One Bernoulli draw against this value is distributed identically to
-    sampling the detector's count and testing it, but costs a single
-    uniform per bin.
-    """
-    eta = config.detector.efficiency
-    n = photon_numbers
-    if eta == 1.0:
-        if config.detector.kind is DetectorKind.NUMBER_RESOLVED:
-            return (photon_numbers == 1).astype(float)
-        return (photon_numbers >= 1).astype(float)
-    log_miss = math.log1p(-eta)
-    if config.detector.kind is DetectorKind.NUMBER_RESOLVED:
-        return eta * n * np.exp((n - 1.0) * log_miss)
-    return -np.expm1(n * log_miss)
 
 
 def _single_photon(

@@ -33,6 +33,16 @@ def bin_law(nbar, eta_d, tau, kind: DetectorKind) -> tuple[Fraction, Fraction, F
     return single, fidelity, single * fidelity
 
 
+def herald_given_n(eta_d, n: int, kind: DetectorKind) -> Fraction:
+    """Herald probability given ``n`` photons on a detector of efficiency
+    ``eta_d``: exactly one count, ``n eta (1 - eta)**(n-1)``, on a
+    number-resolved detector, any click, ``1 - (1 - eta)**n``, on a bucket."""
+    eta = Fraction(eta_d)
+    if kind is DetectorKind.NUMBER_RESOLVED:
+        return n * eta * (1 - eta) ** (n - 1) if n else Fraction(0)
+    return 1 - (1 - eta) ** n
+
+
 def train(nbars, eta_d, taus, kind: DetectorKind) -> tuple[list[Fraction], Fraction, Fraction]:
     """``(per_loop, herald, unconditional)`` of a train whose bin l (l
     loops before output) has pump level ``nbars[l]`` and transmission

@@ -139,15 +139,34 @@ def test_prep_pmf_matches_series_and_normalizes(kind, eta):
 
 
 @pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+@pytest.mark.parametrize("eta", [1e-12, 1e-9, 1e-6])
+def test_series_oracles_agree_at_tiny_detector_efficiency(kind, eta):
+    # the oracles' bucket click was 1 - (1 - eta)**n, which cancels here:
+    # 2.2e-5 relative off the closed form at eta 1e-12
+    det = DetectorModel(kind, eta)
+    for nbar in (1e-4, 0.1, 1.0, 10.0):
+        source = SourceModel(nbar)
+        # abs=0: the herald probabilities reach 1e-16, below approx's default
+        # absolute tolerance of 1e-12
+        assert herald_single_shot_oracle(source, det) == pytest.approx(
+            herald_single_shot(source, det), rel=1e-10, abs=0.0
+        )
+        assert detector_limited_fidelity_oracle(source, det) == pytest.approx(
+            detector_limited_fidelity(source, det), rel=1e-10, abs=0.0
+        )
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
 @pytest.mark.parametrize("nbar", [1e100, 1e160, 1e300])
-def test_prep_pmf_is_exact_at_huge_pump(kind, nbar):
-    # (1 + nbar)**2 on Python floats raised OverflowError above ~1.3e154
-    eta = 0.9
-    n, e = Fraction(nbar), Fraction(eta)
+@pytest.mark.parametrize("eta", [0.9, 1e-6])
+def test_prep_pmf_is_exact_at_huge_pump(kind, nbar, eta):
+    # (1 + nbar)**2 on Python floats raised OverflowError above ~1.3e154;
+    # at eta 1e-6 the bucket click cancelled, and at 1e300 an intermediate
+    # product was subnormal
+    n = Fraction(nbar)
     single = exact.bin_law(nbar, eta, 1.0, kind)[0]
     for k in (1, 2, 3):
-        click = k * e * (1 - e) ** (k - 1) if kind is RESOLVED else 1 - (1 - e) ** k
-        reference = click * n**k / (1 + n) ** (k + 1) / single
+        reference = exact.herald_given_n(eta, k, kind) * n**k / (1 + n) ** (k + 1) / single
         assert exact.is_normal(reference)
         assert exact.within_ulps(prep_pmf(SourceModel(nbar), DetectorModel(kind, eta), k),
                                  reference), k

@@ -475,7 +475,23 @@ def test_usage_error_on_range_t_where_scalar_needed(capsys):
 ])
 def test_usage_error_on_figure_t_that_is_not_one_positive_int(argv, capsys):
     assert main(argv) == 2
-    assert "--t" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--t" in err
+    if ".." in argv[-1]:
+        assert f"'figure {argv[1]}'" in err
+
+
+@pytest.mark.parametrize("flags, quantity", [
+    # max(1/rate, nan) dropped the NaN and exited 0
+    (["--rate", "1e6", "--detector-rate", "nan"], "detector rate"),
+    # these exited 2 but blamed the fibre efficiency
+    (["--rate", "nan"], "repetition rate"),
+    (["--rate", "1e6", "--group-index", "nan"], "group index"),
+    (["--rate", "1e6", "--attenuation", "nan"], "attenuation"),
+])
+def test_feasibility_rejects_nan_naming_its_quantity(flags, quantity, capsys):
+    assert main(["feasibility", *flags]) == 2
+    assert quantity in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(capsys):

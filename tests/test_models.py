@@ -1,5 +1,6 @@
 import math
 
+import exact
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from loopsource import (
     SourceModel,
     loss_thinning_pmf,
     m_source_distribution,
+    prep_pmf_oracle,
     thermal_pmf,
     thermal_truncation,
     transmission,
@@ -88,6 +90,38 @@ def test_detect_prob_bounds_and_bucket_sum(eta, n):
     assert click + no_click == 1.0
     for outcome in (DetectorOutcome.ZERO, DetectorOutcome.ONE):
         assert 0.0 <= detect_prob(resolved, outcome, n) <= 1.0
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+@pytest.mark.parametrize("eta", [1e-300, 1e-12, 1e-9, 1.0])
+def test_detect_prob_matches_exact_herald_law(kind, eta):
+    # the bucket click was 1 - (1 - eta)**n, 8.9e-5 relative off at eta 1e-12
+    det = DetectorModel(kind, eta)
+    outcome = herald_outcome(kind)
+    for n in range(60):
+        reference = exact.herald_given_n(eta, n, kind)
+        assert exact.within_ulps(detect_prob(det, outcome, n), reference, 4)
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+@pytest.mark.parametrize("eta", [0.0, 1e-12, 0.3, 0.999, 1.0])
+def test_array_calls_equal_scalar_calls_bit_for_bit(kind, eta):
+    n = np.arange(300)
+    det = DetectorModel(kind, eta)
+    if kind is RESOLVED:
+        outcomes = (DetectorOutcome.ZERO, DetectorOutcome.ONE)
+    else:
+        outcomes = (DetectorOutcome.NO_CLICK, DetectorOutcome.CLICK)
+    for outcome in outcomes:
+        scalars = [detect_prob(det, outcome, k) for k in n.tolist()]
+        assert detect_prob(det, outcome, n).tobytes() == np.array(scalars).tobytes()
+    for nbar in (0.0, 1e-4, 0.5, 3.0, 1e8):
+        source = SourceModel(nbar)
+        scalars = [thermal_pmf(source, k) for k in n.tolist()]
+        assert thermal_pmf(source, n).tobytes() == np.array(scalars).tobytes()
+        if 0.0 < nbar <= 3.0 and eta > 0.0:  # the series at 1e8 runs to 2.8e9 terms
+            scalars = [prep_pmf_oracle(source, det, k) for k in n[1:].tolist()]
+            assert prep_pmf_oracle(source, det, n[1:]).tobytes() == np.array(scalars).tobytes()
 
 
 def test_detect_prob_rejects_foreign_outcomes():
@@ -205,3 +239,9 @@ def test_long_outcome_distribution_names_its_bad_entry(bad, where):
 def test_thermal_pmf_rejects_negative_count():
     with pytest.raises(ValueError):
         thermal_pmf(SourceModel(1.0), -1)
+    with pytest.raises(ValueError):
+        thermal_pmf(SourceModel(1.0), np.array([0, 1, -1]))
+    with pytest.raises(ValueError):
+        detect_prob(DetectorModel(BUCKET, 0.5), DetectorOutcome.CLICK, np.array([2, -1]))
+    with pytest.raises(ValueError):
+        prep_pmf_oracle(SourceModel(1.0), DetectorModel(BUCKET, 0.5), np.array([1, 0]))

@@ -29,8 +29,8 @@ from loopsource import (
 )
 from loopsource import montecarlo
 from loopsource.cli import main
+from loopsource.models import detect_prob, herald_outcome
 from loopsource.montecarlo import (
-    _herald_probability,
     _single_photon,
     _thermal_inverse_cdf,
     draws_per_trial,
@@ -121,7 +121,8 @@ def _oracle_run(configs, seed, trials):
                 thermal = _words(seed, s, 0, page, block, rank * width, width)
                 herald = _words(seed, s, 1, page, block, rank * width, width)
                 photons = _thermal_inverse_cdf(thermal[:, None], config.bin_means()[start:stop])
-                heralds = herald < _herald_probability(photons[:, 0], config)
+                outcome = herald_outcome(config.detector.kind)
+                heralds = herald < detect_prob(config.detector, outcome, photons[:, 0])
                 if heralds.any():
                     k = int(np.argmax(heralds))
                     if best is None or start + k < best[0]:
