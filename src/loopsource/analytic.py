@@ -16,6 +16,7 @@ heralded photon-number distribution and on the loss chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,6 +55,8 @@ class FidelityReport:
 
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+# Photon numbers per slice of a series oracle's sum.
+_SERIES_CHUNK = 1 << 16
 
 
 class ClosedForm(NamedTuple):
@@ -212,8 +215,21 @@ def herald_single_shot(source: SourceModel, det: DetectorModel) -> float:
 def herald_single_shot_oracle(source: SourceModel, det: DetectorModel) -> float:
     """Series evaluation of the single-shot herald probability,
     sum over n of p_thermal(n) * p_detect(herald|n)."""
-    n = np.arange(1, thermal_truncation(source) + 1)
-    return float(np.sum(thermal_pmf(source, n) * detect_prob(det, herald_outcome(det.kind), n)))
+    return _series(source, lambda n: _joint(source, det, n))
+
+
+def _joint(source: SourceModel, det: DetectorModel, n) -> np.ndarray:
+    """P(n photons and a herald) over an array of photon numbers."""
+    return detect_prob(det, herald_outcome(det.kind), n) * thermal_pmf(source, n)
+
+
+def _series(source: SourceModel, term) -> float:
+    """Sum of ``term(n)`` over the photon numbers 1..thermal_truncation(source),
+    ``_SERIES_CHUNK`` at a time, so memory stays bounded at any pump level;
+    a series of one chunk is a single ``np.sum``."""
+    stop = thermal_truncation(source) + 1
+    return math.fsum(float(np.sum(term(np.arange(start, min(start + _SERIES_CHUNK, stop)))))
+                     for start in range(1, stop, _SERIES_CHUNK))
 
 
 def herald_train(source: SourceModel, det: DetectorModel, time_bins: int) -> float:
@@ -251,7 +267,7 @@ def prep_pmf_oracle(source: SourceModel, det: DetectorModel, n):
     p_detect(herald|n) * p_thermal(n) / (series herald probability)."""
     _photon_numbers(n, 1)
     single = _heralded(herald_single_shot_oracle(source, det), "the post-herald state")
-    return detect_prob(det, herald_outcome(det.kind), n) * thermal_pmf(source, n) / single
+    return _joint(source, det, n) / single
 
 
 def fidelity_after_loops(
@@ -272,9 +288,10 @@ def fidelity_after_loops_oracle(
     photon-number distribution folded with binomial survival of exactly
     one photon."""
     tau = transmission(loss, loops)
-    n = np.arange(1, thermal_truncation(source) + 1)
-    survive_one = n * tau * (1.0 - tau) ** (n - 1)
-    return float(np.sum(prep_pmf_oracle(source, det, n) * survive_one))
+    # the herald series once, not once per chunk as prep_pmf_oracle would
+    single = _heralded(herald_single_shot_oracle(source, det), "the post-herald state")
+    return _series(source, lambda n: _joint(source, det, n) / single
+                   * (n * tau * (1.0 - tau) ** (n - 1)))
 
 
 def detector_limited_fidelity(source: SourceModel, det: DetectorModel) -> float:

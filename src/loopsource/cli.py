@@ -17,6 +17,10 @@ labels, cells that may be undefined, and the cells of one-row tables.
 The non-finite check and both renderers work a column at a time; the
 bytes they write are those of the stdlib's row-wise ``csv.writer`` with
 ``format(x, ".17g")`` floats and of ``json.dumps(..., indent=2)``.
+
+A figure's builder is a function of its parameters: ``FIGURES`` holds it
+with the flags it accepts and its defaults, each under its flag's name.
+A given flag parses like its default (see ``_figure_parameters``).
 """
 
 from __future__ import annotations
@@ -181,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     physics.add_argument("--eta-d", type=float, default=None, help="detector efficiency")
     physics.add_argument("--eta-s", type=float, default=None, help="switch efficiency")
     physics.add_argument("--eta-f", type=float, default=None, help="fibre-loop efficiency")
-    physics.add_argument("--t", default="1", help="time-bins, single value or range a..b")
+    physics.add_argument("--t", default="1",
+                         help="time-bins: an integer, a range a..b or an increasing comma list")
     physics.add_argument(
         "--chronological",
         action="store_true",
@@ -269,27 +274,29 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 def _parse_t_values(text: str) -> list[int]:
     try:
-        if ".." in text:
-            start_text, stop_text = text.split("..", 1)
-            start, stop = int(start_text), int(stop_text)
-            if start > stop:
+        values: list[int] = []
+        for part in text.split(","):
+            ends = [int(end) for end in part.split("..")]
+            if len(ends) > 2 or ends[0] > ends[-1] or (values and ends[0] <= values[-1]):
                 raise ValueError
-            values = list(range(start, stop + 1))
-        else:
-            values = [int(text)]
+            values.extend(range(ends[0], ends[-1] + 1))
     except ValueError as err:
-        raise UsageError(f"--t expects an integer or range a..b, got {text!r}") from err
+        raise UsageError(f"--t expects an integer, a range a..b or an increasing "
+                         f"comma list of them, got {text!r}") from err
     if values[0] < 1:
         raise UsageError(f"--t values must be >= 1, got {text!r}")
     return values
 
 
-def _single_t(args: argparse.Namespace) -> int:
-    values = _parse_t_values(args.t)
+def _single(values: list, flag: str, text, command: str):
+    """The one value that ``flag``'s ``text`` parsed to, for ``command``."""
     if len(values) != 1:
-        command = f"figure {args.figure_id}" if args.command == "figure" else args.command
-        raise UsageError(f"--t must be a single value for '{command}', got {args.t!r}")
+        raise UsageError(f"{flag} must be a single value for '{command}', got {text!r}")
     return values[0]
+
+
+def _single_t(args: argparse.Namespace) -> int:
+    return _single(_parse_t_values(args.t), "--t", args.t, args.command)
 
 
 def _efficiency(value: float | None, fallback: float | None, flag: str) -> float:
@@ -303,8 +310,7 @@ def _models_from_args(args: argparse.Namespace) -> tuple[DetectorModel, LossMode
     eta_d = _efficiency(args.eta_d, args.eta, "--eta-d")
     eta_s = _efficiency(args.eta_s, args.eta, "--eta-s")
     eta_f = _efficiency(args.eta_f, args.eta, "--eta-f")
-    kind = DetectorKind.NUMBER_RESOLVED if args.detector == "resolved" else DetectorKind.BUCKET
-    return DetectorModel(kind, eta_d), LossModel(eta_s, eta_f)
+    return DetectorModel(DetectorKind(args.detector), eta_d), LossModel(eta_s, eta_f)
 
 
 def _pump_from_args(args: argparse.Namespace, time_bins: int):
@@ -498,26 +504,47 @@ def _cmd_feasibility(args: argparse.Namespace):
 
 
 def _cmd_figure(args: argparse.Namespace):
-    figure_id = args.figure_id
-    build, allowed, defaults = FIGURES[figure_id]
-    provided = {
-        flag
-        for flag in ("detector", "nbar", "eta", "eta_d", "eta_s", "eta_f", "t", "sources")
-        if getattr(args, flag) is not None
-    }
-    if args.reoptimize:
-        provided.add("reoptimize")
-    unknown = provided - allowed
+    build = FIGURES[args.figure_id][0]
+    return build(_figure_parameters(args)), {**_base_meta(args), "figure": args.figure_id}
+
+
+def _figure_parameters(args: argparse.Namespace) -> dict:
+    """The figure's ``FIGURES`` defaults with each given flag in place.  A
+    flag parses like its default: a list where the default is a sequence,
+    exactly one value where it is a scalar."""
+    command = f"figure {args.figure_id}"
+    _, allowed, defaults = FIGURES[args.figure_id]
+    # the override flags that were given: `is not False` because an unset
+    # switch is False, and `--sources 0` == False is given
+    given = {flag: value for flag, value in vars(args).items()
+             if flag not in ("command", "format", "out", "figure_id")
+             and value is not None and value is not False}
+    unknown = given.keys() - allowed
     if unknown:
         flags = ", ".join("--" + flag.replace("_", "-") for flag in sorted(unknown))
-        raise UsageError(f"{figure_id} does not accept override {flags}")
-    return build(args, defaults), {**_base_meta(args), "figure": figure_id}
+        raise UsageError(f"{args.figure_id} does not accept override {flags}")
+    parameters = dict(defaults)
+    for flag, value in given.items():
+        name = "--" + flag.replace("_", "-")
+        if flag == "t":
+            values = _parse_t_values(value)
+        elif flag == "nbar":
+            values = [SourceModel(x).mean_photon_number for x in _parse_float_list(value, name)]
+        elif flag.startswith("eta"):  # --eta is text, --eta-d/-s/-f floats
+            values = [_efficiency(x, None, name)
+                      for x in (_parse_float_list(value, name) if flag == "eta" else [value])]
+        elif flag == "sources" and value < 1:
+            raise UsageError(f"--sources must be >= 1, got {value}")
+        else:  # --detector, --sources or --reoptimize
+            values = [DetectorKind(value) if flag == "detector" else value]
+        scalar = np.ndim(defaults[flag]) == 0
+        parameters[flag] = _single(values, name, value, command) if scalar else values
+    return parameters
 
 
 # ---------------------------------------------------------------------------
-# figure dataset builders
-
-_KINDS = (DetectorKind.NUMBER_RESOLVED, DetectorKind.BUCKET)
+# figure dataset builders: each maps its figure's parameters (see
+# _figure_parameters) to a table
 
 
 def _trains(kind: DetectorKind, nbars, eta_d, taus) -> ClosedForm:
@@ -538,62 +565,31 @@ def _eta_chain(eta: float, t: int) -> np.ndarray:
     return transmission(LossModel(eta, eta), np.arange(t))
 
 
-def _config_for(kind: DetectorKind, nbar: float, eta_d: float, eta_s: float,
-                eta_f: float, t: int) -> ProtocolConfig:
-    return ProtocolConfig(
-        t, ConstantPump(nbar), DetectorModel(kind, eta_d), LossModel(eta_s, eta_f)
-    )
+def _template(kind: DetectorKind, eta: float, t: int) -> ProtocolConfig:
+    """An optimizer's template: t bins, every efficiency ``eta``."""
+    return ProtocolConfig(t, ConstantPump(1.0), DetectorModel(kind, eta), LossModel(eta, eta))
 
 
-def _override_scalar(text: str | None, default: float, flag: str) -> float:
-    if text is None:
-        return default
-    values = _parse_float_list(text, flag)
-    if len(values) != 1:
-        raise UsageError(f"{flag} must be a single value here, got {text!r}")
-    return values[0]
-
-
-def _override_list(text: str | None, default, flag: str) -> list[float]:
-    if text is None:
-        return list(default)
-    return _parse_float_list(text, flag)
-
-
-def _override_nbars(text: str | None, default) -> list[float]:
-    return [SourceModel(float(nbar)).mean_photon_number
-            for nbar in _override_list(text, default, "--nbar")]
-
-
-def _override_t_range(text: str | None, default: tuple[int, int]) -> list[int]:
-    if text is None:
-        return list(range(default[0], default[1] + 1))
-    return _parse_t_values(text)
-
-
-def _fig2(args: argparse.Namespace, defaults: dict):
-    ts = _override_t_range(args.t, defaults["t"])
-    nbar = SourceModel(_override_scalar(args.nbar, defaults["nbar"], "--nbar")).mean_photon_number
-    eta_d = defaults["eta_d"] if args.eta_d is None else args.eta_d
-    table: dict = {"time_bins": ts}
-    for kind in _KINDS:
+def _fig2(p: dict):
+    ts = p["t"]
+    table: dict = {"time_bins": list(ts)}
+    for kind in DetectorKind:
         # the herald probability does not depend on the loss chain
-        result = _trains(kind, nbar, DetectorModel(kind, eta_d).efficiency, np.ones(ts[-1]))
+        result = _trains(kind, p["nbar"], p["eta_d"], np.ones(ts[-1]))
         table[f"herald_{kind.value}"] = _by_length(result, ts, "herald")
     return table
 
 
-def _fig3(args: argparse.Namespace, defaults: dict):
-    ts = _override_t_range(args.t, defaults["t"])
-    etas = defaults["etas"]
+def _fig3(p: dict):
+    ts, etas = p["t"], p["etas"]
     taus = np.stack([_eta_chain(eta, ts[-1]) for eta in etas])
-    table: dict = {"time_bins": ts}
-    for kind, caption in zip(_KINDS, (defaults["nbar_resolved"], defaults["nbar_bucket"])):
+    table: dict = {"time_bins": list(ts)}
+    for kind in DetectorKind:
         nbars = []
         for eta in etas:
-            nbar = caption[eta]
-            if args.reoptimize:
-                template = _config_for(kind, 1.0, eta, eta, eta, ts[-1])
+            nbar = p[f"nbar_{kind.value}"][eta]
+            if p["reoptimize"]:
+                template = _template(kind, eta, ts[-1])
                 nbar = optimize_constant(template, Objective.CONDITIONAL).schedule.mean_photon_number
             nbars.append(nbar)
         result = _trains(kind, nbars, np.array(etas)[:, None], taus)
@@ -604,89 +600,65 @@ def _fig3(args: argparse.Namespace, defaults: dict):
     return table
 
 
-def _fig5(args: argparse.Namespace, defaults: dict):
-    nbars = _override_nbars(args.nbar, defaults["nbars"])
-    etas = np.linspace(0.0, 1.0, defaults["eta_d_points"])[:, None]  # rows of the grid
+def _fig5(p: dict):
+    nbars, etas = p["nbar"], p["eta_ds"][:, None]  # rows of the grid
     table = {"eta_d": np.repeat(etas, len(nbars)), "nbar": np.tile(nbars, len(etas))}
-    for kind, name in zip(_KINDS, ("fidelity_resolved", "fidelity_bucket")):
-        table[name] = _bin_law(nbars, etas, _bin_rows(etas, 1.0, kind))[2].ravel()
+    for kind in DetectorKind:
+        table[f"fidelity_{kind.value}"] = _bin_law(nbars, etas, _bin_rows(etas, 1.0, kind))[2].ravel()
     return table
 
 
-def _fig6(args: argparse.Namespace, defaults: dict):
-    lo, hi, points = defaults["nbar_grid"]
-    nbars = _override_nbars(args.nbar, np.linspace(lo, hi, points))
-    ts = _parse_t_values(args.t) if args.t is not None else list(defaults["ts"])
+def _fig6(p: dict):
+    nbars, ts = p["nbar"], p["t"]
     table = {"nbar": np.array(nbars)}
-    for kind in _KINDS:
-        for eta in defaults["etas"]:
-            result = _trains(kind, nbars, eta, _eta_chain(eta, max(ts)))
+    for kind in DetectorKind:
+        for eta in p["etas"]:
+            result = _trains(kind, nbars, eta, _eta_chain(eta, ts[-1]))
             for t, values in zip(ts, _by_length(result, ts, "unconditional")):
                 table[f"unconditional_{kind.value}_eta{eta:g}_t{t}"] = values
     return table
 
 
-def _fig7(args: argparse.Namespace, defaults: dict):
-    t = defaults["t"] if args.t is None else _single_t(args)
-    lo, hi, points = defaults["nbar_grid"]
-    nbars = _override_nbars(args.nbar, np.linspace(lo, hi, points))
-    lo, hi, points = defaults["eta_grid"]
-    etas = [float(eta) for eta in _override_list(args.eta, np.linspace(lo, hi, points), "--eta")]
+def _fig7(p: dict):
+    nbars, etas = p["nbar"], p["eta"]
     table = {"nbar": np.repeat(nbars, len(etas)), "eta": np.tile(etas, len(nbars))}
-    for kind, name in zip(_KINDS, ("unconditional_resolved", "unconditional_bucket")):
+    for kind in DetectorKind:
         # one kernel call per eta: rows eta, columns nbar; the table runs nbar-major
-        values = np.array([_trains(kind, nbars, eta, _eta_chain(eta, t)).unconditional
+        values = np.array([_trains(kind, nbars, eta, _eta_chain(eta, p["t"])).unconditional
                            for eta in etas])
-        table[name] = values.T.ravel()
+        table[f"unconditional_{kind.value}"] = values.T.ravel()
     return table
 
 
-def _fig8(args: argparse.Namespace, defaults: dict):
-    ts = _override_t_range(args.t, defaults["t"])
-    etas = defaults["etas"]
-    names = []
-    for eta in etas:
-        names.extend([f"constant_eta{eta:g}", f"biased_eta{eta:g}"])
-    rows = []
-    for t in ts:
-        row = []
-        for eta in etas:
-            template = _config_for(DetectorKind.BUCKET, 1.0, eta, eta, eta, t)
-            row.append(optimize_constant(template, Objective.UNCONDITIONAL).objective_value)
-            row.append(optimize_schedule(template, Objective.UNCONDITIONAL).objective_value)
-        rows.append(row)
-    return {"time_bins": ts, **dict(zip(names, np.array(rows).T))}
+def _fig8(p: dict):
+    table: dict = {"time_bins": list(p["t"])}
+    for eta in p["etas"]:
+        templates = [_template(DetectorKind.BUCKET, eta, t) for t in p["t"]]
+        for name, optimize in (("constant", optimize_constant), ("biased", optimize_schedule)):
+            table[f"{name}_eta{eta:g}"] = np.array(
+                [optimize(template, Objective.UNCONDITIONAL).objective_value
+                 for template in templates])
+    return table
 
 
-def _fig9(args: argparse.Namespace, defaults: dict):
-    t = defaults["t"] if args.t is None else _single_t(args)
-    nbar = _override_scalar(args.nbar, defaults["nbar"], "--nbar")
-    eta = _override_scalar(args.eta, defaults["eta"], "--eta")
-    max_sources = defaults["sources"] if args.sources is None else args.sources
-    if max_sources < 1:
-        raise UsageError(f"--sources must be >= 1, got {max_sources}")
-    detector_name = defaults["detector"] if args.detector is None else args.detector
-    kind = DetectorKind.NUMBER_RESOLVED if detector_name == "resolved" else DetectorKind.BUCKET
-    single = herald_single_shot(SourceModel(nbar), DetectorModel(kind, eta))
+def _fig9(p: dict):
+    t = p["t"]
+    single = herald_single_shot(SourceModel(p["nbar"]), DetectorModel(p["detector"], p["eta"]))
     # loop == t is the no-herald row
     table: dict = {"loop": list(range(t + 1))}
-    for m in range(1, max_sources + 1):
+    for m in range(1, p["sources"] + 1):
         table[f"p_m{m}"] = np.array(m_source_distribution(single, t, m).probabilities)
     return table
 
 
-def _fig10(args: argparse.Namespace, defaults: dict):
-    t = defaults["t"] if args.t is None else _single_t(args)
-    lo, hi, points = defaults["nbar_grid"]
-    nbars = _override_nbars(args.nbar, np.linspace(lo, hi, points))
-    lo, hi, points = defaults["eta_grid"]
-    etas = np.linspace(lo, hi, points)
+def _fig10(p: dict):
+    nbars, etas = p["nbar"], p["etas"]
     # axes eta, nbar, loop
-    taus = np.stack([_eta_chain(eta, t) for eta in etas])[:, None, :]
+    taus = np.stack([_eta_chain(eta, p["t"]) for eta in etas])[:, None, :]
     table = {"nbar": np.repeat(nbars, len(etas)), "eta": np.tile(etas, len(nbars))}
-    for kind in _KINDS:
+    for kind in DetectorKind:
         result = _trains(kind, nbars, etas[:, None, None], taus)
-        for m in defaults["source_counts"]:
+        for m in p["source_counts"]:
             # m sources are one source with the bank's per-bin law
             singles, misses = _m_source_bin(result.single_shot, m)
             bank = ClosedForm(singles, *_freshest_herald(singles, misses), result.per_loop)
@@ -695,51 +667,46 @@ def _fig10(args: argparse.Namespace, defaults: dict):
     return table
 
 
-def _fig11(args: argparse.Namespace, defaults: dict):
-    ts = _override_t_range(args.t, defaults["t"])
-    nbar = SourceModel(_override_scalar(args.nbar, defaults["nbar"], "--nbar")).mean_photon_number
-    eta_d = defaults["eta_d"] if args.eta_d is None else args.eta_d
-    eta_s = defaults["eta_s"] if args.eta_s is None else args.eta_s
-    eta_f = defaults["eta_f"] if args.eta_f is None else args.eta_f
-    detectors = [DetectorModel(kind, eta_d) for kind in _KINDS]
-    taus = transmission(LossModel(eta_s, eta_f), np.arange(ts[-1]))
-    table: dict = {"time_bins": ts}
-    for det in detectors:
-        result = _trains(det.kind, nbar, det.efficiency, taus)
-        table[f"herald_{det.kind.value}"] = _by_length(result, ts, "herald")
-        table[f"fidelity_{det.kind.value}"] = _by_length(result, ts, "conditional")
+def _fig11(p: dict):
+    ts = p["t"]
+    taus = transmission(LossModel(p["eta_s"], p["eta_f"]), np.arange(ts[-1]))
+    table: dict = {"time_bins": list(ts)}
+    for kind in DetectorKind:
+        result = _trains(kind, p["nbar"], p["eta_d"], taus)
+        table[f"herald_{kind.value}"] = _by_length(result, ts, "herald")
+        table[f"fidelity_{kind.value}"] = _by_length(result, ts, "conditional")
     return table
 
 
-# Standard figure datasets: the builder, the overrides it accepts, and its
-# reference parameter points.
+_NBAR_GRID = np.linspace(0.05, 2.0, 40)  # fig7 and fig10
+_ETA_GRID = np.linspace(0.5, 1.0, 26)
+
+# Standard figure datasets: the builder, the flags it accepts, and its
+# parameters, each flag's default under the flag's name.
 FIGURES: dict[str, tuple] = {
-    "fig2": (_fig2, {"t", "nbar", "eta_d"}, {"t": (1, 50), "nbar": 1.0, "eta_d": 1.0}),
+    "fig2": (_fig2, {"t", "nbar", "eta_d"}, {"t": range(1, 51), "nbar": 1.0, "eta_d": 1.0}),
     "fig3": (_fig3, {"t", "reoptimize"}, {
-        "t": (1, 50),
+        "t": range(1, 51),
+        "reoptimize": False,
         "etas": (1.0, 0.99, 0.95),
         "nbar_resolved": {1.0: 1.0, 0.99: 0.90, 0.95: 0.95},
         "nbar_bucket": {1.0: 0.05, 0.99: 0.14, 0.95: 0.34},
     }),
-    "fig5": (_fig5, {"nbar"}, {"eta_d_points": 101, "nbars": (0.01, 0.1, 0.5, 1.0, 2.0)}),
+    "fig5": (_fig5, {"nbar"},
+             {"nbar": (0.01, 0.1, 0.5, 1.0, 2.0), "eta_ds": np.linspace(0.0, 1.0, 101)}),
     "fig6": (_fig6, {"nbar", "t"}, {
-        "nbar_grid": (0.02, 3.0, 150),
-        "ts": (1, 2, 4, 8, 16, 32, 64),
+        "nbar": np.linspace(0.02, 3.0, 150),
+        "t": (1, 2, 4, 8, 16, 32, 64),
         "etas": (1.0, 0.99, 0.95),
     }),
-    "fig7": (_fig7, {"nbar", "t", "eta"},
-             {"t": 100, "nbar_grid": (0.05, 2.0, 40), "eta_grid": (0.5, 1.0, 26)}),
-    "fig8": (_fig8, {"t"}, {"t": (1, 8), "etas": (0.99, 0.95)}),
+    "fig7": (_fig7, {"nbar", "t", "eta"}, {"t": 100, "nbar": _NBAR_GRID, "eta": _ETA_GRID}),
+    "fig8": (_fig8, {"t"}, {"t": range(1, 9), "etas": (0.99, 0.95)}),
     "fig9": (_fig9, {"t", "nbar", "eta", "sources", "detector"},
-             {"t": 10, "nbar": 0.1, "eta": 0.95, "sources": 4, "detector": "bucket"}),
-    "fig10": (_fig10, {"nbar", "t"}, {
-        "t": 5,
-        "nbar_grid": (0.05, 2.0, 40),
-        "eta_grid": (0.5, 1.0, 26),
-        "source_counts": (1, 4),
-    }),
+             {"t": 10, "nbar": 0.1, "eta": 0.95, "sources": 4, "detector": DetectorKind.BUCKET}),
+    "fig10": (_fig10, {"nbar", "t"},
+              {"t": 5, "nbar": _NBAR_GRID, "etas": _ETA_GRID, "source_counts": (1, 4)}),
     "fig11": (_fig11, {"t", "nbar", "eta_d", "eta_s", "eta_f"},
-              {"t": (1, 50), "nbar": 0.5, "eta_d": 0.8, "eta_s": 0.8, "eta_f": 1.0}),
+              {"t": range(1, 51), "nbar": 0.5, "eta_d": 0.8, "eta_s": 0.8, "eta_f": 1.0}),
 }
 # fig4 re-plots fig3's dataset against loop count
 FIGURES["fig4"] = FIGURES["fig3"]

@@ -222,7 +222,7 @@ def _photon_numbers(n, least: int = 0) -> np.ndarray:
 
 
 def _shaped_as(value, n):
-    """``value``, computed over ``_photon_numbers(n)``, as a float for an int n."""
+    """``value``, computed over ``np.atleast_1d(n)``, as a float for an int n."""
     return float(value[0]) if np.ndim(n) == 0 else value
 
 
@@ -302,12 +302,14 @@ def herald_outcome(kind: DetectorKind) -> DetectorOutcome:
 def transmission(loss: LossModel, loops):
     """Net transmission of a photon stored for ``loops`` round trips (an
     int, or an array of loop counts): one switch pass to enter plus a
-    switch and a fibre pass per loop, ``eta_s * (eta_s * eta_f)**loops``."""
-    loops = np.asarray(loops)
-    if np.any(loops < 0):
+    switch and a fibre pass per loop, ``eta_s * (eta_s * eta_f)**loops``.
+    An int is evaluated as a one-entry array, so it matches the array call
+    bit for bit (see :func:`_photon_numbers`)."""
+    counts = np.atleast_1d(loops)
+    if np.any(counts < 0):
         raise ValueError(f"loop count must be >= 0, got {loops}")
-    chain = loss.switch_efficiency * (loss.switch_efficiency * loss.fibre_efficiency) ** loops
-    return float(chain) if np.ndim(chain) == 0 else chain
+    eta_s = loss.switch_efficiency
+    return _shaped_as(eta_s * (eta_s * loss.fibre_efficiency) ** counts, loops)
 
 
 def loss_thinning_pmf(n_in: int, transmission: float, n_out: int) -> float:

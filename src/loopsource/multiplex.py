@@ -133,9 +133,11 @@ def optimize_constant(
     form of the returned level; ``evaluations`` counts the levels scanned.
     """
     lo, hi = _check_bounds(bounds)
-    evaluate, evals = _counted_objective(config, objective)
+    evaluate = _objective(config, objective)
     levels, width = np.geomspace(lo, hi, _GRID_POINTS), np.inf
+    rounds = 0
     while True:
+        rounds += 1
         values = evaluate(np.repeat(levels[:, None], config.time_bins, axis=1))
         best = _best_candidate(values, np.fmax.reduce(np.abs(values)))
         left, right = levels[max(best - 1, 0)], levels[min(best + 1, levels.size - 1)]
@@ -148,7 +150,7 @@ def optimize_constant(
         schedule=ConstantPump(float(levels[best])),
         objective_value=float(values[best]),
         objective_kind=objective,
-        evaluations=evals(),
+        evaluations=rounds * _GRID_POINTS,
     )
 
 
@@ -180,7 +182,7 @@ def optimize_schedule(
     ``evaluations`` counts the candidate pump levels evaluated.
     """
     lo, hi = _check_bounds(bounds)
-    evaluate, _ = _counted_objective(config, objective)
+    evaluate = _objective(config, objective)
     eta_d = config.detector.efficiency
     kind = config.detector.kind
     taus = transmission(config.loss, np.arange(config.time_bins)).tolist()
@@ -281,25 +283,17 @@ def _best_candidate(values: np.ndarray, scale: float) -> int:
     return int(np.argmax(values >= np.fmax.reduce(values) - _TIE_RTOL * scale))
 
 
-def _counted_objective(config: ProtocolConfig, objective: Objective):
-    """Objective over reverse-chronological pump vectors ``[..., t]``,
-    with a counter of the schedules evaluated.  The conditional objective
-    is extended with value 0 where the train can never herald, keeping
-    it total."""
+def _objective(config: ProtocolConfig, objective: Objective):
+    """Objective over reverse-chronological pump vectors ``[..., t]``.  The
+    conditional objective is extended with value 0 where the train can
+    never herald, keeping it total."""
     if not isinstance(objective, Objective):
         raise ValueError(f"objective must be an Objective, got {objective!r}")
     eta_d = config.detector.efficiency
     taus = transmission(config.loss, np.arange(config.time_bins))
     rows = _bin_rows(eta_d, taus, config.detector.kind)
     field = objective.value  # the ClosedForm attribute of the same name
-    count = 0
-
-    def evaluate(nbars: np.ndarray):
-        nonlocal count
-        count += np.size(nbars) // config.time_bins
-        return getattr(_closed_form_rows(nbars, eta_d, rows), field)
-
-    return evaluate, lambda: count
+    return lambda nbars: getattr(_closed_form_rows(nbars, eta_d, rows), field)
 
 
 def _check_single_shot(single_shot: float) -> None:

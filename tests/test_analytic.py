@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,6 +155,23 @@ def test_series_oracles_agree_at_tiny_detector_efficiency(kind, eta):
         assert detector_limited_fidelity_oracle(source, det) == pytest.approx(
             detector_limited_fidelity(source, det), rel=1e-10, abs=0.0
         )
+
+
+def test_series_oracles_run_in_bounded_memory():
+    # at nbar 1e5 the series runs to 2.8e6 photon numbers; summed in one
+    # slice the peak was 84 MiB, and at 1e8 the call raised MemoryError
+    source, det = SourceModel(1e5), DetectorModel(BUCKET, 0.9)
+    runs = [(herald_single_shot_oracle, herald_single_shot),
+            (detector_limited_fidelity_oracle, detector_limited_fidelity)]
+    for oracle, closed in runs:
+        tracemalloc.start()
+        try:
+            value = oracle(source, det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, oracle.__name__
+        assert value == pytest.approx(closed(source, det), rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", [RESOLVED, BUCKET])

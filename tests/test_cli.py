@@ -394,6 +394,31 @@ def test_builders_read_every_train_length_from_one_kernel_call(argv, calls, monk
     assert len(made) == calls
 
 
+def _as_flag(value) -> str:
+    """A figure default written as its flag's text."""
+    if isinstance(value, range):
+        return f"{value[0]}..{value[-1]}"
+    if isinstance(value, DetectorKind):
+        return value.value
+    return ",".join(repr(x) for x in np.atleast_1d(value).tolist())
+
+
+_DEFAULT_FLAGS = [(figure, flag) for figure, (_, allowed, _) in sorted(FIGURES.items())
+                  for flag in sorted(allowed - {"reoptimize"})]
+
+
+@pytest.mark.parametrize("figure, flag", _DEFAULT_FLAGS)
+def test_figure_flag_at_its_default_reproduces_the_dataset(figure, flag, tmp_path):
+    """A flag parses like its default, so each default is a valid flag value
+    and gives back the default dataset byte for byte."""
+    default = FIGURES[figure][2][flag]
+    plain = run_cli(["figure", figure], tmp_path, "plain.csv")
+    given = run_cli(["figure", figure, "--" + flag.replace("_", "-"), _as_flag(default)],
+                    tmp_path, "given.csv")
+    assert given == plain
+    assert plain[0] == 0
+
+
 def test_fig3_reoptimize_uses_each_curves_conditional_optimum(tmp_path):
     args = ["figure", "fig3", "--t", "1..3"]
     plain = _json_columns(args, tmp_path)
@@ -445,10 +470,17 @@ def test_usage_error_on_schedule_length_mismatch(tmp_path, capsys):
     assert "--nbar" in capsys.readouterr().err
 
 
-def test_usage_error_on_out_of_range_efficiency(capsys):
-    code = main(["herald", "--eta-d", "1.5"])
-    assert code == 2
-    assert "--eta-d" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["herald", "--eta-d", "1.5"],
+    # these blamed the switch, detector and fibre efficiency
+    ["figure", "fig7", "--eta", "1.5"],
+    ["figure", "fig9", "--eta", "1.5"],
+    ["figure", "fig2", "--eta-d", "1.5"],
+    ["figure", "fig11", "--eta-f", "2"],
+], ids=" ".join)
+def test_usage_error_on_out_of_range_efficiency(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {argv[-2]} must lie in [0, 1]")
 
 
 def test_usage_error_on_figure_override_not_allowed(capsys):
@@ -463,22 +495,30 @@ def test_usage_error_on_range_t_where_scalar_needed(capsys):
     assert "--t" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+_FLAG_VALUE_ERRORS = [
     # read as int(float): t = 2 ran silently, 0 and -1 raised IndexError,
     # 0.5 named the truncated value
-    ["figure", "fig7", "--t", "2.5"],
-    ["figure", "fig9", "--t", "2.5"],
-    ["figure", "fig7", "--t", "0"],
-    ["figure", "fig10", "--t", "-1"],
-    ["figure", "fig9", "--t", "0.5"],
-    ["figure", "fig10", "--t", "1..5"],
-])
-def test_usage_error_on_figure_t_that_is_not_one_positive_int(argv, capsys):
+    (["figure", "fig7", "--t", "2.5"], "--t expects"),
+    (["figure", "fig9", "--t", "2.5"], "--t expects"),
+    (["figure", "fig7", "--t", "0"], "--t values must be >= 1"),
+    (["figure", "fig10", "--t", "-1"], "--t values must be >= 1"),
+    (["figure", "fig9", "--t", "0.5"], "--t expects"),
+    (["figure", "fig2", "--t", "3..5,1"], "--t expects"),
+    (["figure", "fig2", "--t", "1..2..3"], "--t expects"),
+    # a scalar default takes one value
+    (["figure", "fig10", "--t", "1..5"], "--t must be a single value for 'figure fig10'"),
+    (["figure", "fig2", "--nbar", "1,2"], "--nbar must be a single value for 'figure fig2'"),
+    (["figure", "fig9", "--nbar", "-1"], "mean photon number must be finite and >= 0"),
+    # 0 == False: a test for a given flag that compares with False skips it
+    (["figure", "fig9", "--sources", "0"], "--sources must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _FLAG_VALUE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in _FLAG_VALUE_ERRORS])
+def test_usage_error_on_figure_flag_value(argv, message, capsys):
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "--t" in err
-    if ".." in argv[-1]:
-        assert f"'figure {argv[1]}'" in err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, quantity", [

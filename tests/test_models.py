@@ -151,6 +151,17 @@ def test_transmission_chain():
         transmission(lossy, np.array([2, -1]))
 
 
+def test_transmission_scalar_calls_equal_the_array_call_bit_for_bit():
+    # numpy evaluates x**2 over a 0-d exponent as x*x, over an array with
+    # pow: at eta_s 0.8, eta_f 0.909 a scalar loops=2 was an ulp higher
+    rng = np.random.default_rng(15)
+    for eta_s, eta_f in [(0.8, 0.909), *rng.uniform(0.0, 1.0, (300, 2)).tolist()]:
+        loss = LossModel(eta_s, eta_f)
+        scalars = [transmission(loss, loops) for loops in range(12)]
+        assert all(type(value) is float for value in scalars)
+        assert np.array(scalars).tobytes() == transmission(loss, np.arange(12)).tobytes()
+
+
 @pytest.mark.parametrize("eta_s,eta_f", [(1.0, 1.0), (0.9, 0.95), (0.5, 0.99), (0.0, 1.0)])
 def test_transmission_non_increasing_in_loops(eta_s, eta_f):
     loss = LossModel(eta_s, eta_f)
