@@ -62,7 +62,7 @@ _SERIES_CHUNK = 1 << 16
 class ClosedForm(NamedTuple):
     """Outputs of :func:`closed_form`: per-bin arrays ``[..., t]`` over the
     batch shape ``[...]``, the last axis running over loops before output.
-    The train quantities, of shape ``[...]``, are derived on access."""
+    The train quantities ``[...]`` are derived on access, or per length by :meth:`by_length`."""
 
     single_shot: np.ndarray  # [..., t] herald probability of each bin alone
     weights: np.ndarray  # [..., t] P(freshest herald is l loops old)
@@ -77,6 +77,15 @@ class ClosedForm(NamedTuple):
             raise ValueError(f"head length must lie in 1..{self.weights.shape[-1]}, got {t}")
         return ClosedForm(*(field[..., :t] for field in self))
 
+    def by_length(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(herald, unconditional, conditional)`` of the head of each length in
+        ``ts``, each ``[len(ts), ...]``, bit for bit those of ``head(t)``: two row
+        sums per head, of the weights and of their products with ``per_loop``."""
+        products = self.weights * self.per_loop
+        sums = np.array([self.weights[..., :t].sum(axis=-1) for t in ts])
+        unconditional = np.array([products[..., :t].sum(axis=-1) for t in ts])
+        return _herald(sums), unconditional, _conditional(unconditional, sums)
+
     @property
     def no_herald(self) -> np.ndarray:
         """[...] P(no bin heralds)."""
@@ -84,11 +93,8 @@ class ClosedForm(NamedTuple):
 
     @property
     def herald(self) -> np.ndarray:
-        """[...] herald probability: the sum of the weights, rather than
-        ``1 - no_herald``, which cancels to noise when heralds are rare.
-        The exact sum is at most 1; rounding can push it a few ulps over
-        when heralds are near certain, so it is capped at 1."""
-        return np.minimum(self.weights.sum(axis=-1), 1.0)
+        """[...] herald probability (see :func:`_herald`)."""
+        return _herald(self.weights.sum(axis=-1))
 
     @property
     def unconditional(self) -> np.ndarray:
@@ -97,11 +103,24 @@ class ClosedForm(NamedTuple):
 
     @property
     def conditional(self) -> np.ndarray:
-        """[...] unconditional over the uncapped weight sum, so at most 1:
-        each term ``w F`` (F <= 1) rounds to at most ``w`` and both sums take
-        the same pairwise order.  The floor, the smallest subnormal, only
-        replaces a zero sum, where nothing can herald and this reads 0."""
-        return self.unconditional / np.maximum(self.weights.sum(axis=-1), _SMALLEST_SUBNORMAL)
+        """[...] fidelity given a herald (see :func:`_conditional`)."""
+        return _conditional(self.unconditional, self.weights.sum(axis=-1))
+
+
+def _herald(weight_sum):
+    """The herald probability from the sum of the weights, rather than
+    ``1 - no_herald``, which cancels to noise when heralds are rare.  The
+    exact sum is at most 1; rounding can push it a few ulps over when
+    heralds are near certain, so it is capped at 1."""
+    return np.minimum(weight_sum, 1.0)
+
+
+def _conditional(unconditional, weight_sum):
+    """Unconditional over the uncapped weight sum, so at most 1: each term
+    ``w F`` (F <= 1) rounds to at most ``w`` and both sums take the same
+    pairwise order.  The floor, the smallest subnormal, only replaces a zero
+    sum, where nothing can herald and this reads 0."""
+    return unconditional / np.maximum(weight_sum, _SMALLEST_SUBNORMAL)
 
 
 def closed_form(nbars, eta_d, taus, kind: DetectorKind) -> ClosedForm:

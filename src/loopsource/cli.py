@@ -13,7 +13,8 @@ the literal cell ``undefined`` in CSV and ``null`` in JSON.  Exit codes:
 Every command returns ``(table, meta)``.  ``table`` maps each column
 name, in output order, to a float64 array or to a list of Python cells
 (int, float, str or ``None``): ints that must stay exact (a 64-bit seed),
-labels, cells that may be undefined, and the cells of one-row tables.
+labels, the cells of one-row tables, and a column of which some cell is
+undefined; a column whose every cell is defined stays an array.
 The non-finite check and both renderers work a column at a time; the
 bytes they write are those of the stdlib's row-wise ``csv.writer`` with
 ``format(x, ".17g")`` floats and of ``json.dumps(..., indent=2)``.
@@ -307,9 +308,11 @@ def _efficiency(value: float | None, fallback: float | None, flag: str) -> float
 
 
 def _models_from_args(args: argparse.Namespace) -> tuple[DetectorModel, LossModel]:
-    eta_d = _efficiency(args.eta_d, args.eta, "--eta-d")
-    eta_s = _efficiency(args.eta_s, args.eta, "--eta-s")
-    eta_f = _efficiency(args.eta_f, args.eta, "--eta-f")
+    # --eta checked under its own name before it fills in the others
+    eta = None if args.eta is None else _efficiency(args.eta, None, "--eta")
+    eta_d = _efficiency(args.eta_d, eta, "--eta-d")
+    eta_s = _efficiency(args.eta_s, eta, "--eta-s")
+    eta_f = _efficiency(args.eta_f, eta, "--eta-f")
     return DetectorModel(DetectorKind(args.detector), eta_d), LossModel(eta_s, eta_f)
 
 
@@ -380,7 +383,7 @@ def _cmd_fidelity(args: argparse.Namespace):
         "nbar": config.bin_means(),
         "transmission": transmission(config.loss, np.arange(t)),  # the kernel's chain
         "loop_fidelity": result.per_loop if heralds else [None] * t,
-        "conditional": [float(result.conditional) if heralds else None] * t,
+        "conditional": np.full(t, result.conditional) if heralds else [None] * t,
         "unconditional": np.full(t, result.unconditional),
     }
     return table, _base_meta(args)
@@ -394,16 +397,16 @@ def _cmd_sweep(args: argparse.Namespace):
     taus = transmission(loss, np.arange(t_values[-1]))
     result = _trains(detector.kind, nbars, detector.efficiency, taus)
     # [t, nbar] grids, raveled t-major
-    train, conditional, unconditional = (
-        _by_length(result, t_values, field).ravel()
-        for field in ("herald", "conditional", "unconditional"))
+    train, unconditional, conditional = (grid.ravel() for grid in result.by_length(t_values))
+    if not (train > 0.0).all():  # a train that cannot herald has no conditional fidelity
+        conditional = [value if herald > 0.0 else None
+                       for value, herald in zip(conditional.tolist(), train.tolist())]
     table = {
         "time_bins": [t for t in t_values for _ in nbars],
         "nbar": np.tile(nbars, len(t_values)),
         "single_shot": np.tile(result.single_shot[:, 0], len(t_values)),  # same at any t
         "train": train,
-        "conditional": [value if herald > 0.0 else None
-                        for value, herald in zip(conditional.tolist(), train.tolist())],
+        "conditional": conditional,
         "unconditional": unconditional,
     }
     return table, _base_meta(args)
@@ -554,12 +557,6 @@ def _trains(kind: DetectorKind, nbars, eta_d, taus) -> ClosedForm:
     return closed_form(pumps, eta_d, taus, kind)
 
 
-def _by_length(result: ClosedForm, ts, field: str) -> np.ndarray:
-    """``[len(ts), ...]``: the train quantity ``field`` of each train length
-    in ``ts``, read from the longest train's closed form as its heads."""
-    return np.array([getattr(result.head(t), field) for t in ts])
-
-
 def _eta_chain(eta: float, t: int) -> np.ndarray:
     """Loss chain with switch and fibre efficiency both ``eta``."""
     return transmission(LossModel(eta, eta), np.arange(t))
@@ -576,7 +573,7 @@ def _fig2(p: dict):
     for kind in DetectorKind:
         # the herald probability does not depend on the loss chain
         result = _trains(kind, p["nbar"], p["eta_d"], np.ones(ts[-1]))
-        table[f"herald_{kind.value}"] = _by_length(result, ts, "herald")
+        table[f"herald_{kind.value}"] = result.by_length(ts)[0]
     return table
 
 
@@ -593,7 +590,7 @@ def _fig3(p: dict):
                 nbar = optimize_constant(template, Objective.CONDITIONAL).schedule.mean_photon_number
             nbars.append(nbar)
         result = _trains(kind, nbars, np.array(etas)[:, None], taus)
-        fidelity, herald = (_by_length(result, ts, field) for field in ("conditional", "herald"))
+        herald, _, fidelity = result.by_length(ts)
         for i, eta in enumerate(etas):  # fidelity and herald of each eta, interleaved
             table[f"fidelity_{kind.value}_eta{eta:g}"] = fidelity[:, i]
             table[f"herald_{kind.value}_eta{eta:g}"] = herald[:, i]
@@ -614,7 +611,7 @@ def _fig6(p: dict):
     for kind in DetectorKind:
         for eta in p["etas"]:
             result = _trains(kind, nbars, eta, _eta_chain(eta, ts[-1]))
-            for t, values in zip(ts, _by_length(result, ts, "unconditional")):
+            for t, values in zip(ts, result.by_length(ts)[1]):
                 table[f"unconditional_{kind.value}_eta{eta:g}_t{t}"] = values
     return table
 
@@ -673,8 +670,7 @@ def _fig11(p: dict):
     table: dict = {"time_bins": list(ts)}
     for kind in DetectorKind:
         result = _trains(kind, p["nbar"], p["eta_d"], taus)
-        table[f"herald_{kind.value}"] = _by_length(result, ts, "herald")
-        table[f"fidelity_{kind.value}"] = _by_length(result, ts, "conditional")
+        table[f"herald_{kind.value}"], _, table[f"fidelity_{kind.value}"] = result.by_length(ts)
     return table
 
 

@@ -448,6 +448,32 @@ def test_head_length_must_lie_within_the_train(t):
         result.head(t)
 
 
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_by_length_reads_each_head_bit_for_bit(kind, batched):
+    # lengths on both sides of 8 and 128, where numpy's pairwise sum starts
+    # to unroll and to split; axes eta, nbar row, loop, and one row pumps
+    # nothing, so its weights sum to 0
+    ts = [1, 7, 8, 9, 127, 128, 129, 300]
+    rng = np.random.default_rng(16)
+    etas = np.array([1.0, 0.99, 0.95, 0.5, 1e-9])
+    nbars = 10.0 ** rng.uniform(-4.0, 2.0, (1, 3, ts[-1]))
+    nbars[0, 0] = 0.0
+    taus = np.stack([transmission(LossModel(eta, eta), np.arange(ts[-1])) for eta in etas])
+    etas, taus = etas[:, None, None], taus[:, None, :]
+    if not batched:
+        nbars, etas, taus = nbars[0, 1], 0.95, taus[2, 0]
+    result = closed_form(nbars, etas, taus, kind)
+    series = dict(zip(("herald", "unconditional", "conditional"), result.by_length(ts)))
+    for name, values in series.items():
+        assert values.shape == (len(ts),) + result.herald.shape, name
+        for t, value in zip(ts, values):
+            fresh = closed_form(nbars[..., :t], etas, taus[..., :t], kind)
+            for train in (result.head(t), fresh):
+                np.testing.assert_array_equal(value, getattr(train, name), strict=True,
+                                              err_msg=f"{name} t={t}")
+
+
 def test_conditional_stays_at_most_one_on_the_domain_grid():
     # dividing by the herald sum capped at 1 read up to 1 + 6.7e-16 here,
     # in 5 cells at resolved, lossless, t = 1000

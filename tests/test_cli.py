@@ -30,7 +30,7 @@ from loopsource import (
     unconditional_fidelity,
 )
 from loopsource import analytic, cli
-from loopsource.analytic import closed_form
+from loopsource.analytic import ClosedForm, closed_form
 from loopsource.cli import FIGURES, assess_feasibility, main
 from loopsource.models import transmission
 
@@ -394,6 +394,58 @@ def test_builders_read_every_train_length_from_one_kernel_call(argv, calls, monk
     assert len(made) == calls
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", [
+    ["figure", "fig2"],
+    ["figure", "fig3"],
+    ["figure", "fig6"],
+    ["figure", "fig11"],
+    # nbar 0 never heralds: its conditional cells are undefined
+    ["sweep", "--detector", "resolved", "--t", "1..130", "--nbar", "0,0.07,1.3"],
+], ids=" ".join)
+def test_train_length_series_render_the_bytes_of_one_head_per_length(args, fmt, monkeypatch,
+                                                                      tmp_path):
+    argv = args + ["--format", fmt]
+    series = run_cli(argv, tmp_path, "series")
+    assert series[0] == 0
+    command, read = cli._COMMANDS[args[0]], []
+
+    def one_head_per_length(self, ts):
+        heads = [self.head(t) for t in ts]
+        read.append(tuple(np.array([getattr(head, name) for head in heads])
+                          for name in ("herald", "unconditional", "conditional")))
+        return read[-1]
+
+    def per_head_table(parsed):
+        # every column a list of Python cells; the sweep's conditional cells
+        # None where the train cannot herald
+        table, meta = command(parsed)
+        table = {name: column.tolist() if isinstance(column, np.ndarray) else column
+                 for name, column in table.items()}
+        if args[0] == "sweep":
+            herald, _, conditional = (grid.ravel().tolist() for grid in read[0])
+            table["conditional"] = [value if train > 0.0 else None
+                                    for value, train in zip(conditional, herald)]
+        return table, meta
+
+    monkeypatch.setattr(ClosedForm, "by_length", one_head_per_length)
+    monkeypatch.setitem(cli._COMMANDS, args[0], per_head_table)
+    assert run_cli(argv, tmp_path, "heads") == series
+
+
+@pytest.mark.parametrize("args, undefined", [
+    ("sweep --t 1..9 --nbar 0.07,1.3", False),
+    ("sweep --t 1..9 --nbar 0,1.3", True),
+    ("fidelity --t 4 --nbar 0.5", False),
+    ("fidelity --t 4 --nbar 0", True),
+])
+def test_conditional_column_is_a_list_only_where_a_cell_is_undefined(args, undefined):
+    argv = args.split()
+    table, _ = cli._COMMANDS[argv[0]](cli._parser().parse_args(argv))
+    assert isinstance(table["conditional"], list) is undefined
+    assert (None in table["conditional"]) is undefined
+
+
 def _as_flag(value) -> str:
     """A figure default written as its flag's text."""
     if isinstance(value, range):
@@ -470,6 +522,9 @@ def test_usage_error_on_schedule_length_mismatch(tmp_path, capsys):
     assert "--nbar" in capsys.readouterr().err
 
 
+_NON_FIGURE = ["herald", "fidelity", "sweep", "optimize", "simulate", "parallel"]
+
+
 @pytest.mark.parametrize("argv", [
     ["herald", "--eta-d", "1.5"],
     # these blamed the switch, detector and fibre efficiency
@@ -477,6 +532,10 @@ def test_usage_error_on_schedule_length_mismatch(tmp_path, capsys):
     ["figure", "fig9", "--eta", "1.5"],
     ["figure", "fig2", "--eta-d", "1.5"],
     ["figure", "fig11", "--eta-f", "2"],
+    # these blamed --eta-d, which --eta had filled in
+    *([command, "--eta", "1.5"] for command in _NON_FIGURE),
+    # a specific flag that overrides a valid --eta is named itself
+    *([command, "--eta", "0.9", "--eta-s", "2"] for command in _NON_FIGURE),
 ], ids=" ".join)
 def test_usage_error_on_out_of_range_efficiency(argv, capsys):
     assert main(argv) == 2
