@@ -11,10 +11,12 @@ the literal cell ``undefined`` in CSV and ``null`` in JSON.  Exit codes:
 0 success, 2 usage error, 3 non-finite result.
 
 Every command returns ``(table, meta)``.  ``table`` maps each column
-name, in output order, to a float64 array or to a list of Python cells
-(int, float, str or ``None``): ints that must stay exact (a 64-bit seed),
-labels, the cells of one-row tables, and a column of which some cell is
-undefined; a column whose every cell is defined stays an array.
+name, in output order, to a float64 array, an int array of values below
+2**53 (``sweep``'s train lengths, which ``%.17g`` writes exactly), or a
+list of Python cells (int, float, str or ``None``): ints that must stay
+exact (a 64-bit seed), labels, the cells of one-row tables, and a column
+of which some cell is undefined; a column whose every cell is defined
+stays an array.
 The non-finite check and both renderers work a column at a time; the
 bytes they write are those of the stdlib's row-wise ``csv.writer`` with
 ``format(x, ".17g")`` floats and of ``json.dumps(..., indent=2)``.
@@ -70,7 +72,9 @@ from .models import (
 from .montecarlo import run_simulation, simulate_parallel_sources
 from .multiplex import (
     Objective,
+    _constant_heads,
     _m_source_bin,
+    _schedule_heads,
     m_source_distribution,
     optimize_constant,
     optimize_schedule,
@@ -402,7 +406,7 @@ def _cmd_sweep(args: argparse.Namespace):
         conditional = [value if herald > 0.0 else None
                        for value, herald in zip(conditional.tolist(), train.tolist())]
     table = {
-        "time_bins": [t for t in t_values for _ in nbars],
+        "time_bins": np.repeat(t_values, len(nbars)),
         "nbar": np.tile(nbars, len(t_values)),
         "single_shot": np.tile(result.single_shot[:, 0], len(t_values)),  # same at any t
         "train": train,
@@ -628,13 +632,14 @@ def _fig7(p: dict):
 
 
 def _fig8(p: dict):
-    table: dict = {"time_bins": list(p["t"])}
+    ts = list(p["t"])
+    table: dict = {"time_bins": ts}
     for eta in p["etas"]:
-        templates = [_template(DetectorKind.BUCKET, eta, t) for t in p["t"]]
-        for name, optimize in (("constant", optimize_constant), ("biased", optimize_schedule)):
-            table[f"{name}_eta{eta:g}"] = np.array(
-                [optimize(template, Objective.UNCONDITIONAL).objective_value
-                 for template in templates])
+        # every train length is a head of the longest train
+        template = _template(DetectorKind.BUCKET, eta, ts[-1])
+        for name, optimize in (("constant", _constant_heads), ("biased", _schedule_heads)):
+            results = optimize(template, Objective.UNCONDITIONAL, ts)
+            table[f"{name}_eta{eta:g}"] = np.array([result.objective_value for result in results])
     return table
 
 

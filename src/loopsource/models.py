@@ -230,11 +230,20 @@ def thermal_pmf(source: SourceModel, n):
     """Probability that the source emits exactly n photon pairs in one bin,
     for an int n or elementwise over an array of photon numbers.
 
-    The single-mode thermal law (1/(nbar+1)) * (nbar/(nbar+1))**n; a
-    vacuum source reads 1 at n = 0 and 0 elsewhere, as 0.0**0 is 1.
+    The single-mode thermal law (1/(nbar+1)) * (nbar/(nbar+1))**n, as
+    ``exp(-n log1p(1/nbar)) / (nbar + 1)``: the rounded ratio's half-ulp
+    error would grow like n ulps over the ~28 nbar terms a series sums.
+    Where 1/nbar overflows (subnormal nbar), ``log1p(1/nbar)`` is
+    ``-log(nbar)`` to the last bit.  A vacuum source reads 1 at n = 0 and 0
+    elsewhere.
     """
     nbar = source.mean_photon_number
-    return _shaped_as((nbar / (nbar + 1.0)) ** _photon_numbers(n) / (nbar + 1.0), n)
+    counts = _photon_numbers(n)
+    if nbar == 0.0:
+        return _shaped_as(np.where(counts == 0, 1.0, 0.0), n)
+    inverse = 1.0 / nbar
+    rate = math.log1p(inverse) if math.isfinite(inverse) else -math.log(nbar)
+    return _shaped_as(np.exp(-counts * rate) / (nbar + 1.0), n)
 
 
 def thermal_truncation(source: SourceModel) -> int:

@@ -5,7 +5,10 @@ turns the per-source outcome law into an order statistic: the kept loop
 index is the minimum across sources.  This module provides that
 distribution in closed form, a brute-force enumeration oracle for small
 m, and optimizers for the pump power (a single constant level, or one
-level per time-bin).
+level per time-bin).  Bin l's law does not depend on the train length,
+so each optimizer also solves a list of train lengths as heads of the
+longest train (``_constant_heads``, ``_schedule_heads``); the public
+optimizers are their one-head case.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import _bin_law, _bin_rows, _closed_form_rows, _freshest_herald
+from .analytic import ClosedForm, _bin_law, _bin_rows, _closed_form_rows, _freshest_herald
 from .models import (
     ConstantPump,
     DetectorKind,
@@ -132,26 +135,49 @@ def optimize_constant(
     so it ends at any finite bounds.  The reported value is the closed
     form of the returned level; ``evaluations`` counts the levels scanned.
     """
+    return _constant_heads(config, objective, [config.time_bins], bounds)[0]
+
+
+def _constant_heads(
+    config: ProtocolConfig,
+    objective: Objective,
+    lengths,
+    bounds: tuple[float, float] = (1e-3, 10.0),
+) -> list[OptimizationResult]:
+    """:func:`optimize_constant` of the head of each length in ``lengths``
+    (the train of that many freshest bins), each bit for bit the result for
+    that shorter train.  The heads zoom side by side, with one kernel call
+    per round for every head still zooming."""
     lo, hi = _check_bounds(bounds)
     evaluate = _objective(config, objective)
-    levels, width = np.geomspace(lo, hi, _GRID_POINTS), np.inf
-    rounds = 0
-    while True:
+    lengths = np.asarray(lengths)
+    grids = np.repeat(np.geomspace(lo, hi, _GRID_POINTS)[None], lengths.size, axis=0)
+    widths = np.full(lengths.size, np.inf)
+    results: list = [None] * lengths.size
+    zooming, rounds = list(range(lengths.size)), 0
+    while zooming:
         rounds += 1
-        values = evaluate(np.repeat(levels[:, None], config.time_bins, axis=1))
-        best = _best_candidate(values, np.fmax.reduce(np.abs(values)))
-        left, right = levels[max(best - 1, 0)], levels[min(best + 1, levels.size - 1)]
-        # Brackets nest, so one that stops narrowing has run out of
-        # doubles (subnormal levels, where _XTOL of the level is 0).
-        if right - left <= _XTOL * levels[best] or right - left >= width:
-            break
-        levels, width = np.linspace(left, right, _GRID_POINTS), right - left
-    return OptimizationResult(
-        schedule=ConstantPump(float(levels[best])),
-        objective_value=float(values[best]),
-        objective_kind=objective,
-        evaluations=rounds * _GRID_POINTS,
-    )
+        pumps = np.repeat(grids[zooming, :, None], config.time_bins, axis=-1)
+        values = evaluate(pumps, lengths[zooming])
+        bests = _best_candidate(values, np.fmax.reduce(np.abs(values), axis=-1, keepdims=True))
+        narrowing = []
+        for row, value, best in zip(zooming, values, bests.tolist()):
+            levels = grids[row]
+            left, right = levels[max(best - 1, 0)], levels[min(best + 1, _GRID_POINTS - 1)]
+            # Brackets nest, so one that stops narrowing has run out of
+            # doubles (subnormal levels, where _XTOL of the level is 0).
+            if right - left <= _XTOL * levels[best] or right - left >= widths[row]:
+                results[row] = OptimizationResult(
+                    schedule=ConstantPump(float(levels[best])),
+                    objective_value=float(value[best]),
+                    objective_kind=objective,
+                    evaluations=rounds * _GRID_POINTS,
+                )
+            else:
+                grids[row], widths[row] = np.linspace(left, right, _GRID_POINTS), right - left
+                narrowing.append(row)
+        zooming = narrowing
+    return results
 
 
 def optimize_schedule(
@@ -168,7 +194,8 @@ def optimize_schedule(
     ``W_l = max_n [S(n)(F_l(n) - lambda) + (1 - S(n)) W_{l+1}]``, run from
     the oldest bin to the newest.  Each bin's maximum is exact: the term
     is rational in n, so its stationary points are the real roots of a
-    polynomial of degree 6 or less (see :func:`_stationarity_terms`), and
+    polynomial of degree 6 or less (see :func:`_stationarity_terms`), the
+    eigenvalues of its companion matrix (see :func:`_real_roots`), and
     the maximum lies at one of them or at a bound.  Candidate values
     are compared by :func:`_best_candidate`, with ties measured against
     the size of the bin's terms.
@@ -181,6 +208,23 @@ def optimize_schedule(
     schedule in reverse-chronological order (entry 0 is the final bin);
     ``evaluations`` counts the candidate pump levels evaluated.
     """
+    return _schedule_heads(config, objective, [config.time_bins], bounds)[0]
+
+
+def _schedule_heads(
+    config: ProtocolConfig,
+    objective: Objective,
+    lengths,
+    bounds: tuple[float, float] = (1e-3, 10.0),
+) -> list[OptimizationResult]:
+    """:func:`optimize_schedule` of the head of each length in ``lengths``,
+    each bit for bit the result for that shorter train, from one Bellman
+    sweep over the stack of heads.  Bin l's rows, stationarity terms and
+    bounds do not depend on the train length, so the heads longer than l
+    take their step at bin l together: one eigenvalue call for their roots
+    and one evaluation of their candidates.  Each head keeps its own
+    Dinkelbach ``lambda`` and leaves the sweep once its ratio stops
+    increasing."""
     lo, hi = _check_bounds(bounds)
     evaluate = _objective(config, objective)
     eta_d = config.detector.efficiency
@@ -192,46 +236,114 @@ def optimize_schedule(
     # resolved one.
     peak = hi if kind is DetectorKind.BUCKET or eta_d * hi <= 1.0 else max(lo, 1.0 / eta_d)
     largest_single = float(_bin_law(peak, eta_d, bins[0])[0])
-    evaluations = 0
+    degree = numerators.shape[-1] - 1
+    companion = _companion_stack(len(lengths), degree)
+    # each head's candidates [lo, interior roots ascending and NaN-padded, hi]
+    candidates = np.empty((len(lengths), degree + 2))
+    candidates[:, 0], candidates[:, -1] = lo, hi
+    index = np.arange(len(lengths))
 
-    def backward_induction(lam: float) -> np.ndarray:
-        nonlocal evaluations
-        schedule = np.empty(config.time_bins)
-        future = 0.0
-        for loops in reversed(range(config.time_bins)):
-            # np.roots of an all-zero polynomial (a blind detector, or the
-            # lossless plateau where every level is optimal) is empty,
-            # leaving the bounds alone.  Rounding can split a double root
-            # into a complex pair; its real part is still a candidate, and
-            # a spurious candidate costs one evaluation but cannot win.
-            # Coefficients that overflowed (a NaN future value) leave the
-            # bounds alone too, and the NaN value reaches the caller.
-            coefficients = numerators[loops] - (lam + future) * denominators[loops]
-            finite = np.isfinite(coefficients).all()
-            roots = np.roots(coefficients).real if finite else np.empty(0)
-            candidates = np.concatenate(
-                ([lo], np.sort(roots[(roots > lo) & (roots < hi)]), [hi])
+    def sweep(span, lam, found):
+        """Backward induction of the heads of lengths ``span`` (longest
+        first) at their ``lam[heads, 1]``: the schedules ``[heads, t]``, lo
+        past each head's end.  Adds each interior root evaluated to
+        ``found``."""
+        chosen = np.full((span.size, config.time_bins), lo)
+        future = np.zeros((span.size, 1))
+        tie_scale = largest_single * (1.0 + lam)
+        spans, live = span.tolist(), 0
+        for loops in reversed(range(spans[0])):
+            while live < len(spans) and spans[live] > loops:
+                live += 1  # a head joins at its oldest bin
+            # Rounding can split a double root into a complex pair; its real
+            # part is still a candidate, and a spurious candidate costs one
+            # evaluation but cannot win.  A row with no roots (a blind
+            # detector, the lossless plateau where every level is optimal,
+            # or coefficients that overflowed into a NaN future value) leaves
+            # the bounds alone, and a NaN value reaches the caller.
+            lam_live, future_live = lam[:live], future[:live]
+            coefficients = numerators[loops] - (lam_live + future_live) * denominators[loops]
+            roots = _real_roots(coefficients, companion)
+            inside = (roots > lo) & (roots < hi)
+            found[:live] += inside
+            step = candidates[:live]
+            step[:, 1:-1] = np.sort(np.where(inside, roots, np.nan), axis=1)
+            single, miss, fidelity = _bin_law(step, eta_d, bins[loops])
+            value = single * (fidelity - lam_live) + miss * future_live
+            best = _best_candidate(value, tie_scale[:live] + np.abs(future_live))
+            picked = index[:live], best
+            chosen[:live, loops], future_live[:, 0] = step[picked], value[picked]
+        return chosen
+
+    # the heads still iterating, longest first so that those still in the
+    # train at bin l are a prefix, with their positions in ``lengths``
+    heads = np.argsort(lengths, kind="stable")[::-1]
+    span = np.asarray(lengths)[heads]
+    lam = np.zeros((span.size, 1))
+    found = np.zeros((span.size, degree), dtype=int)
+    results: list = [None] * span.size
+    for rounds in range(1, _DINKELBACH_MAX_ITER + 1):
+        chosen = sweep(span, lam, found)
+        value = evaluate(chosen, span)
+        last = objective is Objective.UNCONDITIONAL or rounds == _DINKELBACH_MAX_ITER
+        # a NaN ratio never compares, so it keeps iterating
+        done = [last or ratio <= bound for ratio, bound in zip(value.tolist(), lam[:, 0].tolist())]
+        for row in itertools.compress(range(span.size), done):
+            results[heads[row]] = OptimizationResult(
+                schedule=PerBinPump(tuple(chosen[row, : span[row]].tolist())),
+                objective_value=float(value[row]),
+                objective_kind=objective,
+                evaluations=int(2 * rounds * span[row] + found[row].sum()),
             )
-            evaluations += candidates.size
-            single, miss, fidelity = _bin_law(candidates, eta_d, bins[loops])
-            values = single * (fidelity - lam) + miss * future
-            best = _best_candidate(values, largest_single * (1.0 + lam) + abs(future))
-            schedule[loops], future = candidates[best], values[best]
-        return schedule
+        if all(done):
+            return results
+        if any(done):
+            going = ~np.array(done)
+            heads, span, found, value = heads[going], span[going], found[going], value[going]
+        lam = value[:, None]
 
-    lam = 0.0
-    for _ in range(_DINKELBACH_MAX_ITER):
-        schedule = backward_induction(lam)
-        value = evaluate(schedule)
-        if objective is Objective.UNCONDITIONAL or value <= lam:
-            break
-        lam = value
-    return OptimizationResult(
-        schedule=PerBinPump(tuple(float(x) for x in schedule)),
-        objective_value=float(value),
-        objective_kind=objective,
-        evaluations=evaluations,
-    )
+
+def _companion_stack(size: int, degree: int) -> np.ndarray:
+    """``size`` companion matrices ``[size, degree, degree]`` of monic
+    polynomials of ``degree``, as ``np.roots`` builds them: ones on the
+    subdiagonal, and a first row :func:`_real_roots` writes."""
+    companion = np.zeros((size, degree, degree))
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    return companion
+
+
+def _real_roots(coefficients: np.ndarray, companion: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row of ``coefficients[k, d + 1]``
+    (highest power first), ``[k, d]`` and NaN-padded, bit for bit those of
+    ``np.roots(row)`` and in its order; rows with a non-finite coefficient
+    have none.  ``companion`` is a :func:`_companion_stack` of at least k
+    matrices of degree d.
+
+    ``np.roots`` strips leading and trailing zero coefficients, takes the
+    eigenvalues of the stripped polynomial's companion matrix and then
+    lists a root 0 per trailing zero.  Rows of full degree, the usual case,
+    share one eigenvalue call on the stack; a row whose end coefficient
+    cancelled to zero shares one with the rows of its stripped shape."""
+    k, width = coefficients.shape
+    if np.isfinite(coefficients).all() and coefficients[:, :: width - 1].all():
+        stack = companion[:k]
+        stack[:, 0] = -coefficients[:, 1:] / coefficients[:, :1]
+        return np.linalg.eigvals(stack).real
+    roots = np.full((k, width - 1), np.nan)
+    nonzero = coefficients != 0.0
+    # an all-zero row has no roots
+    finite = np.isfinite(coefficients).all(axis=1) & nonzero.any(axis=1)
+    first = np.argmax(nonzero, axis=1)
+    last = width - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    for lead, end in set(zip(first[finite].tolist(), last[finite].tolist())):
+        rows = np.flatnonzero(finite & (first == lead) & (last == end))
+        degree = end - lead
+        if degree:
+            stack = companion[: rows.size, :degree, :degree]
+            stack[:, 0] = -coefficients[rows, lead + 1 : end + 1] / coefficients[rows, lead : lead + 1]
+            roots[rows, :degree] = np.linalg.eigvals(stack).real
+        roots[rows, degree : width - 1 - lead] = 0.0
+    return roots
 
 
 def _stationarity_terms(eta_d: float, bins):
@@ -264,9 +376,10 @@ def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Product of polynomials stored as coefficient rows ``[..., m]`` and
     ``[..., k]``, highest power first, broadcast over the leading axes."""
     m, k = p.shape[-1], q.shape[-1]
-    out = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]) + (m + k - 1,))
-    for i in range(k):
-        out[..., i : i + m] += p * q[..., i : i + 1]
+    terms = [p * q[..., i : i + 1] for i in range(k)]
+    out = np.zeros(terms[0].shape[:-1] + (m + k - 1,))
+    for i, term in enumerate(terms):
+        out[..., i : i + m] += term
     return out
 
 
@@ -275,25 +388,39 @@ def _polyder(p: np.ndarray) -> np.ndarray:
     return p[..., :-1] * np.arange(p.shape[-1] - 1, 0, -1)
 
 
-def _best_candidate(values: np.ndarray, scale: float) -> int:
-    """Index of the best of ``values``, taken over ascending pump levels.
-    A NaN candidate never wins (an overflowed closed form reads NaN).
-    Values within ``_TIE_RTOL * scale`` of the largest tie, and ties go to
-    the lowest pump level."""
-    return int(np.argmax(values >= np.fmax.reduce(values) - _TIE_RTOL * scale))
+def _best_candidate(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Index of the best candidate in each row of ``values`` (candidates
+    along the last axis, over ascending pump levels); ``scale`` is
+    ``[..., 1]``, one entry per row.  A NaN candidate never wins (an
+    overflowed closed form reads NaN).  Values within ``_TIE_RTOL * scale``
+    of the row's largest tie, and ties go to the lowest pump level."""
+    threshold = np.fmax.reduce(values, axis=-1, keepdims=True) - _TIE_RTOL * scale
+    return np.argmax(values >= threshold, axis=-1)
 
 
 def _objective(config: ProtocolConfig, objective: Objective):
-    """Objective over reverse-chronological pump vectors ``[..., t]``.  The
-    conditional objective is extended with value 0 where the train can
-    never herald, keeping it total."""
+    """Objective of heads of the train: maps reverse-chronological pump
+    vectors ``nbars[k, ..., t]`` (t = ``config.time_bins``) and k head
+    lengths to values ``[k, ...]``, row i that of its head of length
+    ``lengths[i]``, bit for bit the objective of that shorter train (see
+    :meth:`ClosedForm.head`).  The conditional objective is extended with
+    value 0 where the train can never herald, keeping it total."""
     if not isinstance(objective, Objective):
         raise ValueError(f"objective must be an Objective, got {objective!r}")
     eta_d = config.detector.efficiency
     taus = transmission(config.loss, np.arange(config.time_bins))
     rows = _bin_rows(eta_d, taus, config.detector.kind)
     field = objective.value  # the ClosedForm attribute of the same name
-    return lambda nbars: getattr(_closed_form_rows(nbars, eta_d, rows), field)
+
+    def evaluate(nbars, lengths):
+        result = _closed_form_rows(nbars, eta_d, rows)
+        values = getattr(result, field)
+        for row, t in enumerate(lengths.tolist()):
+            if t < config.time_bins:
+                values[row] = getattr(ClosedForm(*(part[row, ..., :t] for part in result)), field)
+        return values
+
+    return evaluate
 
 
 def _check_single_shot(single_shot: float) -> None:

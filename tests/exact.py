@@ -43,6 +43,29 @@ def herald_given_n(eta_d, n: int, kind: DetectorKind) -> Fraction:
     return 1 - (1 - eta) ** n
 
 
+def thermal_pmf(nbar, n: int) -> Fraction:
+    """Probability of ``n`` photons from a thermal source of mean ``nbar``,
+    ``nbar**n / (1 + nbar)**(n + 1)``."""
+    mean = Fraction(nbar)
+    return mean**n / (1 + mean) ** (n + 1)
+
+
+def binomial_pmf(n: int, p, k: int) -> Fraction:
+    """Probability of ``k`` successes in ``n`` trials of probability ``p``."""
+    p = Fraction(p)
+    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+
+
+def outcome_distribution(singles) -> list[Fraction]:
+    """Freshest-herald weights ``S_l prod_{k<l}(1 - S_k)`` of bins whose
+    herald probabilities are ``singles`` (exact), then the no-herald mass."""
+    masses, survival = [], Fraction(1)
+    for single in singles:
+        masses.append(survival * single)
+        survival *= 1 - single
+    return masses + [survival]
+
+
 def train(nbars, eta_d, taus, kind: DetectorKind) -> tuple[list[Fraction], Fraction, Fraction]:
     """``(per_loop, herald, unconditional)`` of a train whose bin l (l
     loops before output) has pump level ``nbars[l]`` and transmission

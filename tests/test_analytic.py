@@ -1,7 +1,6 @@
 import math
 import re
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import exact
@@ -174,6 +173,16 @@ def test_series_oracles_run_in_bounded_memory():
         assert value == pytest.approx(closed(source, det), rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("nbar", [1e3, 1e5])
+def test_herald_oracle_agrees_to_the_truncation_tail_at_large_pump(nbar):
+    # the thermal term was the rounded ratio nbar/(nbar + 1) raised to the
+    # n-th power, whose error grows like n ulps: 4.5e-12 relative at 1e5
+    source, det = SourceModel(nbar), DetectorModel(BUCKET, 0.9)
+    assert herald_single_shot_oracle(source, det) == pytest.approx(
+        herald_single_shot(source, det), rel=2e-12, abs=0.0
+    )
+
+
 @pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
 @pytest.mark.parametrize("nbar", [1e100, 1e160, 1e300])
 @pytest.mark.parametrize("eta", [0.9, 1e-6])
@@ -181,10 +190,9 @@ def test_prep_pmf_is_exact_at_huge_pump(kind, nbar, eta):
     # (1 + nbar)**2 on Python floats raised OverflowError above ~1.3e154;
     # at eta 1e-6 the bucket click cancelled, and at 1e300 an intermediate
     # product was subnormal
-    n = Fraction(nbar)
     single = exact.bin_law(nbar, eta, 1.0, kind)[0]
     for k in (1, 2, 3):
-        reference = exact.herald_given_n(eta, k, kind) * n**k / (1 + n) ** (k + 1) / single
+        reference = exact.herald_given_n(eta, k, kind) * exact.thermal_pmf(nbar, k) / single
         assert exact.is_normal(reference)
         assert exact.within_ulps(prep_pmf(SourceModel(nbar), DetectorModel(kind, eta), k),
                                  reference), k
@@ -351,11 +359,9 @@ def test_bucket_law_keeps_relative_precision_when_heralds_are_near_certain(nbar)
     # probability formed as 1 - S was off by up to 1.2e-8 relative here
     eta_d, t = 0.9, 3
     single = exact.bin_law(nbar, eta_d, 1.0, BUCKET)[0]
-    miss = 1 - single
-    exact_probabilities = [single * miss**l for l in range(t)] + [miss**t]
     fast = outcome_distribution(_config(BUCKET, nbar, t, eta_d=eta_d)).probabilities
-    for value, reference in zip(fast, exact_probabilities):
-        assert abs(Fraction(value) - reference) <= Fraction(1e-15) * reference
+    for value, reference in zip(fast, exact.outcome_distribution([single] * t)):
+        assert exact.within_rel(value, reference, 1e-15)
 
 
 # nbar 0 and 1e-300..1.7e308, efficiencies at the edges of [0, 1] and

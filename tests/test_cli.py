@@ -27,6 +27,7 @@ from loopsource import (
     herald_single_shot,
     herald_train,
     optimize_constant,
+    optimize_schedule,
     unconditional_fidelity,
 )
 from loopsource import analytic, cli
@@ -431,6 +432,31 @@ def test_train_length_series_render_the_bytes_of_one_head_per_length(args, fmt, 
     monkeypatch.setattr(ClosedForm, "by_length", one_head_per_length)
     monkeypatch.setitem(cli._COMMANDS, args[0], per_head_table)
     assert run_cli(argv, tmp_path, "heads") == series
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flags", [[], ["--t", "3,5,9"]], ids=["default", "t-list"])
+def test_fig8_renders_the_bytes_of_one_optimization_per_length(flags, fmt, monkeypatch,
+                                                               tmp_path):
+    argv = ["figure", "fig8", *flags, "--format", fmt]
+    stacked = run_cli(argv, tmp_path, "stacked")
+    assert stacked[0] == 0
+    _, allowed, defaults = FIGURES["fig8"]
+
+    def one_optimization_per_length(p):
+        table: dict = {"time_bins": list(p["t"])}
+        for eta in p["etas"]:
+            detector, loss = DetectorModel(DetectorKind.BUCKET, eta), LossModel(eta, eta)
+            for name, optimize in (("constant", optimize_constant),
+                                   ("biased", optimize_schedule)):
+                table[f"{name}_eta{eta:g}"] = [
+                    optimize(ProtocolConfig(t, ConstantPump(1.0), detector, loss),
+                             Objective.UNCONDITIONAL).objective_value
+                    for t in p["t"]]
+        return table
+
+    monkeypatch.setitem(FIGURES, "fig8", (one_optimization_per_length, allowed, defaults))
+    assert run_cli(argv, tmp_path, "per-length") == stacked
 
 
 @pytest.mark.parametrize("args, undefined", [

@@ -1,4 +1,3 @@
-import math
 import subprocess
 import sys
 import tracemalloc
@@ -6,6 +5,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import exact
 import numpy as np
 import pytest
 
@@ -564,13 +564,6 @@ def test_seed_validation():
     simulate_trial([config], 2**64 - 1, 2**64 - 1)
 
 
-def _oracle_boundaries(n: int, tau: float) -> tuple[Fraction, Fraction]:
-    """Exact rational P(0) and P(0) + P(1) of Binomial(n, tau)."""
-    keep = Fraction(tau)
-    p0 = (1 - keep) ** n
-    return p0, p0 + math.comb(n, 1) * keep * (1 - keep) ** (n - 1)
-
-
 @pytest.mark.parametrize("tau", [0.0, 1e-9, 0.3, 0.9, 1.0 - 1e-12, 1.0])
 def test_single_photon_test_matches_exact_oracle(tau):
     # Generator.random yields multiples of 2**-53, so a CDF boundary below
@@ -578,7 +571,9 @@ def test_single_photon_test_matches_exact_oracle(tau):
     smallest = 2.0**-53
     held, uniforms, expected = [], [], []
     for n in range(1, 61):
-        lo, hi = _oracle_boundaries(n, tau)
+        # exact P(0) and P(0) + P(1) of Binomial(n, tau)
+        lo = exact.binomial_pmf(n, tau, 0)
+        hi = lo + exact.binomial_pmf(n, tau, 1)
         probes = [0.0, smallest, 0.5]
         for boundary in (lo, hi):
             for side in (Fraction(-1, 10**12), Fraction(1, 10**12)):

@@ -24,7 +24,14 @@ from loopsource import (
 )
 from loopsource.analytic import _bin_law, _bin_rows, closed_form
 from loopsource.models import transmission
-from loopsource.multiplex import _TIE_RTOL, _stationarity_terms
+from loopsource.multiplex import (
+    _TIE_RTOL,
+    _companion_stack,
+    _constant_heads,
+    _real_roots,
+    _schedule_heads,
+    _stationarity_terms,
+)
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -410,3 +417,85 @@ def test_biased_schedule_pumps_older_bins_harder():
     result = optimize_schedule(config, Objective.UNCONDITIONAL)
     means = result.schedule.mean_photon_numbers
     assert means[2] > means[1] > means[0]
+
+
+# (eta_d, eta_s, eta_f, bounds): a lossy train; a blind detector, whose
+# stationarity polynomials are all zero; the lossless plateau, where a
+# resolved detector's F is 1 at every level; and bounds where the
+# coefficients grow huge
+_HEAD_CASES = [
+    (0.9, 0.95, 0.9, (1e-3, 10.0)),
+    (0.0, 0.9, 0.9, (1e-3, 10.0)),
+    (1.0, 1.0, 1.0, (1e-3, 10.0)),
+    (0.9, 0.95, 0.9, (1e150, 1e160)),
+]
+
+
+@pytest.mark.parametrize("case", _HEAD_CASES, ids=["lossy", "blind", "plateau", "huge-bounds"])
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_stacked_heads_equal_one_row_calls_bit_for_bit(kind, objective, case):
+    eta_d, eta_s, eta_f, bounds = case
+    detector, loss = DetectorModel(kind, eta_d), LossModel(eta_s, eta_f)
+    lengths = [5, 1, 8, 3, 2, 7, 4, 6]  # heads in any order
+    template = ProtocolConfig(8, ConstantPump(1.0), detector, loss)
+    for heads, optimize in ((_schedule_heads, optimize_schedule),
+                            (_constant_heads, optimize_constant)):
+        stacked = heads(template, objective, lengths, bounds)
+        for t, result in zip(lengths, stacked):
+            config = ProtocolConfig(t, ConstantPump(1.0), detector, loss)
+            # repr spells every float exactly, NaN included
+            assert repr(result) == repr(optimize(config, objective, bounds)), (optimize, t)
+
+
+def test_stacked_sweep_makes_one_eigenvalue_call_per_bin(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    _schedule_heads(_bucket_config(8), Objective.UNCONDITIONAL, range(1, 9))
+    # bin l is shared by the 8 - l heads longer than l
+    assert calls == [(8 - loops, 6, 6) for loops in reversed(range(8))]
+
+
+def _roots_rows(rng):
+    """Coefficient rows of degree 6 with zero leading or trailing
+    coefficients (which np.roots strips), all-zero and single-term rows,
+    and rows with a NaN or an infinity."""
+    rows = [rng.normal(size=7) * 10.0 ** rng.integers(-5, 6, size=7) for _ in range(40)]
+    for lead, trail in [(1, 0), (2, 0), (0, 1), (0, 3), (1, 2), (3, 3), (6, 0), (0, 6)]:
+        for _ in range(3):
+            row = rng.normal(size=7)
+            row[:lead] = 0.0
+            row[7 - trail:] = 0.0
+            rows.append(row)
+    rows.append(np.zeros(7))
+    for bad in (np.nan, np.inf, -np.inf):
+        row = rng.normal(size=7)
+        row[rng.integers(7)] = bad
+        rows.append(row)
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_root_step_matches_np_roots_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    rows = _roots_rows(rng)
+    companion = _companion_stack(len(rows), 6)
+    # stacks of full-degree rows before and after the mixed stack, so the
+    # shared companion is reused, and then each row alone
+    full = rows[np.isfinite(rows).all(axis=1) & (rows[:, 0] != 0) & (rows[:, -1] != 0)]
+    for coefficients in [full, rows, full] + [rows[i : i + 1] for i in range(len(rows))]:
+        roots = _real_roots(coefficients, companion)
+        assert roots.shape == (len(coefficients), 6)
+        for row, found in zip(coefficients, roots):
+            if np.isfinite(row).all():
+                expected = np.roots(row).real
+                assert np.array_equal(found[: expected.size], expected)
+                assert np.isnan(found[expected.size:]).all()
+            else:
+                assert np.isnan(found).all()
