@@ -31,7 +31,9 @@ from .models import (
     ProtocolConfig,
     SourceModel,
     UndefinedConditionalError,
+    _capped_herald,
     _check_count,
+    _check_probability,
     _photon_numbers,
     detect_prob,
     herald_outcome,
@@ -84,7 +86,7 @@ class ClosedForm(NamedTuple):
         products = self.weights * self.per_loop
         sums = np.array([self.weights[..., :t].sum(axis=-1) for t in ts])
         unconditional = np.array([products[..., :t].sum(axis=-1) for t in ts])
-        return _herald(sums), unconditional, _conditional(unconditional, sums)
+        return _capped_herald(sums), unconditional, _conditional(unconditional, sums)
 
     @property
     def no_herald(self) -> np.ndarray:
@@ -93,8 +95,8 @@ class ClosedForm(NamedTuple):
 
     @property
     def herald(self) -> np.ndarray:
-        """[...] herald probability (see :func:`_herald`)."""
-        return _herald(self.weights.sum(axis=-1))
+        """[...] herald probability (see :func:`loopsource.models._capped_herald`)."""
+        return _capped_herald(self.weights.sum(axis=-1))
 
     @property
     def unconditional(self) -> np.ndarray:
@@ -105,14 +107,6 @@ class ClosedForm(NamedTuple):
     def conditional(self) -> np.ndarray:
         """[...] fidelity given a herald (see :func:`_conditional`)."""
         return _conditional(self.unconditional, self.weights.sum(axis=-1))
-
-
-def _herald(weight_sum):
-    """The herald probability from the sum of the weights, rather than
-    ``1 - no_herald``, which cancels to noise when heralds are rare.  The
-    exact sum is at most 1; rounding can push it a few ulps over when
-    heralds are near certain, so it is capped at 1."""
-    return np.minimum(weight_sum, 1.0)
 
 
 def _conditional(unconditional, weight_sum):
@@ -131,8 +125,13 @@ def closed_form(nbars, eta_d, taus, kind: DetectorKind) -> ClosedForm:
     loss chain ``taus`` (transmission after l loops, see
     :func:`loopsource.models.transmission`) broadcast against it.  The
     switch keeps the freshest herald, so bin l wins with weight
-    ``S_l * prod_{k<l}(1 - S_k)``.
+    ``S_l * prod_{k<l}(1 - S_k)``.  ``nbars`` must carry the train axis:
+    a pump of another length would broadcast to a mismatched result.
     """
+    length = np.broadcast_shapes(np.shape(nbars), np.shape(eta_d), np.shape(taus))[-1:]
+    if np.shape(nbars)[-1:] != length:
+        raise ValueError(f"nbars must end in the train axis of length {length[0]}, "
+                         f"got shape {np.shape(nbars)}")
     return _closed_form_rows(nbars, eta_d, _bin_rows(eta_d, taus, kind))
 
 
@@ -331,8 +330,7 @@ def large_nbar_asymptote(eta: float, nbar: float) -> float:
     """Rough high-pump scaling eta**2/nbar of the unconditional bucket
     fidelity with every efficiency equal to eta.  A test reference only;
     see the README note on its accuracy."""
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    _check_probability(eta, "eta")
     if nbar <= 0.0:
         raise ValueError(f"nbar must be > 0, got {nbar}")
     return eta * eta / nbar

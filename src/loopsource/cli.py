@@ -8,7 +8,10 @@ floats; JSON mirrors the columns as arrays under ``columns`` plus a
 fills in a default itself), tool version, and seed where one applies.
 Quantities conditioned on an event of probability zero are emitted as
 the literal cell ``undefined`` in CSV and ``null`` in JSON.  Exit codes:
-0 success, 2 usage error, 3 non-finite result.
+0 success, 2 usage error (a ``UsageError`` or a model's ``ValueError``,
+one ``error:`` line each), 3 non-finite result.  Of the six commands
+that share the physics flags, all but ``optimize`` (which chooses the
+pump) take ``--nbar``, and all but ``sweep`` take ``--chronological``.
 
 Every command returns ``(table, meta)``.  ``table`` maps each column
 name, in output order, to a float64 array, an int array of values below
@@ -67,6 +70,7 @@ from .models import (
     PerBinPump,
     ProtocolConfig,
     SourceModel,
+    _check_probability,
     transmission,
 )
 from .montecarlo import run_simulation, simulate_parallel_sources
@@ -115,16 +119,13 @@ def assess_feasibility(
     detector still needs loop round trips the detector can keep up with.
     Fibre length follows from the in-fibre light speed (c over the group
     index) and fibre transmission from the attenuation per km.  Each check
-    is written so that NaN fails it.
+    is written so that NaN fails it; ``LossModel`` and ``transmission``
+    check the switch efficiency and the loop count.
     """
     if not repetition_rate > 0.0:
         raise ValueError(f"repetition rate must be > 0, got {repetition_rate}")
     if not attenuation_db_per_km >= 0.0:
         raise ValueError(f"attenuation must be >= 0, got {attenuation_db_per_km}")
-    if loops < 0:
-        raise ValueError(f"loop count must be >= 0, got {loops}")
-    if not (0.0 <= switch_efficiency <= 1.0):
-        raise ValueError(f"switch efficiency must lie in [0, 1], got {switch_efficiency}")
     if not group_index >= 1.0:
         raise ValueError(f"group index must be >= 1, got {group_index}")
     if not detector_rate > 0.0:
@@ -180,33 +181,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     physics = argparse.ArgumentParser(add_help=False)
     physics.add_argument("--detector", choices=("resolved", "bucket"), default="bucket")
-    physics.add_argument(
-        "--nbar",
-        default="1",
-        help="mean photon number; a comma list is a per-bin schedule "
-        "(sweep: the list of values to sweep)",
-    )
     physics.add_argument("--eta", type=float, default=None, help="sets eta-d, eta-s and eta-f")
     physics.add_argument("--eta-d", type=float, default=None, help="detector efficiency")
     physics.add_argument("--eta-s", type=float, default=None, help="switch efficiency")
     physics.add_argument("--eta-f", type=float, default=None, help="fibre-loop efficiency")
     physics.add_argument("--t", default="1",
                          help="time-bins: an integer, a range a..b or an increasing comma list")
-    physics.add_argument(
-        "--chronological",
-        action="store_true",
-        help="read and report per-bin schedules in firing order "
-        "(default: reverse-chronological, entry 0 = final bin)",
-    )
+    # optimize chooses the pump; sweep's --nbar lists levels, not a schedule
+    pump = argparse.ArgumentParser(add_help=False)
+    pump.add_argument("--nbar", default="1", help="mean photon number; a comma list is a "
+                      "per-bin schedule (sweep: the list of values to sweep)")
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--chronological", action="store_true",
+                       help="read and report per-bin schedules in firing order "
+                       "(default: reverse-chronological, entry 0 = final bin)")
 
-    sub.add_parser("herald", parents=[physics, output],
+    sub.add_parser("herald", parents=[physics, pump, order, output],
                    help="heralding probabilities for one configuration")
-    sub.add_parser("fidelity", parents=[physics, output],
+    sub.add_parser("fidelity", parents=[physics, pump, order, output],
                    help="per-loop and averaged fidelities for one configuration")
-    sub.add_parser("sweep", parents=[physics, output],
+    sub.add_parser("sweep", parents=[physics, pump, output],
                    help="sweep time-bins and pump level")
 
-    optimize = sub.add_parser("optimize", parents=[physics, output],
+    optimize = sub.add_parser("optimize", parents=[physics, order, output],
                               help="optimize the pump level or per-bin schedule")
     optimize.add_argument("--objective", choices=("conditional", "unconditional"),
                           default="unconditional")
@@ -215,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--nbar-min", type=float, default=1e-3)
     optimize.add_argument("--nbar-max", type=float, default=10.0)
 
-    simulate = sub.add_parser("simulate", parents=[physics, output],
+    simulate = sub.add_parser("simulate", parents=[physics, pump, order, output],
                               help="Monte Carlo run of one source")
     simulate.add_argument("--trials", type=int, default=100_000)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--histogram", action="store_true",
                           help="emit the loop histogram instead of the summary row")
 
-    parallel = sub.add_parser("parallel", parents=[physics, output],
+    parallel = sub.add_parser("parallel", parents=[physics, pump, order, output],
                               help="Monte Carlo run of parallel identical sources")
     parallel.add_argument("--trials", type=int, default=100_000)
     parallel.add_argument("--seed", type=int, default=0)
@@ -306,8 +303,7 @@ def _single_t(args: argparse.Namespace) -> int:
 
 def _efficiency(value: float | None, fallback: float | None, flag: str) -> float:
     resolved = value if value is not None else (fallback if fallback is not None else 1.0)
-    if not (0.0 <= resolved <= 1.0):
-        raise UsageError(f"{flag} must lie in [0, 1], got {resolved}")
+    _check_probability(resolved, flag)
     return resolved
 
 
@@ -382,11 +378,12 @@ def _cmd_fidelity(args: argparse.Namespace):
     config = _config_from_args(args, t)
     result = _closed_form_of(config)
     heralds = bool(result.herald > 0.0)
+    order = _loop_order(t, args.chronological)
     table = {
-        "loops_before_output": list(range(t)),
-        "nbar": config.bin_means(),
-        "transmission": transmission(config.loss, np.arange(t)),  # the kernel's chain
-        "loop_fidelity": result.per_loop if heralds else [None] * t,
+        "loops_before_output": order,
+        "nbar": config.bin_means()[order],
+        "transmission": transmission(config.loss, np.arange(t))[order],  # the kernel's chain
+        "loop_fidelity": result.per_loop[order] if heralds else [None] * t,
         "conditional": np.full(t, result.conditional) if heralds else [None] * t,
         "unconditional": np.full(t, result.unconditional),
     }

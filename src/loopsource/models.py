@@ -63,6 +63,11 @@ def _check_probability(value: float, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _check_mean_photon_number(nbar: float) -> None:
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
+
+
 @dataclass(frozen=True)
 class SourceModel:
     """Single-mode down-conversion source with thermal photon-number
@@ -71,9 +76,7 @@ class SourceModel:
     mean_photon_number: float
 
     def __post_init__(self) -> None:
-        nbar = self.mean_photon_number
-        if not (math.isfinite(nbar) and nbar >= 0.0):
-            raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
+        _check_mean_photon_number(self.mean_photon_number)
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,7 @@ class ConstantPump:
     mean_photon_number: float
 
     def __post_init__(self) -> None:
-        nbar = self.mean_photon_number
-        if not (math.isfinite(nbar) and nbar >= 0.0):
-            raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
+        _check_mean_photon_number(self.mean_photon_number)
 
     def bin_means(self, time_bins: int) -> np.ndarray:
         return np.full(time_bins, self.mean_photon_number)
@@ -132,8 +133,7 @@ class PerBinPump:
         if len(self.mean_photon_numbers) == 0:
             raise ValueError("per-bin pump schedule must have at least one entry")
         for nbar in self.mean_photon_numbers:
-            if not (math.isfinite(nbar) and nbar >= 0.0):
-                raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
+            _check_mean_photon_number(nbar)
 
     def bin_means(self, time_bins: int) -> np.ndarray:
         if len(self.mean_photon_numbers) != time_bins:
@@ -204,10 +204,17 @@ class OutcomeDistribution:
 
     @property
     def herald_probability(self) -> float:
-        """Sum of the herald entries, capped at 1, exactly as
-        ``analytic.ClosedForm.herald`` sums its weights.  ``1 - no_herald``
-        would cancel when heralds are rare."""
-        return min(float(np.sum(self.probabilities[:-1])), 1.0)
+        """The capped sum of the herald entries (see :func:`_capped_herald`),
+        exactly as ``analytic.ClosedForm.herald`` sums its weights."""
+        return float(_capped_herald(np.sum(self.probabilities[:-1])))
+
+
+def _capped_herald(weight_sum):
+    """The herald probability from the sum of the freshest-herald weights,
+    rather than ``1 - no_herald``, which cancels to noise when heralds are
+    rare.  The exact sum is at most 1; rounding can push it a few ulps over
+    when heralds are near certain, so it is capped at 1."""
+    return np.minimum(weight_sum, 1.0)
 
 
 def _photon_numbers(n, least: int = 0) -> np.ndarray:
@@ -319,18 +326,3 @@ def transmission(loss: LossModel, loops):
         raise ValueError(f"loop count must be >= 0, got {loops}")
     eta_s = loss.switch_efficiency
     return _shaped_as(eta_s * (eta_s * loss.fibre_efficiency) ** counts, loops)
-
-
-def loss_thinning_pmf(n_in: int, transmission: float, n_out: int) -> float:
-    """Probability that n_out of n_in photons survive a transmission,
-    each photon surviving independently."""
-    if n_in < 0 or n_out < 0:
-        raise ValueError("photon numbers must be >= 0")
-    _check_probability(transmission, "transmission")
-    if n_out > n_in:
-        return 0.0
-    return (
-        math.comb(n_in, n_out)
-        * transmission**n_out
-        * (1.0 - transmission) ** (n_in - n_out)
-    )

@@ -128,8 +128,7 @@ def simulate_trial(
     ``configs``: its page runs up to it through the batch engine's page
     function, so the outcome is the one the batch run produced, at the
     cost of at most one page."""
-    if not (_is_int(trial_index) and 0 <= trial_index < 2**64):
-        raise ValueError(f"trial index must be an unsigned 64-bit integer, got {trial_index}")
+    _check_uint64(trial_index, "trial index")
     bank = _Bank(configs, seed)
     page, row = divmod(trial_index, _PAGE_TRIALS)
     loop_index, single = bank.page(page, row + 1)
@@ -198,7 +197,7 @@ class _Bank:
         for config in configs[1:]:
             if config.time_bins != self.time_bins:
                 raise ValueError("all parallel sources must share the same number of time-bins")
-        _check_seed(seed)
+        _check_uint64(seed, "seed")
         for config in configs:
             _check_sampleable(config)
         self.configs = list(configs)
@@ -325,9 +324,9 @@ def _single_photon(
     return (p0 < out_uniform) & (out_uniform <= p0 + p1)
 
 
-def _check_seed(seed: int) -> None:
-    if not (_is_int(seed) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+def _check_uint64(value: int, name: str) -> None:
+    if not (_is_int(value) and 0 <= value < 2**64):
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
 
 
 def _check_sampleable(config: ProtocolConfig) -> None:

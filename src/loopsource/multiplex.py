@@ -27,6 +27,7 @@ from .models import (
     PerBinPump,
     ProtocolConfig,
     _check_count,
+    _check_probability,
     transmission,
 )
 
@@ -67,7 +68,7 @@ def m_source_distribution(
     unless every source misses it, so m sources are one source with
     per-bin herald probability ``S_m = 1 - (1 - S)**m``, and the pmf is
     that source's law ``S_m (1 - S_m)**l``, with ``(1 - S_m)**t`` last."""
-    _check_single_shot(single_shot)
+    _check_probability(single_shot, "herald probability")
     _check_count(time_bins, "time_bins")
     _check_count(sources, "source count")
     weights, survival = _freshest_herald(*_m_source_bin(np.full(time_bins, single_shot), sources))
@@ -88,7 +89,7 @@ def m_source_distribution_oracle(
 ) -> OutcomeDistribution:
     """Brute-force enumeration of all (t+1)**m joint source outcomes,
     scoring each by the minimum index.  Exponential in m; a test oracle."""
-    _check_single_shot(single_shot)
+    _check_probability(single_shot, "herald probability")
     _check_count(time_bins, "time_bins")
     _check_count(sources, "source count")
     if (time_bins + 1) ** sources > _ORACLE_MAX_OUTCOMES:
@@ -421,11 +422,6 @@ def _objective(config: ProtocolConfig, objective: Objective):
         return values
 
     return evaluate
-
-
-def _check_single_shot(single_shot: float) -> None:
-    if not (0.0 <= single_shot <= 1.0):
-        raise ValueError(f"herald probability must lie in [0, 1], got {single_shot}")
 
 
 def _check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:

@@ -454,6 +454,16 @@ def test_head_length_must_lie_within_the_train(t):
         result.head(t)
 
 
+@pytest.mark.parametrize("nbars", [np.array([0.5]), np.array(0.5), np.full((5, 1), 0.5)],
+                         ids=["one-bin", "scalar", "column"])
+def test_closed_form_rejects_a_pump_without_the_train_axis(nbars):
+    # a one-bin pump against a five-bin loss chain returned one weight and
+    # five per-loop fidelities: herald 0.310 where the five-bin train reads 0.844
+    taus = transmission(LossModel(0.9, 0.9), np.arange(5))
+    with pytest.raises(ValueError, match="train axis of length 5"):
+        closed_form(nbars, 0.9, taus, BUCKET)
+
+
 @pytest.mark.parametrize("batched", [True, False])
 @pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
 def test_by_length_reads_each_head_bit_for_bit(kind, batched):

@@ -1,4 +1,6 @@
+import argparse
 import ast
+import contextlib
 import csv
 import importlib
 import io
@@ -12,6 +14,8 @@ from pathlib import Path
 import exact
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import loopsource
 from loopsource import (
@@ -212,6 +216,21 @@ def test_chronological_flag_flips_schedule_interpretation(tmp_path):
     _, rows_a = read_csv(text_a)
     _, rows_b = read_csv(text_b)
     assert rows_a == rows_b[::-1]
+
+
+def test_fidelity_chronological_rows_run_in_firing_order(tmp_path):
+    # as herald's do: the rows flip with the schedule, so the nbar column
+    # reads the list as given and the loop counts run t-1..0
+    code_a, text_a = run_cli(["fidelity", "--nbar", "0.1,0.2,0.3", "--t", "3"], tmp_path, "a.csv")
+    code_b, text_b = run_cli(
+        ["fidelity", "--nbar", "0.3,0.2,0.1", "--t", "3", "--chronological"], tmp_path, "b.csv"
+    )
+    assert code_a == code_b == 0
+    _, rows_a = read_csv(text_a)
+    _, rows_b = read_csv(text_b)
+    assert rows_a == rows_b[::-1]
+    assert [row[0] for row in rows_b] == ["2", "1", "0"]
+    assert [float(row[1]) for row in rows_b] == [0.3, 0.2, 0.1]
 
 
 def test_histogram_mode_rows(tmp_path):
@@ -858,3 +877,209 @@ def test_renderers_match_stdlib_on_every_cell_kind(monkeypatch, tmp_path):
     assert code == 0
     assert csv_text == _row_wise_csv(data["columns"])
     assert csv_text.splitlines()[1] == 'true,"a,b",18446744073709551615,0.10000000000000001,undefined'
+
+
+# Option reach: every flag a subcommand accepts changes its stdout or its
+# exit code.  Each row is an argv without the flag and the flag with its
+# values; the flag is appended to form the second argv.
+
+_REACH = [
+    # herald's columns do not read the loss chain, so --eta-s and --eta-f
+    # reach only their range check there
+    *((["herald", "--nbar", "0.5"], extra) for extra in (
+        ["--detector", "resolved"], ["--eta", "0.5"], ["--eta-d", "0.5"],
+        ["--eta-s", "2"], ["--eta-f", "2"], ["--t", "3"])),
+    (["herald"], ["--nbar", "0.5"]),
+    (["herald", "--t", "2", "--nbar", "0.1,0.2"], ["--chronological"]),
+    *((["fidelity", "--t", "2", "--nbar", "0.5"], extra) for extra in (
+        ["--detector", "resolved"], ["--eta", "0.5"], ["--eta-d", "0.5"],
+        ["--eta-s", "0.5"], ["--eta-f", "0.5"], ["--chronological"])),
+    (["fidelity"], ["--t", "2"]),
+    (["fidelity"], ["--nbar", "0.5"]),
+    *((["sweep", "--t", "1..2", "--nbar", "0.5"], extra) for extra in (
+        ["--detector", "resolved"], ["--eta", "0.5"], ["--eta-d", "0.5"],
+        ["--eta-s", "0.5"], ["--eta-f", "0.5"])),
+    (["sweep"], ["--t", "2"]),
+    (["sweep"], ["--nbar", "0.5"]),
+    *((["optimize", "--t", "2", "--biased"], extra) for extra in (
+        ["--detector", "resolved"], ["--eta", "0.5"], ["--eta-d", "0.5"],
+        ["--eta-s", "0.5"], ["--eta-f", "0.5"], ["--chronological"],
+        ["--objective", "conditional"], ["--nbar-min", "5"], ["--nbar-max", "0.01"])),
+    (["optimize"], ["--t", "2"]),
+    (["optimize", "--t", "2"], ["--biased"]),
+    *(([command, "--t", "2", "--nbar", "0.5", "--trials", "2000"], extra)
+      for command in ("simulate", "parallel") for extra in (
+        ["--detector", "resolved"], ["--eta", "0.5"], ["--eta-d", "0.5"],
+        ["--eta-s", "0.5"], ["--eta-f", "0.5"], ["--seed", "1"], ["--histogram"])),
+    *(([command, "--trials", "2000"], extra)
+      for command in ("simulate", "parallel") for extra in (["--t", "2"], ["--nbar", "0.5"])),
+    *(([command, "--t", "2", "--nbar", "0.1,2", "--trials", "2000"], ["--chronological"])
+      for command in ("simulate", "parallel")),
+    *(([command, "--t", "2"], ["--trials", "2000"]) for command in ("simulate", "parallel")),
+    (["parallel", "--trials", "2000"], ["--sources", "3"]),
+    *((["figure", "fig9"], extra) for extra in (
+        ["--detector", "resolved"], ["--nbar", "0.5"], ["--eta", "0.5"], ["--t", "3"],
+        ["--sources", "2"])),
+    *((["figure", "fig11", "--t", "1..2"], extra) for extra in (
+        ["--eta-d", "0.5"], ["--eta-s", "0.5"], ["--eta-f", "0.5"])),
+    (["figure", "fig3", "--t", "1..2"], ["--reoptimize"]),
+    *((["feasibility", "--rate", "1e6"], extra) for extra in (
+        ["--attenuation", "1"], ["--loops", "3"], ["--eta-s", "0.5"], ["--group-index", "2"],
+        ["--detector-rate", "1e3"])),
+    (["feasibility"], ["--rate", "1e6"]),
+]
+
+
+def _accepted_flags() -> dict:
+    """Each subcommand's flags, read from the parser, less the output flags."""
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    return {name: {flag for action in command._actions for flag in action.option_strings}
+            - {"-h", "--help", "--format", "--out"}
+            for name, command in commands.items()}
+
+
+def _outcome(argv, capsys):
+    """Exit code and stdout of one run; argparse's usage errors exit 2."""
+    try:
+        code = main(argv)
+    except SystemExit as usage:
+        code = usage.code
+    return code, capsys.readouterr().out
+
+
+def test_reach_table_covers_every_accepted_flag():
+    covered: dict = {}
+    for without, extra in _REACH:
+        covered.setdefault(without[0], set()).add(extra[0])
+    assert covered == _accepted_flags()
+
+
+@pytest.mark.parametrize("without, extra", _REACH,
+                         ids=[" ".join(without + extra) for without, extra in _REACH])
+def test_every_accepted_flag_changes_the_output_or_exit_code(without, extra, capsys):
+    assert _outcome(without, capsys) != _outcome(without + extra, capsys)
+
+
+@pytest.mark.parametrize("argv", [["optimize", "--nbar", "0.5"], ["sweep", "--chronological"]],
+                         ids=" ".join)
+def test_flags_a_command_ignored_are_usage_errors(argv, capsys):
+    # optimize chooses the pump (and reads --nbar as an ambiguous prefix of
+    # --nbar-min and --nbar-max); sweep's --nbar lists levels, not a schedule
+    assert _outcome(argv, capsys) == (2, "")
+
+
+# CLI fuzz: syntactically valid flags with extreme values, each given as
+# --flag=value so that a leading minus sign reads as a value.  Runtime
+# bounds: train lengths up to 1e5, the closed forms' domain, for herald,
+# fidelity, sweep and the closed-form figures whose grids stay within
+# ~1e6 cells at that length (fig2, fig3, fig9, fig11; fig6 up to 1e3 and
+# fig7 and fig10, with ~1,000-point grids, up to 100); at most 8 bins for
+# optimize --biased, fig8 and fig3 --reoptimize, and 1e3 for the constant
+# optimizer; Monte Carlo runs of at most 1e4 trials, 20 bins and 8 sources.
+
+
+
+def _values(valid, extremes: list[str], invalid: list[str]):
+    """Values drawn half from ``valid``, a quarter from ``extremes`` and a
+    quarter from ``invalid``."""
+    return st.one_of(valid, valid, st.sampled_from(extremes), st.sampled_from(invalid))
+
+
+_EFFICIENCY = _values(st.floats(0, 1).map(repr), ["0", "1", "5e-324"],
+                      ["-0.5", "1.5", "nan", "inf"])
+_NBAR = _values(st.floats(0, 1e8).map(repr), ["0", "5e-324", "1e308"], ["inf", "nan", "-1"])
+_NBARS = st.lists(_NBAR, min_size=1, max_size=3).map(",".join)
+_BOUND = _values(st.floats(5e-324, 1e308).map(repr), ["5e-324", "1e308"],
+                 ["0", "-1", "inf", "nan"])
+_SEED = st.sampled_from([0, 2**64 - 1, 2**64, 2**70, -1]) | st.integers(0, 2**64 - 1)
+_SWITCH = st.just(None)  # a store_true flag, given bare
+_PHYSICS = {"--detector": st.sampled_from(["bucket", "resolved"]), "--eta": _EFFICIENCY,
+            "--eta-d": _EFFICIENCY, "--eta-s": _EFFICIENCY, "--eta-f": _EFFICIENCY}
+
+
+def _t(most: int):
+    return st.integers(0, most)
+
+
+def _ts(most: int):
+    """An increasing comma list of one to three train lengths up to ``most``."""
+    return st.lists(st.integers(1, most), min_size=1, max_size=3, unique=True).map(
+        lambda ts: ",".join(str(t) for t in sorted(ts)))
+
+
+def _mc_flags(parallel: bool) -> dict:
+    flags = {**_PHYSICS, "--t": _t(20), "--nbar": _NBARS, "--chronological": _SWITCH,
+             "--trials": st.integers(-1, 10_000), "--seed": _SEED, "--histogram": _SWITCH}
+    return {**flags, "--sources": st.integers(-1, 8)} if parallel else flags
+
+
+_FIGURE_T = {"fig2": _ts(100_000), "fig3": _ts(100_000), "fig6": _ts(1_000),
+             "fig7": _t(100), "fig8": _ts(8), "fig9": _t(100_000), "fig10": _t(100),
+             "fig11": _ts(100_000)}
+_FIGURE_VALUES = {"--detector": _PHYSICS["--detector"], "--nbar": _NBARS,
+                  "--eta": st.lists(_EFFICIENCY, min_size=1, max_size=3).map(",".join),
+                  "--eta-d": _EFFICIENCY, "--eta-s": _EFFICIENCY, "--eta-f": _EFFICIENCY,
+                  "--sources": st.integers(-1, 8), "--reoptimize": _SWITCH}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    head = [command]
+    required: dict = {}
+    if command in ("herald", "fidelity"):
+        flags = {**_PHYSICS, "--t": _t(100_000), "--nbar": _NBARS, "--chronological": _SWITCH}
+    elif command == "sweep":
+        flags = {**_PHYSICS, "--t": _ts(100_000), "--nbar": _NBARS}
+    elif command == "optimize":
+        biased = draw(st.booleans())
+        flags = {**_PHYSICS, "--t": _t(8 if biased else 1_000), "--chronological": _SWITCH,
+                 "--objective": st.sampled_from(["conditional", "unconditional"]),
+                 "--nbar-min": _BOUND, "--nbar-max": _BOUND}
+        head += ["--biased"] if biased else []
+    elif command in ("simulate", "parallel"):
+        flags = _mc_flags(command == "parallel")
+    elif command == "figure":
+        figure = draw(st.sampled_from(sorted(FIGURES)))
+        head.append(figure)
+        allowed = {"--" + flag.replace("_", "-") for flag in FIGURES[figure][1]}
+        flags = {flag: values for flag, values in _FIGURE_VALUES.items() if flag in allowed}
+        if "--t" in allowed:
+            reoptimize = figure in ("fig3", "fig4") and draw(st.booleans())
+            flags["--t"] = _ts(8) if reoptimize else _FIGURE_T[{"fig4": "fig3"}.get(figure, figure)]
+            head += ["--reoptimize"] if reoptimize else []
+            flags.pop("--reoptimize", None)
+    else:
+        required = {"--rate": _BOUND}
+        flags = {"--attenuation": _BOUND, "--loops": st.integers(-5, 2**70),
+                 "--eta-s": _EFFICIENCY, "--group-index": _BOUND, "--detector-rate": _BOUND}
+    given = draw(st.fixed_dictionaries(required, optional=flags))
+    return head + [flag if value is None else f"{flag}={value}" for flag, value in given.items()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_fuzz_argv())
+@example(argv=["herald", "--t=100000", "--nbar=5e-324", "--detector=resolved"])
+@example(argv=["sweep", "--t=1,99999,100000", "--nbar=1e308,0,5e-324"])
+@example(argv=["figure", "fig3", "--t=100000"])
+@example(argv=["figure", "fig9", "--t=100000", "--sources=8", "--nbar=1e308"])
+@example(argv=["figure", "fig7", "--eta=1.5"])
+@example(argv=["optimize", "--nbar-min=5e-324", "--nbar-max=1e308", "--biased", "--t=8"])
+@example(argv=["simulate", "--nbar=1e308", "--seed=18446744073709551616"])
+def test_cli_exits_cleanly_on_extreme_flag_values(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+        return
+    assert out.getvalue() == ""
+    message = err.getvalue()
+    assert message.startswith("error: ") and message.count("\n") == 1 and message.endswith("\n")
+    if " must lie in [0, 1]" in message and argv[0] != "feasibility":
+        # feasibility names its switch efficiency as assess_feasibility does
+        named = message.removeprefix("error: ").split(" must lie in [0, 1]")[0]
+        assert named in {arg.split("=")[0] for arg in argv}

@@ -13,7 +13,6 @@ from loopsource import (
     PerBinPump,
     ProtocolConfig,
     SourceModel,
-    loss_thinning_pmf,
     m_source_distribution,
     prep_pmf_oracle,
     thermal_pmf,
@@ -167,22 +166,6 @@ def test_transmission_non_increasing_in_loops(eta_s, eta_f):
     loss = LossModel(eta_s, eta_f)
     values = [transmission(loss, l) for l in range(12)]
     assert all(b <= a for a, b in zip(values, values[1:]))
-
-
-def test_loss_thinning_binomial_values():
-    # survival of each photon is an independent coin flip
-    expected = [0.125, 0.375, 0.375, 0.125]
-    got = [loss_thinning_pmf(3, 0.5, k) for k in range(4)]
-    assert got == pytest.approx(expected)
-    assert loss_thinning_pmf(2, 0.3, 5) == 0.0
-    assert loss_thinning_pmf(0, 0.7, 0) == 1.0
-
-
-@pytest.mark.parametrize("n_in", [0, 1, 3, 17, 60])
-@pytest.mark.parametrize("tau", [0.0, 0.25, 0.8, 1.0])
-def test_loss_thinning_normalized(n_in, tau):
-    total = math.fsum(loss_thinning_pmf(n_in, tau, k) for k in range(n_in + 1))
-    assert abs(total - 1.0) <= 1e-14
 
 
 def test_model_validation_errors():
