@@ -10,8 +10,10 @@ Quantities conditioned on an event of probability zero are emitted as
 the literal cell ``undefined`` in CSV and ``null`` in JSON.  Exit codes:
 0 success, 2 usage error (a ``UsageError`` or a model's ``ValueError``,
 one ``error:`` line each), 3 non-finite result.  Of the six commands
-that share the physics flags, all but ``optimize`` (which chooses the
-pump) take ``--nbar``, and all but ``sweep`` take ``--chronological``.
+that share the detector flags and ``--t`` (at most 100000 bins), all but
+``herald`` (no column of which reads the loss chain) take the loss flags,
+all but ``optimize`` (which chooses the pump) take ``--nbar``, and all
+but ``sweep`` take ``--chronological``.
 
 Every command returns ``(table, meta)``.  ``table`` maps each column
 name, in output order, to a float64 array, an int array of values below
@@ -89,6 +91,8 @@ SPEED_OF_LIGHT = 299792458.0
 DEFAULT_GROUP_INDEX = 1.468
 DEFAULT_DETECTOR_RATE = 1e8
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
+# Longest train a command accepts: the closed forms' tested domain.
+_MAX_TIME_BINS = 100_000
 
 class UsageError(Exception):
     """Invalid flag values or combinations; maps to exit code 2."""
@@ -179,14 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("csv", "json"), default="csv")
     output.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    physics = argparse.ArgumentParser(add_help=False)
-    physics.add_argument("--detector", choices=("resolved", "bucket"), default="bucket")
-    physics.add_argument("--eta", type=float, default=None, help="sets eta-d, eta-s and eta-f")
-    physics.add_argument("--eta-d", type=float, default=None, help="detector efficiency")
+    detection = argparse.ArgumentParser(add_help=False)
+    detection.add_argument("--detector", choices=("resolved", "bucket"), default="bucket")
+    detection.add_argument("--eta", type=float, default=None,
+                           help="sets each efficiency flag not given")
+    detection.add_argument("--eta-d", type=float, default=None, help="detector efficiency")
+    physics = argparse.ArgumentParser(add_help=False, parents=[detection])
     physics.add_argument("--eta-s", type=float, default=None, help="switch efficiency")
     physics.add_argument("--eta-f", type=float, default=None, help="fibre-loop efficiency")
-    physics.add_argument("--t", default="1",
-                         help="time-bins: an integer, a range a..b or an increasing comma list")
+    for parent in (detection, physics):
+        parent.add_argument("--t", default="1", help="time-bins: an integer, a range a..b "
+                            f"or an increasing comma list, each at most {_MAX_TIME_BINS}")
     # optimize chooses the pump; sweep's --nbar lists levels, not a schedule
     pump = argparse.ArgumentParser(add_help=False)
     pump.add_argument("--nbar", default="1", help="mean photon number; a comma list is a "
@@ -196,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="read and report per-bin schedules in firing order "
                        "(default: reverse-chronological, entry 0 = final bin)")
 
-    sub.add_parser("herald", parents=[physics, pump, order, output],
+    sub.add_parser("herald", parents=[detection, pump, order, output],
                    help="heralding probabilities for one configuration")
     sub.add_parser("fidelity", parents=[physics, pump, order, output],
                    help="per-loop and averaged fidelities for one configuration")
@@ -276,18 +283,21 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 def _parse_t_values(text: str) -> list[int]:
     try:
-        values: list[int] = []
+        spans: list[list[int]] = []
         for part in text.split(","):
             ends = [int(end) for end in part.split("..")]
-            if len(ends) > 2 or ends[0] > ends[-1] or (values and ends[0] <= values[-1]):
+            if len(ends) > 2 or ends[0] > ends[-1] or (spans and ends[0] <= spans[-1][-1]):
                 raise ValueError
-            values.extend(range(ends[0], ends[-1] + 1))
+            spans.append(ends)
     except ValueError as err:
         raise UsageError(f"--t expects an integer, a range a..b or an increasing "
                          f"comma list of them, got {text!r}") from err
-    if values[0] < 1:
+    # the spans increase, so their ends bound every value before any is listed
+    if spans[0][0] < 1:
         raise UsageError(f"--t values must be >= 1, got {text!r}")
-    return values
+    if spans[-1][-1] > _MAX_TIME_BINS:
+        raise UsageError(f"--t values must be <= {_MAX_TIME_BINS}, got {text!r}")
+    return [t for ends in spans for t in range(ends[0], ends[-1] + 1)]
 
 
 def _single(values: list, flag: str, text, command: str):
@@ -311,8 +321,9 @@ def _models_from_args(args: argparse.Namespace) -> tuple[DetectorModel, LossMode
     # --eta checked under its own name before it fills in the others
     eta = None if args.eta is None else _efficiency(args.eta, None, "--eta")
     eta_d = _efficiency(args.eta_d, eta, "--eta-d")
-    eta_s = _efficiency(args.eta_s, eta, "--eta-s")
-    eta_f = _efficiency(args.eta_f, eta, "--eta-f")
+    # herald takes no loss flags: none of its columns reads the loss chain
+    eta_s = _efficiency(vars(args).get("eta_s"), eta, "--eta-s")
+    eta_f = _efficiency(vars(args).get("eta_f"), eta, "--eta-f")
     return DetectorModel(DetectorKind(args.detector), eta_d), LossModel(eta_s, eta_f)
 
 
@@ -634,8 +645,8 @@ def _fig8(p: dict):
     for eta in p["etas"]:
         # every train length is a head of the longest train
         template = _template(DetectorKind.BUCKET, eta, ts[-1])
-        for name, optimize in (("constant", _constant_heads), ("biased", _schedule_heads)):
-            results = optimize(template, Objective.UNCONDITIONAL, ts)
+        for name, results in (("constant", _constant_heads(template, Objective.UNCONDITIONAL, ts)),
+                              ("biased", _schedule_heads(template, ts))):
             table[f"{name}_eta{eta:g}"] = np.array([result.objective_value for result in results])
     return table
 

@@ -78,14 +78,14 @@ class TrialOutcome:
 
     herald_loop_index: int | None
     single_photon: bool
-    heralded: bool
 
     def __post_init__(self) -> None:
-        if self.heralded:
-            if self.herald_loop_index is None:
-                raise ValueError("heralded trial must carry a herald loop index")
-        elif self.herald_loop_index is not None or self.single_photon:
-            raise ValueError("unheralded trial must have no loop index and no photon")
+        if self.herald_loop_index is None and self.single_photon:
+            raise ValueError("unheralded trial must hold no photon")
+
+    @property
+    def heralded(self) -> bool:
+        return self.herald_loop_index is not None
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ def simulate_trial(
     loop_index, single = bank.page(page, row + 1)
     loop = int(loop_index[-1])
     if loop == bank.time_bins:
-        return TrialOutcome(herald_loop_index=None, single_photon=False, heralded=False)
-    return TrialOutcome(herald_loop_index=loop, single_photon=bool(single[-1]), heralded=True)
+        return TrialOutcome(herald_loop_index=None, single_photon=False)
+    return TrialOutcome(herald_loop_index=loop, single_photon=bool(single[-1]))
 
 
 def run_simulation(config: ProtocolConfig, trials: int, seed: int) -> SimulationSummary:

@@ -7,8 +7,10 @@ distribution in closed form, a brute-force enumeration oracle for small
 m, and optimizers for the pump power (a single constant level, or one
 level per time-bin).  Bin l's law does not depend on the train length,
 so each optimizer also solves a list of train lengths as heads of the
-longest train (``_constant_heads``, ``_schedule_heads``); the public
-optimizers are their one-head case.
+longest train: ``_constant_heads`` for either objective, of which
+``optimize_constant`` is the one-head case, and ``_schedule_heads`` for
+the unconditional objective, in one Bellman sweep over the stack.
+``optimize_schedule`` runs Dinkelbach's iteration on one train.
 """
 
 from __future__ import annotations
@@ -193,13 +195,7 @@ def optimize_schedule(
     l's terms depend only on its own pump level.  The optimum is therefore
     the Bellman recursion ``W_t = 0``,
     ``W_l = max_n [S(n)(F_l(n) - lambda) + (1 - S(n)) W_{l+1}]``, run from
-    the oldest bin to the newest.  Each bin's maximum is exact: the term
-    is rational in n, so its stationary points are the real roots of a
-    polynomial of degree 6 or less (see :func:`_stationarity_terms`), the
-    eigenvalues of its companion matrix (see :func:`_real_roots`), and
-    the maximum lies at one of them or at a bound.  Candidate values
-    are compared by :func:`_best_candidate`, with ties measured against
-    the size of the bin's terms.
+    the oldest bin to the newest (see :func:`_bellman_sweep`).
 
     ``lambda`` is 0 for the unconditional objective.  The conditional
     objective is the ratio U/H with H the herald probability; Dinkelbach
@@ -209,25 +205,62 @@ def optimize_schedule(
     schedule in reverse-chronological order (entry 0 is the final bin);
     ``evaluations`` counts the candidate pump levels evaluated.
     """
-    return _schedule_heads(config, objective, [config.time_bins], bounds)[0]
+    sweep = _bellman_sweep(config, bounds)
+    evaluate = _objective(config, objective)
+    span = np.array([config.time_bins])
+    lam, found = 0.0, 0
+    for rounds in range(1, _DINKELBACH_MAX_ITER + 1):
+        chosen, inside = sweep(span, lam)
+        found += int(inside[0])
+        value = float(evaluate(chosen, span)[0])
+        # a NaN ratio never compares, so it keeps iterating
+        if objective is Objective.UNCONDITIONAL or rounds == _DINKELBACH_MAX_ITER or value <= lam:
+            return OptimizationResult(
+                schedule=PerBinPump(tuple(chosen[0].tolist())),
+                objective_value=value,
+                objective_kind=objective,
+                evaluations=2 * rounds * config.time_bins + found,
+            )
+        lam = value
 
 
 def _schedule_heads(
     config: ProtocolConfig,
-    objective: Objective,
     lengths,
     bounds: tuple[float, float] = (1e-3, 10.0),
 ) -> list[OptimizationResult]:
-    """:func:`optimize_schedule` of the head of each length in ``lengths``,
-    each bit for bit the result for that shorter train, from one Bellman
-    sweep over the stack of heads.  Bin l's rows, stationarity terms and
-    bounds do not depend on the train length, so the heads longer than l
-    take their step at bin l together: one eigenvalue call for their roots
-    and one evaluation of their candidates.  Each head keeps its own
-    Dinkelbach ``lambda`` and leaves the sweep once its ratio stops
-    increasing."""
+    """Unconditional :func:`optimize_schedule` of the head of each length
+    in ``lengths``, each bit for bit the result for that shorter train,
+    from one :func:`_bellman_sweep` over the stack of heads."""
+    # longest first, so that the heads still in the train at bin l are a prefix
+    heads = np.argsort(lengths, kind="stable")[::-1]
+    span = np.asarray(lengths)[heads]
+    chosen, found = _bellman_sweep(config, bounds)(span, 0.0)
+    values = _objective(config, Objective.UNCONDITIONAL)(chosen, span)
+    results: list = [None] * span.size
+    for head, row, value, t, inside in zip(heads.tolist(), chosen, values, span.tolist(), found):
+        results[head] = OptimizationResult(PerBinPump(tuple(row[:t].tolist())), float(value),
+                                           Objective.UNCONDITIONAL, int(2 * t + inside))
+    return results
+
+
+def _bellman_sweep(config: ProtocolConfig, bounds: tuple[float, float]):
+    """Backward induction of heads of the train at a given ``lambda``.
+
+    Each bin's maximum is exact: the Bellman term is rational in n, so its
+    stationary points are the real roots of a polynomial of degree 6 or
+    less (see :func:`_stationarity_terms`, :func:`_real_roots`), and the
+    maximum lies at one of them or at a bound.  Candidate values are
+    compared by :func:`_best_candidate`, with ties measured against the
+    size of the bin's terms.  Bin l's rows, stationarity terms and bounds
+    do not depend on the train length, so they are built once, and the
+    heads longer than l take their step at bin l together: one eigenvalue
+    call for their roots and one evaluation of their candidates.
+
+    Returns ``sweep(span, lam)``, which maps the head lengths ``span``
+    (longest first) and a scalar ``lam`` to the schedules ``[heads, t]``,
+    lo past each head's end, and how many interior roots each evaluated."""
     lo, hi = _check_bounds(bounds)
-    evaluate = _objective(config, objective)
     eta_d = config.detector.efficiency
     kind = config.detector.kind
     taus = transmission(config.loss, np.arange(config.time_bins)).tolist()
@@ -238,19 +271,15 @@ def _schedule_heads(
     peak = hi if kind is DetectorKind.BUCKET or eta_d * hi <= 1.0 else max(lo, 1.0 / eta_d)
     largest_single = float(_bin_law(peak, eta_d, bins[0])[0])
     degree = numerators.shape[-1] - 1
-    companion = _companion_stack(len(lengths), degree)
-    # each head's candidates [lo, interior roots ascending and NaN-padded, hi]
-    candidates = np.empty((len(lengths), degree + 2))
-    candidates[:, 0], candidates[:, -1] = lo, hi
-    index = np.arange(len(lengths))
 
-    def sweep(span, lam, found):
-        """Backward induction of the heads of lengths ``span`` (longest
-        first) at their ``lam[heads, 1]``: the schedules ``[heads, t]``, lo
-        past each head's end.  Adds each interior root evaluated to
-        ``found``."""
+    def sweep(span, lam):
         chosen = np.full((span.size, config.time_bins), lo)
         future = np.zeros((span.size, 1))
+        found = np.zeros((span.size, degree), dtype=int)
+        # each head's candidates [lo, interior roots ascending and NaN-padded, hi]
+        candidates = np.empty((span.size, degree + 2))
+        candidates[:, 0], candidates[:, -1] = lo, hi
+        index = np.arange(span.size)
         tie_scale = largest_single * (1.0 + lam)
         spans, live = span.tolist(), 0
         for loops in reversed(range(spans[0])):
@@ -262,88 +291,45 @@ def _schedule_heads(
             # detector, the lossless plateau where every level is optimal,
             # or coefficients that overflowed into a NaN future value) leaves
             # the bounds alone, and a NaN value reaches the caller.
-            lam_live, future_live = lam[:live], future[:live]
-            coefficients = numerators[loops] - (lam_live + future_live) * denominators[loops]
-            roots = _real_roots(coefficients, companion)
+            future_live = future[:live]
+            roots = _real_roots(numerators[loops] - (lam + future_live) * denominators[loops])
             inside = (roots > lo) & (roots < hi)
             found[:live] += inside
             step = candidates[:live]
             step[:, 1:-1] = np.sort(np.where(inside, roots, np.nan), axis=1)
             single, miss, fidelity = _bin_law(step, eta_d, bins[loops])
-            value = single * (fidelity - lam_live) + miss * future_live
-            best = _best_candidate(value, tie_scale[:live] + np.abs(future_live))
+            value = single * (fidelity - lam) + miss * future_live
+            best = _best_candidate(value, tie_scale + np.abs(future_live))
             picked = index[:live], best
             chosen[:live, loops], future_live[:, 0] = step[picked], value[picked]
-        return chosen
+        return chosen, found.sum(axis=1)
 
-    # the heads still iterating, longest first so that those still in the
-    # train at bin l are a prefix, with their positions in ``lengths``
-    heads = np.argsort(lengths, kind="stable")[::-1]
-    span = np.asarray(lengths)[heads]
-    lam = np.zeros((span.size, 1))
-    found = np.zeros((span.size, degree), dtype=int)
-    results: list = [None] * span.size
-    for rounds in range(1, _DINKELBACH_MAX_ITER + 1):
-        chosen = sweep(span, lam, found)
-        value = evaluate(chosen, span)
-        last = objective is Objective.UNCONDITIONAL or rounds == _DINKELBACH_MAX_ITER
-        # a NaN ratio never compares, so it keeps iterating
-        done = [last or ratio <= bound for ratio, bound in zip(value.tolist(), lam[:, 0].tolist())]
-        for row in itertools.compress(range(span.size), done):
-            results[heads[row]] = OptimizationResult(
-                schedule=PerBinPump(tuple(chosen[row, : span[row]].tolist())),
-                objective_value=float(value[row]),
-                objective_kind=objective,
-                evaluations=int(2 * rounds * span[row] + found[row].sum()),
-            )
-        if all(done):
-            return results
-        if any(done):
-            going = ~np.array(done)
-            heads, span, found, value = heads[going], span[going], found[going], value[going]
-        lam = value[:, None]
+    return sweep
 
 
-def _companion_stack(size: int, degree: int) -> np.ndarray:
-    """``size`` companion matrices ``[size, degree, degree]`` of monic
-    polynomials of ``degree``, as ``np.roots`` builds them: ones on the
-    subdiagonal, and a first row :func:`_real_roots` writes."""
-    companion = np.zeros((size, degree, degree))
-    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-    return companion
-
-
-def _real_roots(coefficients: np.ndarray, companion: np.ndarray) -> np.ndarray:
+def _real_roots(coefficients: np.ndarray) -> np.ndarray:
     """Real parts of the roots of each row of ``coefficients[k, d + 1]``
     (highest power first), ``[k, d]`` and NaN-padded, bit for bit those of
     ``np.roots(row)`` and in its order; rows with a non-finite coefficient
-    have none.  ``companion`` is a :func:`_companion_stack` of at least k
-    matrices of degree d.
+    have none.
 
-    ``np.roots`` strips leading and trailing zero coefficients, takes the
-    eigenvalues of the stripped polynomial's companion matrix and then
-    lists a root 0 per trailing zero.  Rows of full degree, the usual case,
-    share one eigenvalue call on the stack; a row whose end coefficient
-    cancelled to zero shares one with the rows of its stripped shape."""
+    Rows of full degree, the usual case, share one eigenvalue call on a
+    stack of companion matrices built as ``np.roots`` builds them.  A
+    stack with any other row (a zero end coefficient, which ``np.roots``
+    strips, or a non-finite one) is rare, and each of its finite rows goes
+    to ``np.roots`` itself."""
     k, width = coefficients.shape
     if np.isfinite(coefficients).all() and coefficients[:, :: width - 1].all():
-        stack = companion[:k]
-        stack[:, 0] = -coefficients[:, 1:] / coefficients[:, :1]
-        return np.linalg.eigvals(stack).real
+        # flattened [k, d * d]: the first row, and ones on the subdiagonal
+        companion = np.zeros((k, (width - 1) ** 2))
+        companion[:, : width - 1] = -coefficients[:, 1:] / coefficients[:, :1]
+        companion[:, width - 1 :: width] = 1.0
+        return np.linalg.eigvals(companion.reshape(k, width - 1, width - 1)).real
     roots = np.full((k, width - 1), np.nan)
-    nonzero = coefficients != 0.0
-    # an all-zero row has no roots
-    finite = np.isfinite(coefficients).all(axis=1) & nonzero.any(axis=1)
-    first = np.argmax(nonzero, axis=1)
-    last = width - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    for lead, end in set(zip(first[finite].tolist(), last[finite].tolist())):
-        rows = np.flatnonzero(finite & (first == lead) & (last == end))
-        degree = end - lead
-        if degree:
-            stack = companion[: rows.size, :degree, :degree]
-            stack[:, 0] = -coefficients[rows, lead + 1 : end + 1] / coefficients[rows, lead : lead + 1]
-            roots[rows, :degree] = np.linalg.eigvals(stack).real
-        roots[rows, degree : width - 1 - lead] = 0.0
+    for out, row in zip(roots, coefficients):
+        if np.isfinite(row).all():
+            real = np.roots(row).real
+            out[: real.size] = real
     return roots
 
 

@@ -580,7 +580,8 @@ _NON_FIGURE = ["herald", "fidelity", "sweep", "optimize", "simulate", "parallel"
     # these blamed --eta-d, which --eta had filled in
     *([command, "--eta", "1.5"] for command in _NON_FIGURE),
     # a specific flag that overrides a valid --eta is named itself
-    *([command, "--eta", "0.9", "--eta-s", "2"] for command in _NON_FIGURE),
+    *([command, "--eta", "0.9", "--eta-s", "2"] for command in _NON_FIGURE
+      if command != "herald"),
 ], ids=" ".join)
 def test_usage_error_on_out_of_range_efficiency(argv, capsys):
     assert main(argv) == 2
@@ -591,6 +592,18 @@ def test_usage_error_on_figure_override_not_allowed(capsys):
     code = main(["figure", "fig2", "--eta-s", "0.5"])
     assert code == 2
     assert "--eta-s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["herald", "--t", "100001"],
+    ["sweep", "--t", "1,100001"],
+    # would not fit in memory if the list were built before the check
+    ["figure", "fig3", "--t", "1..100000000000"],
+    ["figure", "fig9", "--t", "100000000"],
+], ids=" ".join)
+def test_usage_error_on_t_beyond_the_longest_train(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --t values must be <= 100000")
 
 
 def test_usage_error_on_range_t_where_scalar_needed(capsys):
@@ -884,11 +897,8 @@ def test_renderers_match_stdlib_on_every_cell_kind(monkeypatch, tmp_path):
 # values; the flag is appended to form the second argv.
 
 _REACH = [
-    # herald's columns do not read the loss chain, so --eta-s and --eta-f
-    # reach only their range check there
     *((["herald", "--nbar", "0.5"], extra) for extra in (
-        ["--detector", "resolved"], ["--eta", "0.5"], ["--eta-d", "0.5"],
-        ["--eta-s", "2"], ["--eta-f", "2"], ["--t", "3"])),
+        ["--detector", "resolved"], ["--eta", "0.5"], ["--eta-d", "0.5"], ["--t", "3"])),
     (["herald"], ["--nbar", "0.5"]),
     (["herald", "--t", "2", "--nbar", "0.1,0.2"], ["--chronological"]),
     *((["fidelity", "--t", "2", "--nbar", "0.5"], extra) for extra in (
@@ -962,11 +972,14 @@ def test_every_accepted_flag_changes_the_output_or_exit_code(without, extra, cap
     assert _outcome(without, capsys) != _outcome(without + extra, capsys)
 
 
-@pytest.mark.parametrize("argv", [["optimize", "--nbar", "0.5"], ["sweep", "--chronological"]],
+@pytest.mark.parametrize("argv", [["optimize", "--nbar", "0.5"], ["sweep", "--chronological"],
+                                  ["herald", "--eta", "0.9", "--eta-s", "2"],
+                                  ["herald", "--eta-f", "0.5"]],
                          ids=" ".join)
 def test_flags_a_command_ignored_are_usage_errors(argv, capsys):
     # optimize chooses the pump (and reads --nbar as an ambiguous prefix of
-    # --nbar-min and --nbar-max); sweep's --nbar lists levels, not a schedule
+    # --nbar-min and --nbar-max); sweep's --nbar lists levels, not a
+    # schedule; no herald column reads the loss chain
     assert _outcome(argv, capsys) == (2, "")
 
 
@@ -1031,6 +1044,8 @@ def _fuzz_argv(draw):
     required: dict = {}
     if command in ("herald", "fidelity"):
         flags = {**_PHYSICS, "--t": _t(100_000), "--nbar": _NBARS, "--chronological": _SWITCH}
+        if command == "herald":
+            del flags["--eta-s"], flags["--eta-f"]
     elif command == "sweep":
         flags = {**_PHYSICS, "--t": _ts(100_000), "--nbar": _NBARS}
     elif command == "optimize":

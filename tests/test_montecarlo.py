@@ -168,6 +168,8 @@ def test_trial_outcomes_are_well_formed():
         else:
             assert outcome.herald_loop_index is None
             assert not outcome.single_photon
+    with pytest.raises(ValueError, match="unheralded trial must hold no photon"):
+        montecarlo.TrialOutcome(herald_loop_index=None, single_photon=True)
 
 
 @pytest.mark.parametrize(

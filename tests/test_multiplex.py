@@ -22,11 +22,11 @@ from loopsource import (
     parallel_unconditional_fidelity,
     unconditional_fidelity,
 )
+from loopsource import multiplex
 from loopsource.analytic import _bin_law, _bin_rows, closed_form
 from loopsource.models import transmission
 from loopsource.multiplex import (
     _TIE_RTOL,
-    _companion_stack,
     _constant_heads,
     _real_roots,
     _schedule_heads,
@@ -439,13 +439,38 @@ def test_stacked_heads_equal_one_row_calls_bit_for_bit(kind, objective, case):
     detector, loss = DetectorModel(kind, eta_d), LossModel(eta_s, eta_f)
     lengths = [5, 1, 8, 3, 2, 7, 4, 6]  # heads in any order
     template = ProtocolConfig(8, ConstantPump(1.0), detector, loss)
-    for heads, optimize in ((_schedule_heads, optimize_schedule),
-                            (_constant_heads, optimize_constant)):
-        stacked = heads(template, objective, lengths, bounds)
+    # the schedule stack solves the unconditional objective only
+    stacks = [(_constant_heads(template, objective, lengths, bounds), optimize_constant)]
+    if objective is Objective.UNCONDITIONAL:
+        stacks.append((_schedule_heads(template, lengths, bounds), optimize_schedule))
+    for stacked, optimize in stacks:
         for t, result in zip(lengths, stacked):
             config = ProtocolConfig(t, ConstantPump(1.0), detector, loss)
             # repr spells every float exactly, NaN included
             assert repr(result) == repr(optimize(config, objective, bounds)), (optimize, t)
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_schedule_evaluations_count_every_candidate_of_every_round(kind, objective, monkeypatch):
+    # a lossy train, on which the conditional objective takes several
+    # Dinkelbach rounds
+    config = ProtocolConfig(6, ConstantPump(1.0), DetectorModel(kind, 0.9), LossModel(0.9, 0.8))
+    cells = []
+
+    def counted(nbar, eta_d, rows):
+        if np.ndim(nbar):  # not the scalar largest-herald call
+            cells.append(int(np.count_nonzero(~np.isnan(nbar))))
+        return bin_law(nbar, eta_d, rows)
+
+    bin_law = multiplex._bin_law
+    monkeypatch.setattr(multiplex, "_bin_law", counted)
+    result = optimize_schedule(config, objective)
+    # one candidate evaluation per bin and round
+    rounds = len(cells) // config.time_bins
+    assert len(cells) == rounds * config.time_bins
+    assert rounds > (2 if objective is Objective.CONDITIONAL else 0)
+    assert sum(cells) == result.evaluations
 
 
 def test_stacked_sweep_makes_one_eigenvalue_call_per_bin(monkeypatch):
@@ -457,7 +482,7 @@ def test_stacked_sweep_makes_one_eigenvalue_call_per_bin(monkeypatch):
 
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    _schedule_heads(_bucket_config(8), Objective.UNCONDITIONAL, range(1, 9))
+    _schedule_heads(_bucket_config(8), range(1, 9))
     # bin l is shared by the 8 - l heads longer than l
     assert calls == [(8 - loops, 6, 6) for loops in reversed(range(8))]
 
@@ -485,12 +510,10 @@ def _roots_rows(rng):
 def test_root_step_matches_np_roots_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     rows = _roots_rows(rng)
-    companion = _companion_stack(len(rows), 6)
-    # stacks of full-degree rows before and after the mixed stack, so the
-    # shared companion is reused, and then each row alone
+    # a stack of full-degree rows, the mixed stack, and then each row alone
     full = rows[np.isfinite(rows).all(axis=1) & (rows[:, 0] != 0) & (rows[:, -1] != 0)]
-    for coefficients in [full, rows, full] + [rows[i : i + 1] for i in range(len(rows))]:
-        roots = _real_roots(coefficients, companion)
+    for coefficients in [full, rows] + [rows[i : i + 1] for i in range(len(rows))]:
+        roots = _real_roots(coefficients)
         assert roots.shape == (len(coefficients), 6)
         for row, found in zip(coefficients, roots):
             if np.isfinite(row).all():
