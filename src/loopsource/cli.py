@@ -22,9 +22,13 @@ list of Python cells (int, float, str or ``None``): ints that must stay
 exact (a 64-bit seed), labels, the cells of one-row tables, and a column
 of which some cell is undefined; a column whose every cell is defined
 stays an array.
-The non-finite check and both renderers work a column at a time; the
+The non-finite check works a column at a time and both renderers a
+block of rows at a time; a long block of an array column whose values
+repeat (an axis column of a grid) formats each distinct value once.  The
 bytes they write are those of the stdlib's row-wise ``csv.writer`` with
 ``format(x, ".17g")`` floats and of ``json.dumps(..., indent=2)``.
+``--sources`` is at most 64 and ``--trials`` at most 2**63 - 1, and a
+pump level of -0 reads as 0.
 
 A figure's builder is a function of its parameters: ``FIGURES`` holds it
 with the flags it accepts and its defaults, each under its flag's name.
@@ -75,7 +79,7 @@ from .models import (
     _check_probability,
     transmission,
 )
-from .montecarlo import run_simulation, simulate_parallel_sources
+from .montecarlo import _MAX_TRIALS, run_simulation, simulate_parallel_sources
 from .multiplex import (
     Objective,
     _constant_heads,
@@ -93,6 +97,9 @@ DEFAULT_DETECTOR_RATE = 1e8
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 # Longest train a command accepts: the closed forms' tested domain.
 _MAX_TIME_BINS = 100_000
+# Most sources `parallel` and fig9 accept: a parallel run keeps a
+# [sources, t] loss chain (51 MB at 64 sources and the longest train).
+_MAX_SOURCES = 64
 
 class UsageError(Exception):
     """Invalid flag values or combinations; maps to exit code 2."""
@@ -221,16 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", parents=[physics, pump, order, output],
                               help="Monte Carlo run of one source")
-    simulate.add_argument("--trials", type=int, default=100_000)
+    simulate.add_argument("--trials", type=int, default=100_000,
+                          help="number of trials, at most 2**63 - 1")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--histogram", action="store_true",
                           help="emit the loop histogram instead of the summary row")
 
     parallel = sub.add_parser("parallel", parents=[physics, pump, order, output],
                               help="Monte Carlo run of parallel identical sources")
-    parallel.add_argument("--trials", type=int, default=100_000)
+    parallel.add_argument("--trials", type=int, default=100_000,
+                          help="number of trials, at most 2**63 - 1")
     parallel.add_argument("--seed", type=int, default=0)
-    parallel.add_argument("--sources", type=int, default=2)
+    parallel.add_argument("--sources", type=int, default=2,
+                          help=f"number of sources, at most {_MAX_SOURCES}")
     parallel.add_argument("--histogram", action="store_true")
 
     figure = sub.add_parser("figure", parents=[output],
@@ -243,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--eta-s", type=float, default=None)
     figure.add_argument("--eta-f", type=float, default=None)
     figure.add_argument("--t", default=None)
-    figure.add_argument("--sources", type=int, default=None)
+    figure.add_argument("--sources", type=int, default=None,
+                        help=f"fig9: the most sources, at most {_MAX_SOURCES}")
     figure.add_argument("--reoptimize", action="store_true",
                         help="fig3/fig4: recompute the per-curve pump optima")
 
@@ -405,7 +416,7 @@ def _cmd_sweep(args: argparse.Namespace):
     t_values = _parse_t_values(args.t)
     nbars = _parse_float_list(args.nbar, "--nbar")
     detector, loss = _models_from_args(args)
-    nbars = [SourceModel(nbar).mean_photon_number for nbar in nbars]
+    nbars = [SourceModel(nbar).mean_photon_number for nbar in nbars]  # -0 reads as 0
     taus = transmission(loss, np.arange(t_values[-1]))
     result = _trains(detector.kind, nbars, detector.efficiency, taus)
     # [t, nbar] grids, raveled t-major
@@ -480,8 +491,18 @@ def _summary_dataset(args: argparse.Namespace, summary, t: int, extra: dict):
 def _check_trials_seed(args: argparse.Namespace) -> None:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials > _MAX_TRIALS:
+        raise UsageError(f"--trials must be <= {_MAX_TRIALS}, got {args.trials}")
     if not (0 <= args.seed < 2**64):
         raise UsageError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
+
+
+def _check_sources(sources: int) -> int:
+    if sources < 1:
+        raise UsageError(f"--sources must be >= 1, got {sources}")
+    if sources > _MAX_SOURCES:
+        raise UsageError(f"--sources must be <= {_MAX_SOURCES}, got {sources}")
+    return sources
 
 
 def _cmd_simulate(args: argparse.Namespace):
@@ -495,8 +516,7 @@ def _cmd_simulate(args: argparse.Namespace):
 def _cmd_parallel(args: argparse.Namespace):
     t = _single_t(args)
     _check_trials_seed(args)
-    if args.sources < 1:
-        raise UsageError(f"--sources must be >= 1, got {args.sources}")
+    _check_sources(args.sources)
     config = _config_from_args(args, t)
     summary = simulate_parallel_sources([config] * args.sources, args.trials, args.seed)
     return _summary_dataset(args, summary, t, {"sources": args.sources})
@@ -548,9 +568,9 @@ def _figure_parameters(args: argparse.Namespace) -> dict:
         elif flag.startswith("eta"):  # --eta is text, --eta-d/-s/-f floats
             values = [_efficiency(x, None, name)
                       for x in (_parse_float_list(value, name) if flag == "eta" else [value])]
-        elif flag == "sources" and value < 1:
-            raise UsageError(f"--sources must be >= 1, got {value}")
-        else:  # --detector, --sources or --reoptimize
+        elif flag == "sources":
+            values = [_check_sources(value)]
+        else:  # --detector or --reoptimize
             values = [DetectorKind(value) if flag == "detector" else value]
         scalar = np.ndim(defaults[flag]) == 0
         parameters[flag] = _single(values, name, value, command) if scalar else values
@@ -733,13 +753,17 @@ _COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# rendering: a column at a time, to the bytes of a row-wise csv.writer
-# and of json.dumps(indent=2)
+# rendering: a block of rows at a time, to the bytes of a row-wise
+# csv.writer and of json.dumps(indent=2)
 
 
-# CSV rows are formatted a block at a time, which bounds the Python cell
-# objects alive at once.
+# Blocks bound the Python cells and strings alive at once.  A block of an
+# array column of at least _DISTINCT_MIN_ROWS rows, at most half of them
+# distinct, formats each distinct value once; a shorter or more varied
+# block formats every cell, since finding the distinct values would cost
+# more than it saves.
 _CSV_BLOCK_ROWS = 1024
+_DISTINCT_MIN_ROWS = 256
 
 
 def _first_non_finite(table: dict) -> str | None:
@@ -755,6 +779,26 @@ def _first_non_finite(table: dict) -> str | None:
         if row is not None and (first is None or row < first[0]):
             first = (row, name)
     return None if first is None else first[1]
+
+
+def _blocks(column):
+    """The column's blocks of ``_CSV_BLOCK_ROWS`` rows, in order."""
+    return (column[start:start + _CSV_BLOCK_ROWS]
+            for start in range(0, len(column), _CSV_BLOCK_ROWS))
+
+
+def _distinct_formatted(block: np.ndarray, form) -> list[str] | None:
+    """The cells of an array block as ``form`` writes them, in row order,
+    from one ``form`` call per distinct value; None where the block keeps
+    the cell-by-cell path.  Floats are compared by bit pattern, which
+    keeps 0.0 and -0.0 apart."""
+    if len(block) < _DISTINCT_MIN_ROWS or block.dtype not in (np.float64, np.int64):
+        return None
+    distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    if 2 * len(distinct) > len(block):
+        return None
+    strings = [form(value) for value in distinct.view(block.dtype).tolist()]
+    return np.array(strings, dtype=object)[inverse].tolist()
 
 
 def _csv_field(cell) -> str:
@@ -776,25 +820,45 @@ def _csv_field(cell) -> str:
 def _render_csv(table: dict) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(table)
-    arrays = [isinstance(column, np.ndarray) for column in table.values()]
-    template = ",".join("%.17g" if array else "%s" for array in arrays) + "\n"
-    rows = len(next(iter(table.values())))
-    for start in range(0, rows, _CSV_BLOCK_ROWS):
-        block = slice(start, start + _CSV_BLOCK_ROWS)
-        cells = [column[block].tolist() if array else [_csv_field(cell) for cell in column[block]]
-                 for column, array in zip(table.values(), arrays)]
+    lone = len(table) == 1  # the writer quotes a row's lone empty field
+    for blocks in zip(*map(_blocks, table.values())):
+        cells, forms = [], []
+        for block in blocks:
+            if not isinstance(block, np.ndarray):
+                fields = [_csv_field(cell) for cell in block]
+                cells.append([field or '""' for field in fields] if lone else fields)
+                forms.append("%s")
+            elif (strings := _distinct_formatted(block, "%.17g".__mod__)) is not None:
+                cells.append(strings)
+                forms.append("%s")
+            else:
+                cells.append(block.tolist())
+                forms.append("%.17g")
+        template = ",".join(forms) + "\n"
         buffer.writelines(template % row for row in zip(*cells))
     return buffer.getvalue()
+
+
+# one cell per line, at the depth indent=2 gives a column's cells
+_JSON_CELL_SEPARATOR = ",\n      "
+
+
+def _json_cells(block) -> str:
+    """A block's cells as json.dumps writes them, joined one per line;
+    ``repr`` writes a finite float or an int as json.dumps does."""
+    if isinstance(block, np.ndarray):
+        strings = _distinct_formatted(block, repr)
+        if strings is not None:
+            return _JSON_CELL_SEPARATOR.join(strings)
+        block = block.tolist()
+    return json.dumps(block, separators=(_JSON_CELL_SEPARATOR, ": "))[1:-1]
 
 
 def _render_json(table: dict, meta: dict) -> str:
     columns = []
     for name, column in table.items():
-        # these separators put one cell per line, at the depth indent=2
-        # gives a column's cells
-        cells = json.dumps(column.tolist() if isinstance(column, np.ndarray) else column,
-                           separators=(",\n      ", ": "))
-        body = f"[\n      {cells[1:-1]}\n    ]" if len(column) else "[]"
+        cells = _JSON_CELL_SEPARATOR.join(map(_json_cells, _blocks(column)))
+        body = f"[\n      {cells}\n    ]" if len(column) else "[]"
         columns.append(f"    {json.dumps(name)}: {body}")
     meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
     return ('{\n  "meta": ' + meta_text + ',\n  "columns": {\n'

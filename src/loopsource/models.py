@@ -63,9 +63,12 @@ def _check_probability(value: float, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def _check_mean_photon_number(nbar: float) -> None:
+def _check_mean_photon_number(nbar: float) -> float:
+    """``nbar`` once checked, with -0.0 read as 0.0: adding 0 maps -0.0 to
+    0.0 and keeps every other value and its type."""
     if not (math.isfinite(nbar) and nbar >= 0.0):
         raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
+    return nbar + 0
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,9 @@ class SourceModel:
     mean_photon_number: float
 
     def __post_init__(self) -> None:
-        _check_mean_photon_number(self.mean_photon_number)
+        object.__setattr__(
+            self, "mean_photon_number", _check_mean_photon_number(self.mean_photon_number)
+        )
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,9 @@ class ConstantPump:
     mean_photon_number: float
 
     def __post_init__(self) -> None:
-        _check_mean_photon_number(self.mean_photon_number)
+        object.__setattr__(
+            self, "mean_photon_number", _check_mean_photon_number(self.mean_photon_number)
+        )
 
     def bin_means(self, time_bins: int) -> np.ndarray:
         return np.full(time_bins, self.mean_photon_number)
@@ -127,13 +134,10 @@ class PerBinPump:
     mean_photon_numbers: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "mean_photon_numbers", tuple(float(x) for x in self.mean_photon_numbers)
-        )
+        object.__setattr__(self, "mean_photon_numbers", tuple(
+            _check_mean_photon_number(float(x)) for x in self.mean_photon_numbers))
         if len(self.mean_photon_numbers) == 0:
             raise ValueError("per-bin pump schedule must have at least one entry")
-        for nbar in self.mean_photon_numbers:
-            _check_mean_photon_number(nbar)
 
     def bin_means(self, time_bins: int) -> np.ndarray:
         if len(self.mean_photon_numbers) != time_bins:

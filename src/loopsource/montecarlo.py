@@ -62,6 +62,9 @@ _BATCH_BUDGET_DRAWS = 1 << 20
 # would divide by log(1) = 0.
 _MAX_SAMPLEABLE_NBAR = 4.0e15
 
+# Most trials a run counts: the histogram's counts are int64.
+_MAX_TRIALS = 2**63 - 1
+
 # Fourth word of the Philox counter: which kind of uniform a range holds.
 _THERMAL, _HERALD, _THINNING = 0, 1, 2
 
@@ -153,6 +156,8 @@ def simulate_parallel_sources(
     choice deterministic regardless).
     """
     _check_count(trials, "trials")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be at most {_MAX_TRIALS}, got {trials}")
     bank = _Bank(configs, seed)
     loop_counts = np.zeros(bank.time_bins + 1, dtype=np.int64)
     single_photon_trials = 0

@@ -606,6 +606,63 @@ def test_usage_error_on_t_beyond_the_longest_train(argv, capsys):
     assert capsys.readouterr().err.startswith("error: --t values must be <= 100000")
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("the Monte Carlo ran")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trials", str(2**63)],
+    ["parallel", "--trials", "1000000000000000000000000000000"],
+], ids=" ".join)
+def test_usage_error_on_trials_beyond_the_histogram_counts(argv, monkeypatch, capsys):
+    # a missing check would walk ~6e25 pages: fail at once if the engine runs
+    monkeypatch.setattr(cli, "simulate_parallel_sources", _no_run)
+    monkeypatch.setattr(cli, "run_simulation", _no_run)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --trials must be <= {2**63 - 1}, got {argv[2]}\n"
+
+
+def test_trials_bound_admits_the_largest_int64_count():
+    cli._check_trials_seed(argparse.Namespace(trials=2**63 - 1, seed=0))  # checked, not run
+    with pytest.raises(cli.UsageError, match="--trials must be <= "):
+        cli._check_trials_seed(argparse.Namespace(trials=2**63, seed=0))
+
+
+@pytest.mark.parametrize("argv", [["parallel", "--sources", "65", "--trials", "10"],
+                                  ["figure", "fig9", "--sources", "65"]], ids=" ".join)
+def test_usage_error_on_sources_beyond_the_bound(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --sources must be <= 64, got 65\n"
+    with pytest.raises(cli.UsageError, match="--sources must be <= 64, got 1000000000"):
+        cli._check_sources(1_000_000_000)  # checked only: the list alone would take ~8 GB
+
+
+def _csv_of(argv, capsys) -> tuple[int, str]:
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, nbar", [
+    (["herald", "--t", "1"], "{}"),  # printed 0,-0,-0,0
+    (["herald", "--t", "3", "--chronological"], "{},0.5,{}"),
+    (["fidelity", "--t", "2", "--eta", "0.9"], "{}"),
+    (["sweep", "--t", "1..3"], "0.5,{}"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_negative_zero_pump_level_reads_as_zero_in_commands(argv, nbar, capsys):
+    # --nbar=...: a list that starts with a minus sign is not read as a flag
+    negative = _csv_of(argv + ["--nbar=" + nbar.format("-0", "-0.0")], capsys)
+    assert negative == _csv_of(argv + ["--nbar=" + nbar.format("0", "0")], capsys)
+    assert negative[0] == 0 and "-0" not in negative[1]
+
+
+@pytest.mark.parametrize("argv", [["figure", "fig6", "--t", "1,2"], ["figure", "fig9"]],
+                         ids=" ".join)
+def test_negative_zero_pump_level_reads_as_zero_in_figures(argv, capsys):
+    negative = _csv_of(argv + ["--nbar", "-0"], capsys)
+    assert negative == _csv_of(argv + ["--nbar", "0"], capsys)
+    assert negative[0] == 0 and "-0" not in negative[1]
+
+
 def test_usage_error_on_range_t_where_scalar_needed(capsys):
     code = main(["simulate", "--t", "1..5"])
     assert code == 2
@@ -892,6 +949,97 @@ def test_renderers_match_stdlib_on_every_cell_kind(monkeypatch, tmp_path):
     assert csv_text.splitlines()[1] == 'true,"a,b",18446744073709551615,0.10000000000000001,undefined'
 
 
+# Renderer fuzz: tables of one to three blocks whose array columns repeat
+# values from small pools, so that blocks take the distinct-value path or
+# the cell-by-cell one, or sit at the edges between them.
+
+_BLOCK, _FLOOR = cli._CSV_BLOCK_ROWS, cli._DISTINCT_MIN_ROWS
+_FLOAT_POOL = np.array([0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                        1.7976931348623157e308, -1.7976931348623157e308, 1.0,
+                        np.nextafter(1.0, 2.0), 0.1, np.nextafter(0.1, 1.0), -2.5, 1e-300])
+_INT_POOL = np.array([0, 1, -1, 7, 12345678901, 2**53 - 1, -(2**53 - 1)])
+_CELL_POOL = [None, True, False, "", "a,b", 'say "hi"', "x", 3, -0.0, 0.5]
+# whole blocks below, at and above the floor, and last blocks the same
+_EDGE_ROWS = [1, _FLOOR - 1, _FLOOR, _FLOOR + 1, _BLOCK, _BLOCK + _FLOOR - 1, _BLOCK + _FLOOR,
+              2 * _BLOCK + _FLOOR - 1, 2 * _BLOCK + _FLOOR, 3 * _BLOCK]
+
+
+def _ulp_runs(rng, rows: int, extra: int) -> np.ndarray:
+    """Per block, half its size plus ``extra`` neighbouring floats
+    (consecutive bit patterns from a pool value) and repeats of them,
+    shuffled: with ``extra`` 0 an even block holds exactly half its cells
+    distinct, with 1 just more than half."""
+    blocks = []
+    for start in range(0, rows, _BLOCK):
+        size = min(_BLOCK, rows - start)
+        count = min(size, max(1, size // 2 + extra))
+        base = rng.choice(_FLOAT_POOL[:4]).view(np.int64)  # zeros and subnormals
+        distinct = (base + np.arange(count)).view(np.float64)
+        cells = np.concatenate([distinct, rng.choice(distinct, size - count)])
+        blocks.append(rng.permutation(cells))
+    return np.concatenate(blocks)
+
+
+def _fuzz_column(kind: str, pool: int, seed: int, rows: int):
+    rng = np.random.default_rng(seed)
+    if kind == "floats":
+        return rng.choice(_FLOAT_POOL[:pool], rows)
+    if kind == "ints":
+        return rng.choice(_INT_POOL[:pool], rows).astype(np.int64)
+    if kind == "cells":
+        return [_CELL_POOL[i] for i in rng.integers(0, min(pool, len(_CELL_POOL)), rows)]
+    return _ulp_runs(rng, rows, {"half": 0, "over_half": 1, "distinct": _BLOCK}[kind])
+
+
+@st.composite
+def _render_table(draw):
+    rows = draw(st.sampled_from(_EDGE_ROWS) | st.integers(1, 3 * _BLOCK))
+    kinds = st.sampled_from(["floats", "ints", "cells", "half", "over_half", "distinct"])
+    columns = draw(st.lists(st.tuples(kinds, st.integers(1, len(_FLOAT_POOL)),
+                                      st.integers(0, 2**32 - 1)), min_size=1, max_size=4))
+    return {f"c{i}": _fuzz_column(kind, pool, seed, rows)
+            for i, (kind, pool, seed) in enumerate(columns)}
+
+
+def _edge_table(rows: int) -> dict:
+    kinds = ["floats", "ints", "cells", "half", "over_half", "distinct"]
+    return {kind: _fuzz_column(kind, 4, seed, rows) for seed, kind in enumerate(kinds)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(table=_render_table())
+@example(table=_edge_table(2 * _BLOCK + _FLOOR))  # a last block at the floor
+@example(table=_edge_table(_BLOCK + _FLOOR - 1))  # a last block just below it
+# a run of -0.0 across a block boundary, among 0.0
+@example(table={"x": np.repeat([0.0, -0.0, 0.0], [_BLOCK - 24, 100, _BLOCK - 76])})
+@example(table={"label": ["", "a", ""]})  # the writer quotes a row's lone empty field
+def test_renderers_match_stdlib_on_repeated_and_distinct_blocks(table):
+    columns = {name: column.tolist() if isinstance(column, np.ndarray) else column
+               for name, column in table.items()}
+    meta = {"command": "fuzz", "parameters": {"rows": len(next(iter(columns.values())))}}
+    assert cli._render_csv(table) == _row_wise_csv(columns)
+    assert cli._render_json(table, meta) == json.dumps(
+        {"meta": meta, "columns": columns}, indent=2) + "\n"
+
+
+def test_distinct_values_are_formatted_once_in_long_blocks_at_most_half_distinct():
+    formatted = []
+
+    def form(value):
+        formatted.append(value)
+        return repr(value)
+
+    for rows, kind, once in [(_FLOOR, "half", True), (_FLOOR - 1, "half", False),
+                             (_FLOOR, "over_half", False), (_BLOCK, "half", True)]:
+        block = _fuzz_column(kind, 1, 0, rows)
+        formatted.clear()
+        strings = cli._distinct_formatted(block, form)
+        assert (strings is not None) == once
+        if once:
+            assert len({repr(value) for value in formatted}) == len(formatted) == rows // 2
+            assert strings == [repr(value) for value in block.tolist()]
+
+
 # Option reach: every flag a subcommand accepts changes its stdout or its
 # exit code.  Each row is an argv without the flag and the flag with its
 # values; the flag is appended to form the second argv.
@@ -990,7 +1138,9 @@ def test_flags_a_command_ignored_are_usage_errors(argv, capsys):
 # ~1e6 cells at that length (fig2, fig3, fig9, fig11; fig6 up to 1e3 and
 # fig7 and fig10, with ~1,000-point grids, up to 100); at most 8 bins for
 # optimize --biased, fig8 and fig3 --reoptimize, and 1e3 for the constant
-# optimizer; Monte Carlo runs of at most 1e4 trials, 20 bins and 8 sources.
+# optimizer; Monte Carlo runs of at most 1e4 trials, 20 bins and 64
+# sources, the bound; fig9 up to 8 sources at t up to 1e5 and up to 64 at
+# t up to 1e4.  One source past the bound exits 2 before any run.
 
 
 
@@ -1025,7 +1175,7 @@ def _ts(most: int):
 def _mc_flags(parallel: bool) -> dict:
     flags = {**_PHYSICS, "--t": _t(20), "--nbar": _NBARS, "--chronological": _SWITCH,
              "--trials": st.integers(-1, 10_000), "--seed": _SEED, "--histogram": _SWITCH}
-    return {**flags, "--sources": st.integers(-1, 8)} if parallel else flags
+    return {**flags, "--sources": st.integers(-1, cli._MAX_SOURCES + 1)} if parallel else flags
 
 
 _FIGURE_T = {"fig2": _ts(100_000), "fig3": _ts(100_000), "fig6": _ts(1_000),
@@ -1066,6 +1216,8 @@ def _fuzz_argv(draw):
             flags["--t"] = _ts(8) if reoptimize else _FIGURE_T[{"fig4": "fig3"}.get(figure, figure)]
             head += ["--reoptimize"] if reoptimize else []
             flags.pop("--reoptimize", None)
+        if figure == "fig9" and draw(st.booleans()):  # more sources on shorter trains
+            flags["--sources"], flags["--t"] = st.integers(9, cli._MAX_SOURCES + 1), _t(10_000)
     else:
         required = {"--rate": _BOUND}
         flags = {"--attenuation": _BOUND, "--loops": st.integers(-5, 2**70),
@@ -1083,6 +1235,8 @@ def _fuzz_argv(draw):
 @example(argv=["figure", "fig7", "--eta=1.5"])
 @example(argv=["optimize", "--nbar-min=5e-324", "--nbar-max=1e308", "--biased", "--t=8"])
 @example(argv=["simulate", "--nbar=1e308", "--seed=18446744073709551616"])
+@example(argv=["parallel", "--sources=64", "--t=20", "--trials=10000", "--nbar=1e-3"])
+@example(argv=["figure", "fig9", "--t=10000", "--sources=64"])
 def test_cli_exits_cleanly_on_extreme_flag_values(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -230,6 +230,17 @@ def test_long_outcome_distribution_names_its_bad_entry(bad, where):
     assert OutcomeDistribution(entries).probabilities == tuple(entries.tolist())
 
 
+def test_negative_zero_pump_level_reads_as_zero():
+    for level in (SourceModel(-0.0).mean_photon_number, ConstantPump(-0.0).mean_photon_number,
+                  *PerBinPump((-0.0, 0.5, np.float64(-0.0))).mean_photon_numbers[::2]):
+        assert level == 0.0 and math.copysign(1.0, level) == 1.0
+    assert ConstantPump(-0.0).bin_means(3).tolist() == [0.0, 0.0, 0.0]
+    assert math.copysign(1.0, ConstantPump(-0.0).bin_means(1)[0]) == 1.0
+    # every other level keeps its value and type
+    assert type(SourceModel(2).mean_photon_number) is int
+    assert SourceModel(5e-324).mean_photon_number == 5e-324
+
+
 def test_thermal_pmf_rejects_negative_count():
     with pytest.raises(ValueError):
         thermal_pmf(SourceModel(1.0), -1)

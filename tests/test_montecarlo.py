@@ -539,6 +539,16 @@ def test_parallel_sources_must_share_shape():
         simulate_parallel_sources([a, b], 100, 0)
 
 
+def test_trial_count_beyond_the_int64_histogram_is_rejected_before_a_page(monkeypatch):
+    # a missing check would walk ~5.6e14 pages: fail at once if a bank is built
+    def no_bank(*args):
+        raise AssertionError("a bank was built")
+
+    monkeypatch.setattr(montecarlo, "_Bank", no_bank)
+    with pytest.raises(ValueError, match=f"trials must be at most {2**63 - 1}, got {2**63}"):
+        simulate_parallel_sources([_mixed_config()] * 2, 2**63, 0)
+
+
 def test_seed_validation():
     config = _mixed_config()
     with pytest.raises(ValueError):
