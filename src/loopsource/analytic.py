@@ -315,9 +315,9 @@ def fidelity_after_loops_oracle(
 def detector_limited_fidelity(source: SourceModel, det: DetectorModel) -> float:
     """Herald-conditioned fidelity when the switch and fibre are lossless,
     leaving the detector as the only imperfection.  Independent of the
-    number of time-bins."""
-    rows = _bin_rows(det.efficiency, 1.0, det.kind)
-    return float(_bin_law(source.mean_photon_number, det.efficiency, rows)[2])
+    number of time-bins.  Raises UndefinedConditionalError where the
+    source can never herald (nbar 0 or a blind detector)."""
+    return fidelity_after_loops(source, det, LossModel(1.0, 1.0), 0)
 
 
 def detector_limited_fidelity_oracle(source: SourceModel, det: DetectorModel) -> float:

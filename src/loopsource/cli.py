@@ -13,7 +13,8 @@ one ``error:`` line each), 3 non-finite result.  Of the six commands
 that share the detector flags and ``--t`` (at most 100000 bins), all but
 ``herald`` (no column of which reads the loss chain) take the loss flags,
 all but ``optimize`` (which chooses the pump) take ``--nbar``, and all
-but ``sweep`` take ``--chronological``.
+but ``sweep`` take ``--chronological``; ``simulate`` and ``parallel``
+share ``--trials``, ``--seed`` and ``--histogram``, each declared once.
 
 Every command returns ``(table, meta)``.  ``table`` maps each column
 name, in output order, to a float64 array, an int array of values below
@@ -30,9 +31,9 @@ bytes they write are those of the stdlib's row-wise ``csv.writer`` with
 ``--sources`` is at most 64 and ``--trials`` at most 2**63 - 1, and a
 pump level of -0 reads as 0.
 
-A figure's builder is a function of its parameters: ``FIGURES`` holds it
-with the flags it accepts and its defaults, each under its flag's name.
-A given flag parses like its default (see ``_figure_parameters``).
+A figure's builder is a function of its parameters, whose defaults
+``FIGURES`` holds with it: a figure accepts exactly the flags its defaults
+name, and a given flag parses like its default (``_figure_parameters``).
 """
 
 from __future__ import annotations
@@ -195,12 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     detection.add_argument("--eta", type=float, default=None,
                            help="sets each efficiency flag not given")
     detection.add_argument("--eta-d", type=float, default=None, help="detector efficiency")
+    detection.add_argument("--t", default="1", help="time-bins: an integer, a range a..b "
+                           f"or an increasing comma list, each at most {_MAX_TIME_BINS}")
     physics = argparse.ArgumentParser(add_help=False, parents=[detection])
     physics.add_argument("--eta-s", type=float, default=None, help="switch efficiency")
     physics.add_argument("--eta-f", type=float, default=None, help="fibre-loop efficiency")
-    for parent in (detection, physics):
-        parent.add_argument("--t", default="1", help="time-bins: an integer, a range a..b "
-                            f"or an increasing comma list, each at most {_MAX_TIME_BINS}")
     # optimize chooses the pump; sweep's --nbar lists levels, not a schedule
     pump = argparse.ArgumentParser(add_help=False)
     pump.add_argument("--nbar", default="1", help="mean photon number; a comma list is a "
@@ -209,6 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     order.add_argument("--chronological", action="store_true",
                        help="read and report per-bin schedules in firing order "
                        "(default: reverse-chronological, entry 0 = final bin)")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--trials", type=int, default=100_000,
+                          help="number of trials, at most 2**63 - 1")
+    sampling.add_argument("--seed", type=int, default=0)
+    sampling.add_argument("--histogram", action="store_true",
+                          help="emit the loop histogram instead of the summary row")
 
     sub.add_parser("herald", parents=[detection, pump, order, output],
                    help="heralding probabilities for one configuration")
@@ -226,22 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--nbar-min", type=float, default=1e-3)
     optimize.add_argument("--nbar-max", type=float, default=10.0)
 
-    simulate = sub.add_parser("simulate", parents=[physics, pump, order, output],
-                              help="Monte Carlo run of one source")
-    simulate.add_argument("--trials", type=int, default=100_000,
-                          help="number of trials, at most 2**63 - 1")
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--histogram", action="store_true",
-                          help="emit the loop histogram instead of the summary row")
-
-    parallel = sub.add_parser("parallel", parents=[physics, pump, order, output],
+    sub.add_parser("simulate", parents=[physics, pump, order, output, sampling],
+                   help="Monte Carlo run of one source")
+    parallel = sub.add_parser("parallel", parents=[physics, pump, order, output, sampling],
                               help="Monte Carlo run of parallel identical sources")
-    parallel.add_argument("--trials", type=int, default=100_000,
-                          help="number of trials, at most 2**63 - 1")
-    parallel.add_argument("--seed", type=int, default=0)
     parallel.add_argument("--sources", type=int, default=2,
                           help=f"number of sources, at most {_MAX_SOURCES}")
-    parallel.add_argument("--histogram", action="store_true")
 
     figure = sub.add_parser("figure", parents=[output],
                             help="regenerate a standard figure dataset")
@@ -548,13 +544,13 @@ def _figure_parameters(args: argparse.Namespace) -> dict:
     flag parses like its default: a list where the default is a sequence,
     exactly one value where it is a scalar."""
     command = f"figure {args.figure_id}"
-    _, allowed, defaults = FIGURES[args.figure_id]
+    defaults = FIGURES[args.figure_id][1]
     # the override flags that were given: `is not False` because an unset
     # switch is False, and `--sources 0` == False is given
     given = {flag: value for flag, value in vars(args).items()
              if flag not in ("command", "format", "out", "figure_id")
              and value is not None and value is not False}
-    unknown = given.keys() - allowed
+    unknown = given.keys() - defaults.keys()
     if unknown:
         flags = ", ".join("--" + flag.replace("_", "-") for flag in sorted(unknown))
         raise UsageError(f"{args.figure_id} does not accept override {flags}")
@@ -710,31 +706,29 @@ def _fig11(p: dict):
 _NBAR_GRID = np.linspace(0.05, 2.0, 40)  # fig7 and fig10
 _ETA_GRID = np.linspace(0.5, 1.0, 26)
 
-# Standard figure datasets: the builder, the flags it accepts, and its
-# parameters, each flag's default under the flag's name.
+# Standard figure datasets: the builder and its parameters, each flag's
+# default under the flag's name; the figure accepts exactly those flags.
 FIGURES: dict[str, tuple] = {
-    "fig2": (_fig2, {"t", "nbar", "eta_d"}, {"t": range(1, 51), "nbar": 1.0, "eta_d": 1.0}),
-    "fig3": (_fig3, {"t", "reoptimize"}, {
+    "fig2": (_fig2, {"t": range(1, 51), "nbar": 1.0, "eta_d": 1.0}),
+    "fig3": (_fig3, {
         "t": range(1, 51),
         "reoptimize": False,
         "etas": (1.0, 0.99, 0.95),
         "nbar_resolved": {1.0: 1.0, 0.99: 0.90, 0.95: 0.95},
         "nbar_bucket": {1.0: 0.05, 0.99: 0.14, 0.95: 0.34},
     }),
-    "fig5": (_fig5, {"nbar"},
-             {"nbar": (0.01, 0.1, 0.5, 1.0, 2.0), "eta_ds": np.linspace(0.0, 1.0, 101)}),
-    "fig6": (_fig6, {"nbar", "t"}, {
+    "fig5": (_fig5, {"nbar": (0.01, 0.1, 0.5, 1.0, 2.0), "eta_ds": np.linspace(0.0, 1.0, 101)}),
+    "fig6": (_fig6, {
         "nbar": np.linspace(0.02, 3.0, 150),
         "t": (1, 2, 4, 8, 16, 32, 64),
         "etas": (1.0, 0.99, 0.95),
     }),
-    "fig7": (_fig7, {"nbar", "t", "eta"}, {"t": 100, "nbar": _NBAR_GRID, "eta": _ETA_GRID}),
-    "fig8": (_fig8, {"t"}, {"t": range(1, 9), "etas": (0.99, 0.95)}),
-    "fig9": (_fig9, {"t", "nbar", "eta", "sources", "detector"},
+    "fig7": (_fig7, {"t": 100, "nbar": _NBAR_GRID, "eta": _ETA_GRID}),
+    "fig8": (_fig8, {"t": range(1, 9), "etas": (0.99, 0.95)}),
+    "fig9": (_fig9,
              {"t": 10, "nbar": 0.1, "eta": 0.95, "sources": 4, "detector": DetectorKind.BUCKET}),
-    "fig10": (_fig10, {"nbar", "t"},
-              {"t": 5, "nbar": _NBAR_GRID, "etas": _ETA_GRID, "source_counts": (1, 4)}),
-    "fig11": (_fig11, {"t", "nbar", "eta_d", "eta_s", "eta_f"},
+    "fig10": (_fig10, {"t": 5, "nbar": _NBAR_GRID, "etas": _ETA_GRID, "source_counts": (1, 4)}),
+    "fig11": (_fig11,
               {"t": range(1, 51), "nbar": 0.5, "eta_d": 0.8, "eta_s": 0.8, "eta_f": 1.0}),
 }
 # fig4 re-plots fig3's dataset against loop count

@@ -263,9 +263,12 @@ def _bellman_sweep(config: ProtocolConfig, bounds: tuple[float, float]):
     lo, hi = _check_bounds(bounds)
     eta_d = config.detector.efficiency
     kind = config.detector.kind
-    taus = transmission(config.loss, np.arange(config.time_bins)).tolist()
-    bins = [_bin_rows(eta_d, tau, kind) for tau in taus]
-    numerators, denominators = _stationarity_terms(eta_d, bins)
+    rows = _bin_rows(eta_d, transmission(config.loss, np.arange(config.time_bins)), kind)
+    numer, denom = (np.array(np.broadcast_arrays(*row)).T for row in rows[:2])
+    j = rows[2]
+    numerators, denominators = _stationarity_terms(eta_d, numer, denom, j)
+    # bin l's rows are row l of the [t, d] arrays; Python floats step faster
+    bins = list(zip(numer.tolist(), denom.tolist(), itertools.repeat(j)))
     # S rises with n for a bucket detector and peaks at n = 1/eta_d for a
     # resolved one.
     peak = hi if kind is DetectorKind.BUCKET or eta_d * hi <= 1.0 else max(lo, 1.0 / eta_d)
@@ -333,11 +336,12 @@ def _real_roots(coefficients: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _stationarity_terms(eta_d: float, bins):
+def _stationarity_terms(eta_d: float, numer: np.ndarray, denom: np.ndarray, j: int):
     """Coefficient rows ``[t, degree + 1]`` (highest power first, as
     ``np.roots`` takes them) of polynomials ``A_l`` and ``B_l`` in the pump
     level n such that ``A_l - c B_l`` has the sign of the derivative of bin
-    l's Bellman term ``S F_l - c S``, from each bin's :func:`_bin_rows`.
+    l's Bellman term ``S F_l - c S``, from the rows ``[t, d]`` of each
+    bin's :func:`_bin_rows` ``(Q, R, j)``.
 
     With ``x = eta_d n``, ``S F_l = P / R**j`` with ``P = eta_d n Q`` and
     ``dS/dn = D / (1 + x)**j`` with ``D = eta_d (1 - (j - 2) x)``.  Clearing
@@ -345,9 +349,7 @@ def _stationarity_terms(eta_d: float, bins):
     leaves ``A = (P' R - j P R') (1 + x)**j`` and ``B = D R**(j+1)``, of
     degree 6 (bucket) or 5 (resolved)."""
     # P = eta_d n Q: Q's coefficients moved up one power
-    numer = eta_d * np.array([numer_row + (0.0,) for numer_row, _, _ in bins])
-    denom = np.array([denom_row for _, denom_row, _ in bins])
-    j = bins[0][2]
+    numer = eta_d * np.append(numer, np.zeros((len(numer), 1)), axis=1)
     # D has degree j - 2: its leading coefficient is dropped for a bucket.
     slope = eta_d * np.array([-(j - 2) * eta_d, 1.0])[3 - j :]
     # P' R and P R' have the same degree, so their rows align.

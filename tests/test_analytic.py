@@ -266,6 +266,16 @@ def test_detector_limited_values_and_oracle():
             )
 
 
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+@pytest.mark.parametrize("nbar, eta_d", [(0.5, 0.0), (0.0, 0.5)], ids=["blind", "vacuum"])
+def test_detector_limited_fidelity_is_undefined_where_nothing_heralds(kind, nbar, eta_d):
+    # it returned 4/9 for a blind bucket detector at nbar 0.5, where its oracle raises
+    source, det = SourceModel(nbar), DetectorModel(kind, eta_d)
+    for fidelity in (detector_limited_fidelity, detector_limited_fidelity_oracle):
+        with pytest.raises(UndefinedConditionalError):
+            fidelity(source, det)
+
+
 def test_detector_limited_equals_lossless_conditional_any_t():
     source = SourceModel(1.0)
     det = DetectorModel(RESOLVED, 0.5)
@@ -288,6 +298,16 @@ def test_outcome_distribution_values():
     dist = outcome_distribution(_config(BUCKET, 1.0, 2))
     assert dist.probabilities == pytest.approx([0.5, 0.25, 0.25])
     assert dist.herald_probability == pytest.approx(0.75)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 4: each bin's S + (1 - S) misses 1 by a sub-ulp "
+                   "residual, and 30000 constant bins add it up past the 1e-12 check")
+def test_outcome_distribution_normalises_on_a_long_rare_herald_train():
+    config = ProtocolConfig(30000, ConstantPump(1e-6), DetectorModel(BUCKET, 0.1),
+                            LossModel(0.9, 0.99))
+    dist = outcome_distribution(config)  # raises: the sum reads 0.9999999999980206
+    assert abs(math.fsum(dist.probabilities) - 1.0) <= 1e-12
 
 
 def test_outcome_distribution_per_bin_schedule_sums_to_one():

@@ -311,7 +311,8 @@ def test_stationarity_polynomial_has_the_sign_of_the_bellman_slope(kind, eta_d, 
     rng = np.random.default_rng(17)
     n = np.geomspace(1e-3, 1e3, 400) * rng.uniform(0.9, 1.1, 400)
     c = rng.uniform(0.0, 2.0, 400)
-    numerators, denominators = _stationarity_terms(eta_d, [_bin_rows(eta_d, tau, kind)])
+    numer, denom, j = _bin_rows(eta_d, tau, kind)
+    numerators, denominators = _stationarity_terms(eta_d, np.array([numer]), np.array([denom]), j)
     poly = np.array([np.polyval(numerators[0] - ci * denominators[0], ni) for ni, ci in zip(n, c)])
 
     def g(nbar):
@@ -485,6 +486,24 @@ def test_stacked_sweep_makes_one_eigenvalue_call_per_bin(monkeypatch):
     _schedule_heads(_bucket_config(8), range(1, 9))
     # bin l is shared by the 8 - l heads longer than l
     assert calls == [(8 - loops, 6, 6) for loops in reversed(range(8))]
+
+
+def test_schedule_optimizer_builds_the_bin_rows_once(monkeypatch):
+    # the sweep built one row per bin, t + 1 calls with the objective's
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bin_rows(*args)
+
+    bin_rows = multiplex._bin_rows
+    monkeypatch.setattr(multiplex, "_bin_rows", counted)
+    counts = []
+    for t in (2, 50):
+        calls.clear()
+        optimize_schedule(_bucket_config(t), Objective.CONDITIONAL)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def _roots_rows(rng):
