@@ -3,9 +3,9 @@
 Every quantity here has two implementations: a closed form (primary) and
 a truncated photon-number series (functions with an ``_oracle`` suffix).
 The series evaluate the defining sums directly from the elementary laws
-in :mod:`loopsource.models` (``thermal_pmf`` and ``detect_prob``, each
-over an array of photon numbers), so the two routes are independent and
-the test suite can hold them against each other.
+in :mod:`loopsource.models` (``thermal_pmf``, ``detect_prob`` and the
+binomial loss thinning, each over an array of photon numbers), so the two
+routes are independent and the test suite can hold them against each other.
 
 Heralding on the detector arm projects the stored signal arm onto a
 photon-number mixture.  A herald that fired l loops before the output
@@ -31,6 +31,7 @@ from .models import (
     ProtocolConfig,
     SourceModel,
     UndefinedConditionalError,
+    _binomial_law,
     _capped_herald,
     _check_count,
     _check_probability,
@@ -309,7 +310,7 @@ def fidelity_after_loops_oracle(
     # the herald series once, not once per chunk as prep_pmf_oracle would
     single = _heralded(herald_single_shot_oracle(source, det), "the post-herald state")
     return _series(source, lambda n: _joint(source, det, n) / single
-                   * (n * tau * (1.0 - tau) ** (n - 1)))
+                   * _binomial_law(n, tau, "one")[0])
 
 
 def detector_limited_fidelity(source: SourceModel, det: DetectorModel) -> float:

@@ -77,6 +77,7 @@ from .models import (
     PerBinPump,
     ProtocolConfig,
     SourceModel,
+    _binomial_law,
     _check_probability,
     transmission,
 )
@@ -84,7 +85,6 @@ from .montecarlo import _MAX_TRIALS, run_simulation, simulate_parallel_sources
 from .multiplex import (
     Objective,
     _constant_heads,
-    _m_source_bin,
     _schedule_heads,
     m_source_distribution,
     optimize_constant,
@@ -685,8 +685,8 @@ def _fig10(p: dict):
     for kind in DetectorKind:
         result = _trains(kind, nbars, etas[:, None, None], taus)
         for m in p["source_counts"]:
-            # m sources are one source with the bank's per-bin law
-            singles, misses = _m_source_bin(result.single_shot, m)
+            # m sources are one source whose bin heralds unless all m miss
+            singles, misses = _binomial_law(m, result.single_shot, "some", "none")
             bank = ClosedForm(singles, *_freshest_herald(singles, misses), result.per_loop)
             # the table runs nbar-major
             table[f"unconditional_{kind.value}_m{m}"] = bank.unconditional.T.ravel()

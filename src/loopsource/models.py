@@ -8,9 +8,11 @@ photon statistics of the source, the detector response, the switch and
 fibre losses, and the protocol configuration shared by the closed-form
 and Monte Carlo code paths.
 
-The thermal pmf and the detector's response to n photons are written
-here only, for an int or an array of photon numbers; the series oracles
-and the Monte Carlo herald test read them.
+The thermal rate (:func:`_thermal_rate`) and the binomial law
+(:func:`_binomial_law`) are written here only, array-native.  The rate is
+read by ``thermal_pmf``, ``thermal_truncation`` and the Monte Carlo
+quantile; the binomial law by ``detect_prob``, the Monte Carlo herald test
+and thinning, and the m-source bank (``multiplex``, fig10).
 """
 
 from __future__ import annotations
@@ -242,32 +244,34 @@ def thermal_pmf(source: SourceModel, n):
     for an int n or elementwise over an array of photon numbers.
 
     The single-mode thermal law (1/(nbar+1)) * (nbar/(nbar+1))**n, as
-    ``exp(-n log1p(1/nbar)) / (nbar + 1)``: the rounded ratio's half-ulp
-    error would grow like n ulps over the ~28 nbar terms a series sums.
-    Where 1/nbar overflows (subnormal nbar), ``log1p(1/nbar)`` is
-    ``-log(nbar)`` to the last bit.  A vacuum source reads 1 at n = 0 and 0
-    elsewhere.
+    ``exp(-n rate) / (nbar + 1)`` at the rate of :func:`_thermal_rate`.  A
+    vacuum source reads 1 at n = 0 and 0 elsewhere.
     """
     nbar = source.mean_photon_number
     counts = _photon_numbers(n)
     if nbar == 0.0:
         return _shaped_as(np.where(counts == 0, 1.0, 0.0), n)
-    inverse = 1.0 / nbar
-    rate = math.log1p(inverse) if math.isfinite(inverse) else -math.log(nbar)
-    return _shaped_as(np.exp(-counts * rate) / (nbar + 1.0), n)
+    return _shaped_as(np.exp(-counts * _thermal_rate(nbar)) / (nbar + 1.0), n)
+
+
+def _thermal_rate(nbar):
+    """The rate ``log1p(1/nbar)`` at which the thermal law falls with n, for
+    a float or an array nbar: ``-log(nbar)`` where 1/nbar overflows, ``inf``
+    (never a photon) at nbar 0.  Not the log of the rounded ratio
+    nbar/(1 + nbar), whose error grows like n ulps and which is 1 near 1e16."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inverse = np.divide(1.0, nbar)
+        return np.where(np.isfinite(inverse), np.log1p(inverse), -np.log(nbar))
 
 
 def thermal_truncation(source: SourceModel) -> int:
     """Smallest series length whose thermal tail mass is below TAIL_MASS,
-    floored at TRUNCATION_FLOOR terms.
+    floored at TRUNCATION_FLOOR terms, all that a vacuum (rate inf) gets.
 
-    The tail beyond n is ratio**(n+1), so the cutoff is closed-form.
+    The tail beyond n is ``exp(-(n + 1) rate)``, so the cutoff is closed-form.
     """
-    nbar = source.mean_photon_number
-    if nbar == 0.0:
-        return TRUNCATION_FLOOR
-    ratio = nbar / (nbar + 1.0)
-    cutoff = math.ceil(math.log(TAIL_MASS) / math.log(ratio)) - 1
+    rate = float(_thermal_rate(source.mean_photon_number))
+    cutoff = math.ceil(math.log(TAIL_MASS) / -rate) - 1
     return max(TRUNCATION_FLOOR, cutoff)
 
 
@@ -275,21 +279,16 @@ def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n):
     """Conditional probability of a detection outcome given n photons hit
     the detector, for an int n or elementwise over an array of photon
     numbers.  ZERO/ONE are only defined for number-resolved detectors and
-    NO_CLICK/CLICK only for bucket detectors.
-
-    With ``m = log1p(-eta)``, a miss (ZERO) is ``exp(n m)``, a click is
-    ``-expm1(n m)`` and NO_CLICK its complement, and ONE is
-    ``eta n exp((n - 1) m)``, so 0 at n = 0.  None of them cancels at tiny
-    eta, where ``1 - (1 - eta)**n`` would; a perfect detector (eta = 1,
-    ``m = -inf``) takes the exact indicators.
+    NO_CLICK/CLICK only for bucket detectors.  Of the count Binomial(n, eta)
+    (:func:`_binomial_law`), ZERO is P(none), ONE P(one) and CLICK P(some);
+    NO_CLICK is ``1 - CLICK``.
     """
     counts = _photon_numbers(n)
     resolved = det.kind is DetectorKind.NUMBER_RESOLVED
     if outcome is herald_outcome(det.kind):
         value = _herald_given_n(det, counts)
     elif outcome is DetectorOutcome.ZERO and resolved:
-        eta = det.efficiency
-        value = (counts == 0).astype(float) if eta == 1.0 else np.exp(counts * math.log1p(-eta))
+        value = _binomial_law(counts, det.efficiency, "none")[0]
     elif outcome is DetectorOutcome.NO_CLICK and not resolved:
         value = 1.0 - _herald_given_n(det, counts)
     else:
@@ -299,17 +298,35 @@ def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n):
 
 
 def _herald_given_n(det: DetectorModel, n):
-    """The herald probability of :func:`detect_prob` (ONE or CLICK) over an
-    array of photon numbers, unchecked: the Monte Carlo herald test calls
-    it on every block, where a scan for negative counts would cost time."""
-    eta = det.efficiency
-    resolved = det.kind is DetectorKind.NUMBER_RESOLVED
-    if eta == 1.0:
-        return (n == 1 if resolved else n >= 1).astype(float)
-    log_miss = math.log1p(-eta)
-    if resolved:
-        return eta * n * np.exp((n - 1.0) * log_miss)
-    return -np.expm1(n * log_miss)
+    """:func:`detect_prob` of the herald outcome, unchecked: the Monte Carlo
+    herald test calls it on every block, where a count scan would cost time."""
+    term = "one" if det.kind is DetectorKind.NUMBER_RESOLVED else "some"
+    return _binomial_law(n, det.efficiency, term)[0]
+
+
+# Each term of Binomial(n, p): its value in m = log1p(-p), and at p = 1.
+_BINOMIAL = {
+    "none": (lambda n, p, m: np.exp(n * m), lambda n: n == 0),
+    "one": (lambda n, p, m: p * n * np.exp((n - 1.0) * m), lambda n: n == 1),
+    "some": (lambda n, p, m: -np.expm1(n * m), lambda n: n >= 1),
+}
+
+
+def _binomial_law(n, p, *terms: str) -> tuple:
+    """P(none), P(one) or P(some) of Binomial(n, p) for each of ``terms``,
+    elementwise over counts n and probabilities p, in log form so that none
+    cancels at tiny p.  At p = 1 (m = -inf) each is its exact indicator:
+    by a branch for a scalar p, by ``np.where`` for an array p."""
+    laws = [_BINOMIAL[term] for term in terms]
+    if np.ndim(p) == 0:
+        if p == 1.0:
+            return tuple(np.asarray(exact(n), dtype=float) for _, exact in laws)
+        m = np.log1p(-p)  # finite, so no warning to silence
+        return tuple(law(n, p, m) for law, _ in laws)
+    certain = p == 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.log1p(-p)
+        return tuple(np.where(certain, exact(n), law(n, p, m)) for law, exact in laws)
 
 
 def herald_outcome(kind: DetectorKind) -> DetectorOutcome:

@@ -9,7 +9,8 @@ and ``P1`` the chances that none or exactly one of the held photons
 survives, ``u <= P0`` is vacuum, ``P0 < u <= P0 + P1`` is a single
 photon and anything above is more.  Only the single-photon event is
 counted, so the engine evaluates those two terms in closed form, O(1)
-per trial for every photon number the sampler can draw.
+per trial for every photon number the sampler can draw.  The quantile,
+herald test and thinning read the laws of :mod:`loopsource.models`.
 
 Reproducibility contract.  Trials run in pages of ``_PAGE_TRIALS``, and
 bins (newest first) in blocks fixed by the configurations alone (see
@@ -42,9 +43,11 @@ from .analytic import _closed_form_of
 from .models import (
     OutcomeDistribution,
     ProtocolConfig,
+    _binomial_law,
     _check_count,
     _herald_given_n,
     _is_int,
+    _thermal_rate,
     transmission,
 )
 
@@ -57,9 +60,9 @@ from .models import (
 _PAGE_TRIALS = 1 << 14
 _BATCH_BUDGET_DRAWS = 1 << 20
 
-# Largest mean photon number whose geometric ratio nbar/(1+nbar) is
-# still below 1 in double precision; beyond it inverse-CDF sampling
-# would divide by log(1) = 0.
+# Largest mean photon number sampled: below it the median photon number
+# (nbar ln 2) stays under 2**53, where a double holds every integer.  The
+# thermal rate itself is exact at any finite nbar.
 _MAX_SAMPLEABLE_NBAR = 4.0e15
 
 # Most trials a run counts: the histogram's counts are int64.
@@ -199,14 +202,17 @@ class _Bank:
         if len(configs) == 0:
             raise ValueError("need at least one source configuration")
         self.time_bins = configs[0].time_bins
-        for config in configs[1:]:
-            if config.time_bins != self.time_bins:
-                raise ValueError("all parallel sources must share the same number of time-bins")
         _check_uint64(seed, "seed")
         for config in configs:
-            _check_sampleable(config)
+            if config.time_bins != self.time_bins:
+                raise ValueError("all parallel sources must share the same number of time-bins")
+            if np.any(config.bin_means() > _MAX_SAMPLEABLE_NBAR):
+                raise ValueError(
+                    f"mean photon numbers above {_MAX_SAMPLEABLE_NBAR:g} cannot be "
+                    "sampled in double precision"
+                )
         self.configs = list(configs)
-        self.means = [config.bin_means() for config in configs]
+        self.rates = [_thermal_rate(config.bin_means()) for config in configs]
         self.streams = [_Stream(seed, s) for s in range(len(configs))]
         loops = np.arange(self.time_bins)
         self.taus = np.stack([transmission(config.loss, loops) for config in configs])
@@ -247,9 +253,8 @@ class _Bank:
                 self.streams[s].read(_THERMAL, page, block, thermal)
                 self.streams[s].read(_HERALD, page, block, herald)
                 # Rank-major words: one row per live trial, one column per bin.
-                photons = _thermal_inverse_cdf(
-                    thermal.reshape(-1, width).T, self.means[s][start:stop]
-                ).T.ravel()
+                rates = self.rates[s][start:stop]
+                photons = _thermal_inverse_cdf(thermal.reshape(-1, width), rates).ravel()
                 # A uniform below the herald probability given the bin's
                 # photon number stands in for sampling the detector's count.
                 hits = np.flatnonzero(herald < _herald_given_n(config.detector, photons))
@@ -295,15 +300,13 @@ class _Stream:
         self._gen.random(out=out)
 
 
-def _thermal_inverse_cdf(uniforms: np.ndarray, bin_means: np.ndarray) -> np.ndarray:
+def _thermal_inverse_cdf(uniforms: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Map uniforms to thermal photon numbers per bin via the geometric
-    quantile function; row k uses the mean of bin k.  The numbers are
+    quantile ``floor(log1p(-u) / -rate)``; column k uses the rate of bin k
+    (:func:`loopsource.models._thermal_rate`).  The numbers are
     integer-valued doubles, and the herald and thinning tests read them
     as such; the largest (~1.5e17 at the sampling cap) is exact."""
-    ratio = bin_means / (1.0 + bin_means)
-    safe = np.where(ratio > 0.0, ratio, 0.5)
-    log_ratio = np.where(ratio > 0.0, np.log(safe), -np.inf)
-    return np.floor(np.log1p(-uniforms) / log_ratio[:, None])
+    return np.floor(np.log1p(-uniforms) / -rates)
 
 
 def _single_photon(
@@ -311,32 +314,15 @@ def _single_photon(
 ) -> np.ndarray:
     """Whether binomial thinning of ``held`` photons through transmission
     ``tau`` leaves exactly one, by the inverse CDF at ``out_uniform``:
-    ``P0 < u <= P0 + P1`` with ``P0 = (1 - tau)**n`` and
-    ``P1 = n tau (1 - tau)**(n - 1)``.
-
-    This is the event that the binomial quantile at ``u`` equals 1, up to
-    ``u`` falling within rounding of a CDF boundary.  Where ``P0`` or
-    ``P1`` underflows, its true value lies below the smallest nonzero
-    uniform (2**-53), so the decision stands.  ``tau = 1`` takes the
-    exact ``P0 = [n == 0]`` and ``P1 = [n == 1]``, since ``log1p(-1)``
-    is ``-inf``.  Held counts of 0 never give a single photon.
-    """
-    n = held
-    lossless = tau == 1.0
-    log_loss = np.log1p(-np.where(lossless, 0.0, tau))
-    p0 = np.where(lossless, n == 0.0, np.exp(n * log_loss))
-    p1 = np.where(lossless, n == 1.0, n * tau * np.exp((n - 1.0) * log_loss))
+    ``P0 < u <= P0 + P1`` with P(none) and P(one) of Binomial(n, tau), the
+    event that the binomial quantile at ``u`` is 1 up to ``u`` falling
+    within rounding of a CDF boundary.  Where ``P0`` or ``P1`` underflows,
+    its true value lies below the smallest nonzero uniform (2**-53), so the
+    decision stands.  Held counts of 0 never give a single photon."""
+    p0, p1 = _binomial_law(held, tau, "none", "one")
     return (p0 < out_uniform) & (out_uniform <= p0 + p1)
 
 
 def _check_uint64(value: int, name: str) -> None:
     if not (_is_int(value) and 0 <= value < 2**64):
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
-
-
-def _check_sampleable(config: ProtocolConfig) -> None:
-    if np.any(config.bin_means() > _MAX_SAMPLEABLE_NBAR):
-        raise ValueError(
-            f"mean photon numbers above {_MAX_SAMPLEABLE_NBAR:g} cannot be "
-            "sampled in double precision"
-        )

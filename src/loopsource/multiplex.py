@@ -28,6 +28,7 @@ from .models import (
     OutcomeDistribution,
     PerBinPump,
     ProtocolConfig,
+    _binomial_law,
     _check_count,
     _check_probability,
     transmission,
@@ -68,22 +69,15 @@ def m_source_distribution(
 
     The kept index is the minimum over sources: a bin of the bank heralds
     unless every source misses it, so m sources are one source with
-    per-bin herald probability ``S_m = 1 - (1 - S)**m``, and the pmf is
-    that source's law ``S_m (1 - S_m)**l``, with ``(1 - S_m)**t`` last."""
+    per-bin herald probability ``S_m = 1 - (1 - S)**m``, P(some) of
+    Binomial(m, S), and the pmf is that source's law ``S_m (1 - S_m)**l``,
+    with ``(1 - S_m)**t`` last."""
     _check_probability(single_shot, "herald probability")
     _check_count(time_bins, "time_bins")
     _check_count(sources, "source count")
-    weights, survival = _freshest_herald(*_m_source_bin(np.full(time_bins, single_shot), sources))
+    bank = _binomial_law(sources, np.full(time_bins, single_shot), "some", "none")
+    weights, survival = _freshest_herald(*bank)
     return OutcomeDistribution(np.append(weights, survival[-1]))
-
-
-def _m_source_bin(single_shot, sources: int):
-    """Herald and miss probabilities of one bin of m identical sources,
-    elementwise: ``-expm1(L)`` and ``exp(L)`` with ``L = m log1p(-S)``,
-    so neither cancels when S or 1 - S is tiny; ``S = 1`` gives (1, 0)."""
-    with np.errstate(divide="ignore"):
-        log_miss = sources * np.log1p(-np.asarray(single_shot, dtype=float))
-    return -np.expm1(log_miss), np.exp(log_miss)
 
 
 def m_source_distribution_oracle(
@@ -112,14 +106,15 @@ def parallel_unconditional_fidelity(
     dist: OutcomeDistribution, per_loop_fidelity
 ) -> float:
     """Average output fidelity of the parallel arrangement, weighting the
-    per-loop fidelities by the freshest-herald distribution (the
-    no-herald event contributes zero)."""
+    per-loop fidelities, each in [0, 1], by the freshest-herald
+    distribution (the no-herald event contributes zero)."""
     fidelities = np.asarray(per_loop_fidelity, dtype=float)
-    if fidelities.shape[0] < dist.time_bins:
-        raise ValueError(
-            f"need a fidelity for each of {dist.time_bins} loop counts, "
-            f"got {fidelities.shape[0]}"
-        )
+    if fidelities.ndim != 1 or fidelities.size < dist.time_bins:
+        raise ValueError(f"need a sequence of one fidelity for each of {dist.time_bins} "
+                         f"loop counts, got shape {fidelities.shape}")
+    outside = ~((fidelities >= 0.0) & (fidelities <= 1.0))  # NaN is outside
+    if outside.any():
+        raise ValueError(f"fidelity must lie in [0, 1], got {fidelities[outside][0]}")
     weights = np.asarray(dist.probabilities[:-1])
     return float(np.sum(weights * fidelities[: dist.time_bins]))
 

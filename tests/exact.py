@@ -8,8 +8,10 @@ evaluates), so a test can hold any output to a number of ulps.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from loopsource import DetectorKind
@@ -48,6 +50,17 @@ def thermal_pmf(nbar, n: int) -> Fraction:
     ``nbar**n / (1 + nbar)**(n + 1)``."""
     mean = Fraction(nbar)
     return mean**n / (1 + mean) ** (n + 1)
+
+
+def thermal_quotient(nbar, u) -> Decimal:
+    """``log(1 - u) / log(nbar / (1 + nbar))`` to 60 digits, whose floor is
+    the thermal photon number at quantile ``u`` (0 for a vacuum source)."""
+    if nbar == 0:
+        return Decimal(0)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        mean = Decimal(nbar)
+        return (1 - Decimal(u)).ln() / (mean / (1 + mean)).ln()
 
 
 def binomial_pmf(n: int, p, k: int) -> Fraction:

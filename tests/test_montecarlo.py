@@ -1,7 +1,9 @@
+import math
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from loopsource import (
     SourceModel,
     fidelity_report,
     herald_single_shot,
+    herald_train,
     m_source_distribution,
     outcome_distribution,
     run_simulation,
@@ -29,7 +32,7 @@ from loopsource import (
 )
 from loopsource import montecarlo
 from loopsource.cli import main
-from loopsource.models import detect_prob, herald_outcome
+from loopsource.models import DetectorOutcome, _thermal_rate, detect_prob, herald_outcome
 from loopsource.montecarlo import (
     _single_photon,
     _thermal_inverse_cdf,
@@ -120,13 +123,14 @@ def _oracle_run(configs, seed, trials):
             for s, config in enumerate(configs):
                 thermal = _words(seed, s, 0, page, block, rank * width, width)
                 herald = _words(seed, s, 1, page, block, rank * width, width)
-                photons = _thermal_inverse_cdf(thermal[:, None], config.bin_means()[start:stop])
+                rates = _thermal_rate(config.bin_means()[start:stop])
+                photons = _thermal_inverse_cdf(thermal, rates)
                 outcome = herald_outcome(config.detector.kind)
-                heralds = herald < detect_prob(config.detector, outcome, photons[:, 0])
+                heralds = herald < detect_prob(config.detector, outcome, photons)
                 if heralds.any():
                     k = int(np.argmax(heralds))
                     if best is None or start + k < best[0]:
-                        best, tie = (start + k, s, photons[k, 0]), False
+                        best, tie = (start + k, s, photons[k]), False
                     elif start + k == best[0]:
                         tie = True
             if best is not None:
@@ -603,6 +607,48 @@ def test_single_photon_test_matches_exact_oracle(tau):
         assert not decided.any()
     if tau == 1.0:
         assert decided.tolist() == [n == 1 and u > 0.0 for n, u in zip(held, uniforms)]
+
+
+def test_thinning_reads_the_detector_law():
+    # The thinning's P0 and P1 are P(none) and P(one) of Binomial(n, tau),
+    # the ZERO and ONE of a resolved detector of efficiency tau, so its CDF
+    # boundary sits at detect_prob's P0 to the bit.
+    rng = np.random.default_rng(22)
+    taus = np.concatenate([rng.random(2000), [0.0, 1.0]])
+    for n in (1, 2, 5, 20, 60, 700):
+        resolved = [DetectorModel(RESOLVED, tau) for tau in taus.tolist()]
+        p0 = np.array([detect_prob(det, DetectorOutcome.ZERO, n) for det in resolved])
+        p1 = np.array([detect_prob(det, DetectorOutcome.ONE, n) for det in resolved])
+        held = np.full(taus.size, float(n))
+        assert not _single_photon(held, taus, p0).any(), n
+        above = _single_photon(held, taus, np.nextafter(p0, 1.0))
+        assert above[p1 > 0.0].all(), n
+
+
+def test_thermal_quantile_is_exact():
+    # The exact quantile is the floor of the exact quotient; above 2**53 it
+    # is compared as the nearest double, the closest a sampled double can be.
+    uniforms = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    for nbar in (0.0, 5e-324, 1e-4, 0.5, 1e6, 1e12, 1e14, 4e15):
+        photons = _thermal_inverse_cdf(uniforms, _thermal_rate(nbar))
+        for u, sampled in zip(uniforms.tolist(), photons.tolist()):
+            quotient = exact.thermal_quotient(nbar, u)
+            expected = float(math.floor(quotient))
+            nearest = quotient.to_integral_value()
+            near_integer = abs(quotient - nearest) <= Decimal("1e-15") * quotient
+            assert abs(sampled - expected) <= (1 if near_integer else 0), (nbar, u)
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_sampler_agrees_with_closed_form_at_its_pump_limit(kind):
+    # at the sampling cap, where the log of the rounded ratio nbar / (1 + nbar)
+    # is 11% off the rate
+    config = ProtocolConfig(
+        3, ConstantPump(4e15), DetectorModel(kind, 1e-15), LossModel(1.0, 1.0 - 1e-14)
+    )
+    summary = run_simulation(config, 50_000, 3)
+    expected = herald_train(SourceModel(4e15), config.detector, 3)
+    assert abs(summary.herald_rate.value - expected) <= 4 * summary.herald_rate.standard_error
 
 
 def test_sampler_rejects_pump_above_its_limit(capsys):

@@ -24,7 +24,7 @@ from loopsource import (
 )
 from loopsource import multiplex
 from loopsource.analytic import _bin_law, _bin_rows, closed_form
-from loopsource.models import transmission
+from loopsource.models import DetectorOutcome, detect_prob, transmission
 from loopsource.multiplex import (
     _TIE_RTOL,
     _constant_heads,
@@ -124,6 +124,32 @@ def test_parallel_fidelity_requires_enough_entries():
     dist = m_source_distribution(0.3, 4, 2)
     with pytest.raises(ValueError):
         parallel_unconditional_fidelity(dist, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("fidelities", [
+    0.5,
+    [[0.5] * 4] * 4,
+    (0.5, math.nan, 0.5, 0.5),
+    (0.5, -0.1, 0.5, 0.5),
+    (0.5, 0.5, 1.0 + 1e-15, 0.5),
+])
+def test_parallel_fidelity_rejects_bad_fidelities(fidelities):
+    dist = m_source_distribution(0.3, 4, 2)
+    with pytest.raises(ValueError):
+        parallel_unconditional_fidelity(dist, fidelities)
+    # the bounds themselves are fidelities
+    assert parallel_unconditional_fidelity(dist, (0.0, 1.0, 0.0, 1.0)) >= 0.0
+
+
+def test_m_source_herald_is_the_detector_law():
+    # S_m is P(some) of Binomial(m, S), the law of a bucket detector of
+    # efficiency S hit by m photons, and both read the one copy of it.
+    singles = np.random.default_rng(22).random(2000).tolist() + [0.0, 1.0]
+    for m in (1, 2, 4, 64):
+        for single in singles:
+            bank = m_source_distribution(single, 3, m).probabilities[0]
+            click = detect_prob(DetectorModel(BUCKET, single), DetectorOutcome.CLICK, m)
+            assert bank == click, (single, m)
 
 
 def test_distribution_validation():
