@@ -25,7 +25,6 @@ import numpy as np
 from .models import (
     DetectorKind,
     DetectorModel,
-    DetectorOutcome,
     LossModel,
     OutcomeDistribution,
     ProtocolConfig,
@@ -35,7 +34,10 @@ from .models import (
     _capped_herald,
     _check_count,
     _check_probability,
+    _herald_given_n,
     _photon_numbers,
+    _shaped_as,
+    _thermal_rate,
     detect_prob,
     herald_outcome,
     thermal_pmf,
@@ -60,6 +62,14 @@ class FidelityReport:
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 # Photon numbers per slice of a series oracle's sum.
 _SERIES_CHUNK = 1 << 16
+# Longest series an oracle sums: its length at nbar 1e8, the top of the
+# documented domain, where one oracle call already takes a minute or more.
+# The length grows like 27.6 nbar (1.1e17 at the sampling cap 4e15), so a
+# longer series would run for hours.  A literal, held to
+# thermal_truncation by a test: computing it at import raised every start's
+# peak RSS by ~0.35 MB.
+_SERIES_LIMIT_NBAR = 1e8
+_SERIES_LIMIT = 2_763_102_125
 
 
 class ClosedForm(NamedTuple):
@@ -217,10 +227,20 @@ def _homogeneous(row, p, q_powers):
 
 def _heralded(single, what: str):
     """``single``, a herald probability, checked to be nonzero: ``what`` is
-    conditioned on a herald."""
+    conditioned on a herald.  For the routes that divide by the rounded
+    value (the series oracles and the train conditionals), so they also
+    raise where it underflows, as at nbar = eta_d = 1e-200."""
     if single == 0.0:
         raise UndefinedConditionalError(f"heralding probability is zero; {what} is undefined")
     return single
+
+
+def _can_herald(source: SourceModel, det: DetectorModel, what: str) -> None:
+    """Raise where nothing can herald, for the per-bin closed forms, which
+    never divide by S: ``S = x/(1 + x)**(j-1)`` with ``x = eta_d nbar`` is 0
+    exactly where nbar or eta_d is (the smaller of the two), though the
+    rounded S underflows to 0 well inside the domain."""
+    _heralded(min(source.mean_photon_number, det.efficiency), what)
 
 
 def herald_single_shot(source: SourceModel, det: DetectorModel) -> float:
@@ -243,12 +263,26 @@ def _joint(source: SourceModel, det: DetectorModel, n) -> np.ndarray:
 
 
 def _series(source: SourceModel, term) -> float:
-    """Sum of ``term(n)`` over the photon numbers 1..thermal_truncation(source),
+    """Sum of ``term(n)`` over the photon numbers 1..:func:`_series_length`,
     ``_SERIES_CHUNK`` at a time, so memory stays bounded at any pump level;
     a series of one chunk is a single ``np.sum``."""
-    stop = thermal_truncation(source) + 1
+    stop = _series_length(source) + 1
     return math.fsum(float(np.sum(term(np.arange(start, min(start + _SERIES_CHUNK, stop)))))
                      for start in range(1, stop, _SERIES_CHUNK))
+
+
+def _series_length(source: SourceModel) -> int:
+    """``thermal_truncation(source)``, refused with a ValueError beyond
+    ``_SERIES_LIMIT`` so that no oracle starts a series it cannot finish."""
+    try:
+        length = thermal_truncation(source)
+    except OverflowError:  # above nbar ~6e306 the length overflows a float
+        length = math.inf
+    if length > _SERIES_LIMIT:
+        raise ValueError(f"a series oracle at nbar {source.mean_photon_number} would sum "
+                         f"{length} photon numbers, beyond the {_SERIES_LIMIT} of nbar "
+                         f"{_SERIES_LIMIT_NBAR:g}")
+    return length
 
 
 def herald_train(source: SourceModel, det: DetectorModel, time_bins: int) -> float:
@@ -259,25 +293,28 @@ def herald_train(source: SourceModel, det: DetectorModel, time_bins: int) -> flo
 
 
 def prep_pmf(source: SourceModel, det: DetectorModel, n: int) -> float:
-    """Photon-number distribution of the stored arm given a herald.
+    """Photon-number distribution of the stored arm given a herald, for an
+    int n (a float) or elementwise over an array of photon numbers.
 
     A herald biases the thermal statistics toward the photon numbers the
     detector is likely to flag, so this differs from the bare source law.
+    Bayes' rule ``P(herald | n) p_thermal(n) / S`` with S cancelled by hand,
+    in the thermal ratio ``q = 1/(1 + nbar)``, ``p = nbar q`` and
+    ``X = q + eta_d p`` of :func:`_bin_law`: ``p_thermal(n)`` is
+    ``p q exp(-(n - 1) rate)`` (:func:`loopsource.models._thermal_rate`) and
+    S is ``eta_d p q / (X X)`` resolved, ``eta_d p q / (X q)`` bucket.  Every
+    factor is finite for every finite nbar, and dividing by eta_d first
+    keeps the product normal at tiny eta_d and huge nbar.
     """
-    _photon_numbers(n, 1)
-    _heralded(herald_single_shot(source, det), "the post-herald state")
-    nbar = source.mean_photon_number
-    eta = det.efficiency
-    # in the thermal ratio p = nbar/(1 + nbar), q = 1/(1 + nbar), as
-    # _bin_law evaluates S: every factor stays finite for every finite nbar
+    counts = _photon_numbers(n, 1)
+    _can_herald(source, det, "the post-herald state")
+    nbar, eta = source.mean_photon_number, det.efficiency
     q = 1.0 / (1.0 + nbar)
     p = nbar * q
-    x_form = q + eta * p  # (1 + eta nbar)/(1 + nbar)
-    if det.kind is DetectorKind.NUMBER_RESOLVED:
-        return n * ((1.0 - eta) * p) ** (n - 1) * x_form**2
-    # divide by eta first: at tiny eta and huge nbar, click * x_form * q is subnormal
-    click = detect_prob(det, DetectorOutcome.CLICK, n)
-    return p ** (n - 1) * (click / eta) * x_form * q
+    x_form = eta * p + q
+    last = x_form if det.kind is DetectorKind.NUMBER_RESOLVED else q
+    thermal = np.exp(-(counts - 1.0) * _thermal_rate(nbar))
+    return _shaped_as(_herald_given_n(det, counts) / eta * thermal * x_form * last, n)
 
 
 def prep_pmf_oracle(source: SourceModel, det: DetectorModel, n):
@@ -294,10 +331,9 @@ def fidelity_after_loops(
 ) -> float:
     """Probability that exactly one photon reaches the output when the
     herald fired ``loops`` round trips before extraction."""
+    _can_herald(source, det, "the per-loop fidelity")
     rows = _bin_rows(det.efficiency, transmission(loss, loops), det.kind)
-    single, _, fidelity = _bin_law(source.mean_photon_number, det.efficiency, rows)
-    _heralded(single, "the per-loop fidelity")
-    return float(fidelity)
+    return float(_bin_law(source.mean_photon_number, det.efficiency, rows)[2])
 
 
 def fidelity_after_loops_oracle(

@@ -10,9 +10,10 @@ and Monte Carlo code paths.
 
 The thermal rate (:func:`_thermal_rate`) and the binomial law
 (:func:`_binomial_law`) are written here only, array-native.  The rate is
-read by ``thermal_pmf``, ``thermal_truncation`` and the Monte Carlo
-quantile; the binomial law by ``detect_prob``, the Monte Carlo herald test
-and thinning, and the m-source bank (``multiplex``, fig10).
+read by ``thermal_pmf``, ``thermal_truncation``, ``analytic.prep_pmf`` and
+the Monte Carlo quantile; the binomial law by ``detect_prob``,
+``analytic.prep_pmf``, the Monte Carlo herald test and thinning, and the
+m-source bank (``multiplex``, fig10).
 """
 
 from __future__ import annotations

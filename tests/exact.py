@@ -63,6 +63,12 @@ def thermal_quotient(nbar, u) -> Decimal:
         return (1 - Decimal(u)).ln() / (mean / (1 + mean)).ln()
 
 
+def prep_pmf(nbar, eta_d, n: int, kind: DetectorKind) -> Fraction:
+    """Photon-number distribution given a herald, by Bayes' rule:
+    ``P(herald | n) p_thermal(n) / S``."""
+    return herald_given_n(eta_d, n, kind) * thermal_pmf(nbar, n) / bin_law(nbar, eta_d, 1, kind)[0]
+
+
 def binomial_pmf(n: int, p, k: int) -> Fraction:
     """Probability of ``k`` successes in ``n`` trials of probability ``p``."""
     p = Fraction(p)

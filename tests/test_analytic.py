@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -33,8 +34,8 @@ from loopsource import (
     prep_pmf_oracle,
     unconditional_fidelity,
 )
-from loopsource.analytic import _bin_law, _bin_rows, closed_form
-from loopsource.models import transmission
+from loopsource.analytic import _SERIES_LIMIT, _bin_law, _bin_rows, _series_length, closed_form
+from loopsource.models import thermal_truncation, transmission
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -190,12 +191,71 @@ def test_prep_pmf_is_exact_at_huge_pump(kind, nbar, eta):
     # (1 + nbar)**2 on Python floats raised OverflowError above ~1.3e154;
     # at eta 1e-6 the bucket click cancelled, and at 1e300 an intermediate
     # product was subnormal
-    single = exact.bin_law(nbar, eta, 1.0, kind)[0]
     for k in (1, 2, 3):
-        reference = exact.herald_given_n(eta, k, kind) * exact.thermal_pmf(nbar, k) / single
+        reference = exact.prep_pmf(nbar, eta, k, kind)
         assert exact.is_normal(reference)
         assert exact.within_ulps(prep_pmf(SourceModel(nbar), DetectorModel(kind, eta), k),
                                  reference), k
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.9])
+def test_prep_pmf_error_does_not_grow_with_photon_number(kind, eta):
+    # the thermal factor was the rounded ratio nbar/(1 + nbar) raised to the
+    # power n - 1, whose error grows like n ulps: 1.3e-13 at n = 1000
+    checked = 0
+    for nbar in (1.0, 10.0, 1e3, 1e6):
+        det = DetectorModel(kind, eta)
+        for k in (1, 2, 10, 100, 1000):
+            reference = exact.prep_pmf(nbar, eta, k, kind)
+            if reference == 0 or not exact.is_normal(reference):
+                continue
+            checked += 1
+            assert exact.within_rel(prep_pmf(SourceModel(nbar), det, k), reference, 2e-14), \
+                (nbar, k)
+    assert checked >= 14
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_per_bin_closed_forms_are_defined_where_the_herald_probability_underflows(kind):
+    # S = x/(1 + x)**(j-1) rounds to 0 at x = 1e-400, though it is not 0; the
+    # per-bin closed forms raised there as if nothing could herald
+    source, det = SourceModel(1e-200), DetectorModel(kind, 1e-200)
+    assert herald_single_shot(source, det) == 0.0
+    loss = LossModel(0.9, 0.95)
+    assert exact.within_ulps(fidelity_after_loops(source, det, loss, 2),
+                             exact.bin_law(1e-200, 1e-200, transmission(loss, 2), kind)[1])
+    assert exact.within_ulps(detector_limited_fidelity(source, det),
+                             exact.bin_law(1e-200, 1e-200, 1.0, kind)[1])
+    assert prep_pmf(source, det, 1) == 1.0
+    # the series oracles divide by their rounded sum, so they still raise
+    for oracle in (detector_limited_fidelity_oracle, lambda s, d: prep_pmf_oracle(s, d, 1),
+                   lambda s, d: fidelity_after_loops_oracle(s, d, loss, 2)):
+        with pytest.raises(UndefinedConditionalError):
+            oracle(source, det)
+
+
+@pytest.mark.parametrize("nbar", [1e9, 4e15, 1.7e308])
+def test_series_oracles_refuse_series_beyond_the_domain(nbar):
+    # the series runs to ~27.6 nbar photon numbers: 2.8e10 at 1e9, hours of work
+    source, det = SourceModel(nbar), DetectorModel(BUCKET, 0.9)
+    runs = [lambda: herald_single_shot_oracle(source, det),
+            lambda: fidelity_after_loops_oracle(source, det, LossModel(0.9, 0.95), 2)]
+    for run in runs:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="1e[+]?08") as raised:
+            run()
+        assert time.perf_counter() - start < 1.0
+        assert not isinstance(raised.value, UndefinedConditionalError)
+        assert f"{nbar}" in str(raised.value)
+
+
+def test_series_oracles_admit_the_series_at_the_top_of_the_domain():
+    # only the length is checked: the series itself takes a minute or more
+    assert _series_length(SourceModel(1e8)) == _SERIES_LIMIT
+    assert _SERIES_LIMIT == thermal_truncation(SourceModel(1e8))
+    with pytest.raises(ValueError):
+        _series_length(SourceModel(1.0000001e8))
 
 
 def test_prep_pmf_perfect_resolved_is_single_photon():
@@ -271,7 +331,9 @@ def test_detector_limited_values_and_oracle():
 def test_detector_limited_fidelity_is_undefined_where_nothing_heralds(kind, nbar, eta_d):
     # it returned 4/9 for a blind bucket detector at nbar 0.5, where its oracle raises
     source, det = SourceModel(nbar), DetectorModel(kind, eta_d)
-    for fidelity in (detector_limited_fidelity, detector_limited_fidelity_oracle):
+    for fidelity in (detector_limited_fidelity, detector_limited_fidelity_oracle,
+                     lambda s, d: fidelity_after_loops(s, d, LossModel(0.9, 0.95), 2),
+                     lambda s, d: prep_pmf(s, d, 1)):
         with pytest.raises(UndefinedConditionalError):
             fidelity(source, det)
 
