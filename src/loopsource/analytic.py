@@ -82,18 +82,13 @@ class ClosedForm(NamedTuple):
     survival: np.ndarray  # [..., t] P(none of bins 0..l heralds)
     per_loop: np.ndarray  # [..., t] fidelity given that herald; 0 if S_l = 0
 
-    def head(self, t: int) -> ClosedForm:
-        """The closed form of the ``t`` freshest bins, bit for bit: bin l
-        depends only on bins 0..l, and a row sum over a slice takes the same
-        pairwise order as over a fresh array."""
-        if not 1 <= t <= self.weights.shape[-1]:
-            raise ValueError(f"head length must lie in 1..{self.weights.shape[-1]}, got {t}")
-        return ClosedForm(*(field[..., :t] for field in self))
-
     def by_length(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(herald, unconditional, conditional)`` of the head of each length in
-        ``ts``, each ``[len(ts), ...]``, bit for bit those of ``head(t)``: two row
-        sums per head, of the weights and of their products with ``per_loop``."""
+        """``(herald, unconditional, conditional)`` of the head (the ``t`` freshest
+        bins) of each length in ``ts``, each ``[len(ts), ...]``, bit for bit those
+        of the closed form of that shorter train: bin l depends only on bins
+        0..l, and a row sum over a slice takes the same pairwise order as over
+        a fresh array.  Two row sums per head, of the weights and of their
+        products with ``per_loop``."""
         products = self.weights * self.per_loop
         sums = np.array([self.weights[..., :t].sum(axis=-1) for t in ts])
         unconditional = np.array([products[..., :t].sum(axis=-1) for t in ts])
@@ -148,23 +143,34 @@ def closed_form(nbars, eta_d, taus, kind: DetectorKind) -> ClosedForm:
 
 def _closed_form_rows(nbars, eta_d, rows) -> ClosedForm:
     """:func:`closed_form` given the bins' rows (see :func:`_bin_rows`)."""
-    singles, misses, fidelity = _bin_law(nbars, eta_d, rows)
-    weights, survival = _freshest_herald(singles, misses)
-    # Bins that can never herald get zero weight; report 0 rather than a
-    # conditional value for an impossible event.
-    per_loop = np.where(singles > 0.0, fidelity, 0.0)
-    return ClosedForm(singles, weights, survival, per_loop)
+    return _train(*_bin_law(nbars, eta_d, rows))
 
 
-def _freshest_herald(singles, misses):
-    """Freshest-herald weights ``S_l prod_{k<l}(1 - S_k)`` and running
-    survival ``prod_{k<=l}(1 - S_k)`` over the last axis, given each bin's
-    herald and miss probabilities ``S`` and ``1 - S``.  Products, not
-    differences of survivals, so neither tiny S nor tiny 1 - S cancels."""
+def _train(singles, misses, fidelity) -> ClosedForm:
+    """The train whose bins herald with ``singles`` S, miss with ``misses``
+    1 - S and deliver ``fidelity``, over the last axis: freshest-herald weights
+    ``S_l prod_{k<l}(1 - S_k)`` and survival ``prod_{k<=l}(1 - S_k)``, products
+    so that neither tiny S nor tiny 1 - S cancels.  A bin that can never
+    herald gets weight 0 and per-loop fidelity 0, not a conditional value."""
     survival = np.cumprod(misses, axis=-1)
     weights = np.array(singles, dtype=float)
     weights[..., 1:] *= survival[..., :-1]
-    return weights, survival
+    return ClosedForm(singles, weights, survival, np.where(singles > 0.0, fidelity, 0.0))
+
+
+def _parallel_train(singles, per_loop, m: int) -> ClosedForm:
+    """The train of a bank of m identical sources whose bins herald with
+    ``singles`` and deliver ``per_loop``.  The bank keeps the freshest herald
+    of any source, so a bin of the bank heralds unless every source misses
+    it: one source with ``S_m = 1 - (1 - S)**m``, P(some) of Binomial(m, S)."""
+    return _train(*_binomial_law(m, singles, "some", "none"), per_loop)
+
+
+def _train_rows(config: ProtocolConfig):
+    """The rows (see :func:`_bin_rows`) of each bin of ``config``'s train:
+    its detector over its loss chain."""
+    taus = transmission(config.loss, np.arange(config.time_bins))
+    return _bin_rows(config.detector.efficiency, taus, config.detector.kind)
 
 
 def _bin_rows(eta_d, taus, kind: DetectorKind):
@@ -274,10 +280,7 @@ def _series(source: SourceModel, term) -> float:
 def _series_length(source: SourceModel) -> int:
     """``thermal_truncation(source)``, refused with a ValueError beyond
     ``_SERIES_LIMIT`` so that no oracle starts a series it cannot finish."""
-    try:
-        length = thermal_truncation(source)
-    except OverflowError:  # above nbar ~6e306 the length overflows a float
-        length = math.inf
+    length = thermal_truncation(source)
     if length > _SERIES_LIMIT:
         raise ValueError(f"a series oracle at nbar {source.mean_photon_number} would sum "
                          f"{length} photon numbers, beyond the {_SERIES_LIMIT} of nbar "
@@ -404,8 +407,5 @@ def fidelity_report(config: ProtocolConfig) -> FidelityReport:
 
 
 def _closed_form_of(config: ProtocolConfig) -> ClosedForm:
-    taus = transmission(config.loss, np.arange(config.time_bins))
-    return closed_form(
-        config.bin_means(), config.detector.efficiency, taus, config.detector.kind
-    )
+    return _closed_form_rows(config.bin_means(), config.detector.efficiency, _train_rows(config))
 

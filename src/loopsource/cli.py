@@ -6,7 +6,8 @@ Output contract: CSV is UTF-8 with a header row and 17-significant-digit
 floats; JSON mirrors the columns as arrays under ``columns`` plus a
 ``meta`` object carrying the parsed flags (``null`` where the command
 fills in a default itself), tool version, and seed where one applies.
-Quantities conditioned on an event of probability zero are emitted as
+Quantities conditioned on an event of probability zero, figure columns
+included (a closed form's, by :func:`_given_herald`), are emitted as
 the literal cell ``undefined`` in CSV and ``null`` in JSON.  Exit codes:
 0 success, 2 usage error (a ``UsageError`` or a model's ``ValueError``,
 one ``error:`` line each), 3 non-finite result.  Of the six commands
@@ -59,7 +60,7 @@ from .analytic import (
     _bin_law,
     _bin_rows,
     _closed_form_of,
-    _freshest_herald,
+    _parallel_train,
     closed_form,
     conditional_fidelity,
     detector_limited_fidelity,
@@ -77,7 +78,6 @@ from .models import (
     PerBinPump,
     ProtocolConfig,
     SourceModel,
-    _binomial_law,
     _check_probability,
     transmission,
 )
@@ -365,6 +365,16 @@ def _base_meta(args: argparse.Namespace) -> dict:
 # commands
 
 
+def _given_herald(column: np.ndarray, herald):
+    """A herald-conditioned ``column`` as is where every row's train can
+    herald (``herald``, its herald probability: one per row, or one for
+    all); otherwise its cells, None (undefined) wherever ``herald`` is 0."""
+    heralds = np.broadcast_to(herald, column.shape) > 0.0
+    if heralds.all():
+        return column
+    return [value if ok else None for value, ok in zip(column.tolist(), heralds.tolist())]
+
+
 def _one_row(names: list[str], cells: list) -> dict:
     """A one-row table; each column is a one-cell list."""
     return {name: [cell] for name, cell in zip(names, cells)}
@@ -395,14 +405,13 @@ def _cmd_fidelity(args: argparse.Namespace):
     t = _single_t(args)
     config = _config_from_args(args, t)
     result = _closed_form_of(config)
-    heralds = bool(result.herald > 0.0)
     order = _loop_order(t, args.chronological)
     table = {
         "loops_before_output": order,
         "nbar": config.bin_means()[order],
         "transmission": transmission(config.loss, np.arange(t))[order],  # the kernel's chain
-        "loop_fidelity": result.per_loop[order] if heralds else [None] * t,
-        "conditional": np.full(t, result.conditional) if heralds else [None] * t,
+        "loop_fidelity": _given_herald(result.per_loop[order], result.herald),
+        "conditional": _given_herald(np.full(t, result.conditional), result.herald),
         "unconditional": np.full(t, result.unconditional),
     }
     return table, _base_meta(args)
@@ -417,15 +426,12 @@ def _cmd_sweep(args: argparse.Namespace):
     result = _trains(detector.kind, nbars, detector.efficiency, taus)
     # [t, nbar] grids, raveled t-major
     train, unconditional, conditional = (grid.ravel() for grid in result.by_length(t_values))
-    if not (train > 0.0).all():  # a train that cannot herald has no conditional fidelity
-        conditional = [value if herald > 0.0 else None
-                       for value, herald in zip(conditional.tolist(), train.tolist())]
     table = {
         "time_bins": np.repeat(t_values, len(nbars)),
         "nbar": np.tile(nbars, len(t_values)),
         "single_shot": np.tile(result.single_shot[:, 0], len(t_values)),  # same at any t
         "train": train,
-        "conditional": conditional,
+        "conditional": _given_herald(conditional, train),
         "unconditional": unconditional,
     }
     return table, _base_meta(args)
@@ -620,7 +626,7 @@ def _fig3(p: dict):
         result = _trains(kind, nbars, np.array(etas)[:, None], taus)
         herald, _, fidelity = result.by_length(ts)
         for i, eta in enumerate(etas):  # fidelity and herald of each eta, interleaved
-            table[f"fidelity_{kind.value}_eta{eta:g}"] = fidelity[:, i]
+            table[f"fidelity_{kind.value}_eta{eta:g}"] = _given_herald(fidelity[:, i], herald[:, i])
             table[f"herald_{kind.value}_eta{eta:g}"] = herald[:, i]
     return table
 
@@ -685,9 +691,7 @@ def _fig10(p: dict):
     for kind in DetectorKind:
         result = _trains(kind, nbars, etas[:, None, None], taus)
         for m in p["source_counts"]:
-            # m sources are one source whose bin heralds unless all m miss
-            singles, misses = _binomial_law(m, result.single_shot, "some", "none")
-            bank = ClosedForm(singles, *_freshest_herald(singles, misses), result.per_loop)
+            bank = _parallel_train(result.single_shot, result.per_loop, m)
             # the table runs nbar-major
             table[f"unconditional_{kind.value}_m{m}"] = bank.unconditional.T.ravel()
     return table
@@ -698,8 +702,9 @@ def _fig11(p: dict):
     taus = transmission(LossModel(p["eta_s"], p["eta_f"]), np.arange(ts[-1]))
     table: dict = {"time_bins": list(ts)}
     for kind in DetectorKind:
-        result = _trains(kind, p["nbar"], p["eta_d"], taus)
-        table[f"herald_{kind.value}"], _, table[f"fidelity_{kind.value}"] = result.by_length(ts)
+        herald, _, fidelity = _trains(kind, p["nbar"], p["eta_d"], taus).by_length(ts)
+        table[f"herald_{kind.value}"] = herald
+        table[f"fidelity_{kind.value}"] = _given_herald(fidelity, herald)
     return table
 
 

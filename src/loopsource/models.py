@@ -13,7 +13,7 @@ The thermal rate (:func:`_thermal_rate`) and the binomial law
 read by ``thermal_pmf``, ``thermal_truncation``, ``analytic.prep_pmf`` and
 the Monte Carlo quantile; the binomial law by ``detect_prob``,
 ``analytic.prep_pmf``, the Monte Carlo herald test and thinning, and the
-m-source bank (``multiplex``, fig10).
+m-source bank (``analytic._parallel_train``).
 """
 
 from __future__ import annotations
@@ -168,11 +168,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         _check_count(self.time_bins, "time_bins")
         if isinstance(self.pump, PerBinPump):
-            if len(self.pump.mean_photon_numbers) != self.time_bins:
-                raise ValueError(
-                    f"per-bin schedule length {len(self.pump.mean_photon_numbers)} "
-                    f"does not match time_bins={self.time_bins}"
-                )
+            self.pump.bin_means(self.time_bins)  # checks the schedule's length
         elif not isinstance(self.pump, ConstantPump):
             raise ValueError(f"pump must be ConstantPump or PerBinPump, got {self.pump!r}")
 
@@ -269,11 +265,14 @@ def thermal_truncation(source: SourceModel) -> int:
     """Smallest series length whose thermal tail mass is below TAIL_MASS,
     floored at TRUNCATION_FLOOR terms, all that a vacuum (rate inf) gets.
 
-    The tail beyond n is ``exp(-(n + 1) rate)``, so the cutoff is closed-form.
+    The tail beyond n is ``exp(-(n + 1) rate)``, so the cutoff is closed-form:
+    the ceiling of ``-log(TAIL_MASS) / rate``.  That quotient overflows a
+    float above nbar ~6.5e306, so it is formed over 32 (a power of two, so
+    the same rounding) and the ceiling of 32 times it is taken in integers.
     """
     rate = float(_thermal_rate(source.mean_photon_number))
-    cutoff = math.ceil(math.log(TAIL_MASS) / -rate) - 1
-    return max(TRUNCATION_FLOOR, cutoff)
+    numerator, denominator = (math.log(TAIL_MASS) / -32.0 / rate).as_integer_ratio()
+    return max(TRUNCATION_FLOOR, -(-32 * numerator // denominator) - 1)
 
 
 def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n):

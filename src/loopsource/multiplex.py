@@ -21,17 +21,15 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import ClosedForm, _bin_law, _bin_rows, _closed_form_rows, _freshest_herald
+from .analytic import ClosedForm, _bin_law, _closed_form_rows, _parallel_train, _train_rows
 from .models import (
     ConstantPump,
     DetectorKind,
     OutcomeDistribution,
     PerBinPump,
     ProtocolConfig,
-    _binomial_law,
     _check_count,
     _check_probability,
-    transmission,
 )
 
 # Hard cap on brute-force enumeration work, (t+1)**m joint outcomes.
@@ -67,17 +65,15 @@ def m_source_distribution(
 ) -> OutcomeDistribution:
     """Freshest-herald distribution for m identical sources.
 
-    The kept index is the minimum over sources: a bin of the bank heralds
-    unless every source misses it, so m sources are one source with
-    per-bin herald probability ``S_m = 1 - (1 - S)**m``, P(some) of
-    Binomial(m, S), and the pmf is that source's law ``S_m (1 - S_m)**l``,
-    with ``(1 - S_m)**t`` last."""
+    The kept index is the minimum over sources, so the bank is one source
+    with per-bin herald probability ``S_m = 1 - (1 - S)**m``
+    (:func:`loopsource.analytic._parallel_train`), and the pmf is that
+    source's law ``S_m (1 - S_m)**l``, with ``(1 - S_m)**t`` last."""
     _check_probability(single_shot, "herald probability")
     _check_count(time_bins, "time_bins")
     _check_count(sources, "source count")
-    bank = _binomial_law(sources, np.full(time_bins, single_shot), "some", "none")
-    weights, survival = _freshest_herald(*bank)
-    return OutcomeDistribution(np.append(weights, survival[-1]))
+    bank = _parallel_train(np.full(time_bins, single_shot), 0.0, sources)
+    return OutcomeDistribution(np.append(bank.weights, bank.no_herald))
 
 
 def m_source_distribution_oracle(
@@ -258,7 +254,7 @@ def _bellman_sweep(config: ProtocolConfig, bounds: tuple[float, float]):
     lo, hi = _check_bounds(bounds)
     eta_d = config.detector.efficiency
     kind = config.detector.kind
-    rows = _bin_rows(eta_d, transmission(config.loss, np.arange(config.time_bins)), kind)
+    rows = _train_rows(config)
     numer, denom = (np.array(np.broadcast_arrays(*row)).T for row in rows[:2])
     j = rows[2]
     numerators, denominators = _stationarity_terms(eta_d, numer, denom, j)
@@ -336,7 +332,7 @@ def _stationarity_terms(eta_d: float, numer: np.ndarray, denom: np.ndarray, j: i
     ``np.roots`` takes them) of polynomials ``A_l`` and ``B_l`` in the pump
     level n such that ``A_l - c B_l`` has the sign of the derivative of bin
     l's Bellman term ``S F_l - c S``, from the rows ``[t, d]`` of each
-    bin's :func:`_bin_rows` ``(Q, R, j)``.
+    bin's ``(Q, R, j)`` (:func:`loopsource.analytic._train_rows`).
 
     With ``x = eta_d n``, ``S F_l = P / R**j`` with ``P = eta_d n Q`` and
     ``dS/dn = D / (1 + x)**j`` with ``D = eta_d (1 - (j - 2) x)``.  Clearing
@@ -387,13 +383,12 @@ def _objective(config: ProtocolConfig, objective: Objective):
     vectors ``nbars[k, ..., t]`` (t = ``config.time_bins``) and k head
     lengths to values ``[k, ...]``, row i that of its head of length
     ``lengths[i]``, bit for bit the objective of that shorter train (see
-    :meth:`ClosedForm.head`).  The conditional objective is extended with
-    value 0 where the train can never herald, keeping it total."""
+    :meth:`ClosedForm.by_length`).  The conditional objective is extended
+    with value 0 where the train can never herald, keeping it total."""
     if not isinstance(objective, Objective):
         raise ValueError(f"objective must be an Objective, got {objective!r}")
     eta_d = config.detector.efficiency
-    taus = transmission(config.loss, np.arange(config.time_bins))
-    rows = _bin_rows(eta_d, taus, config.detector.kind)
+    rows = _train_rows(config)
     field = objective.value  # the ClosedForm attribute of the same name
 
     def evaluate(nbars, lengths):

@@ -431,7 +431,7 @@ def test_train_length_series_render_the_bytes_of_one_head_per_length(args, fmt, 
     command, read = cli._COMMANDS[args[0]], []
 
     def one_head_per_length(self, ts):
-        heads = [self.head(t) for t in ts]
+        heads = [ClosedForm(*(field[..., :t] for field in self)) for t in ts]
         read.append(tuple(np.array([getattr(head, name) for head in heads])
                           for name in ("herald", "unconditional", "conditional")))
         return read[-1]
@@ -623,6 +623,36 @@ def test_usage_error_on_trials_beyond_the_histogram_counts(argv, monkeypatch, ca
     monkeypatch.setattr(cli, "run_simulation", _no_run)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: --trials must be <= {2**63 - 1}, got {argv[2]}\n"
+
+
+_UNREADABLE_OR_EMPTY = [
+    (["sweep", "--nbar", "abc"], "--nbar expects a number or comma list, got 'abc'"),
+    (["sweep", "--nbar", ","], "--nbar expects at least one value, got ','"),
+    (["simulate", "--trials", "0"], "--trials must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _UNREADABLE_OR_EMPTY,
+                         ids=[" ".join(argv) for argv, _ in _UNREADABLE_OR_EMPTY])
+def test_usage_error_on_unreadable_nbar_or_no_trials(argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_simulation", _no_run)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", [["--nbar", "0"], ["--eta-d", "0"]], ids=" ".join)
+def test_fig11_fidelity_is_undefined_where_nothing_heralds(flag, tmp_path):
+    # a fidelity given a herald that cannot happen is undefined, not 0
+    code, text = run_cli(["figure", "fig11", *flag], tmp_path)
+    assert code == 0
+    header, rows = read_csv(text)
+    code, text = run_cli(["figure", "fig11", *flag, "--format", "json"], tmp_path, "out.json")
+    assert code == 0
+    columns = json.loads(text)["columns"]
+    for kind in ("resolved", "bucket"):
+        assert {row[header.index(f"herald_{kind}")] for row in rows} == {"0"}
+        assert [row[header.index(f"fidelity_{kind}")] for row in rows] == ["undefined"] * 50
+        assert columns[f"fidelity_{kind}"] == [None] * 50
 
 
 def test_trials_bound_admits_the_largest_int64_count():

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import exact
 import numpy as np
@@ -19,7 +21,14 @@ from loopsource import (
     thermal_truncation,
     transmission,
 )
-from loopsource.models import DetectorOutcome, detect_prob, herald_outcome
+from loopsource.models import (
+    TAIL_MASS,
+    TRUNCATION_FLOOR,
+    DetectorOutcome,
+    _thermal_rate,
+    detect_prob,
+    herald_outcome,
+)
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -59,6 +68,25 @@ def test_truncation_floor_and_growth():
             break
     assert thermal_truncation(source) == max(64, n)
     assert thermal_truncation(source) == 289
+
+
+@pytest.mark.parametrize("nbar", [7e306, 1.7e308, sys.float_info.max])
+def test_truncation_is_an_int_where_its_length_overflows_a_float(nbar):
+    # -log(TAIL_MASS) / rate overflows a float above nbar ~6.5e306, inside
+    # the range SourceModel accepts
+    length = thermal_truncation(SourceModel(nbar))
+    assert type(length) is int
+    assert float(Fraction(length) / Fraction(nbar)) == pytest.approx(-math.log(TAIL_MASS))
+    assert length > thermal_truncation(SourceModel(6e306))
+
+
+def test_truncation_is_the_ceiling_of_the_float_quotient_below_the_overflow():
+    # where the quotient is a finite float, the length is its ceiling
+    nbars = np.concatenate([[0.0, 5e-324, 0.5], np.geomspace(1e-300, 6e306, 997)])
+    for nbar in nbars.tolist():
+        rate = float(_thermal_rate(nbar))
+        expected = max(TRUNCATION_FLOOR, math.ceil(math.log(TAIL_MASS) / -rate) - 1)
+        assert thermal_truncation(SourceModel(nbar)) == expected, nbar
 
 
 def test_detect_prob_number_resolved_values():
@@ -181,6 +209,14 @@ def test_model_validation_errors():
         PerBinPump((0.5, -0.5))
     with pytest.raises(ValueError):
         ProtocolConfig(0, ConstantPump(1.0), DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
+    with pytest.raises(ValueError, match="kind must be a DetectorKind, got 'bucket'"):
+        DetectorModel("bucket", 0.5)
+    with pytest.raises(ValueError, match="per-bin pump schedule must have at least one entry"):
+        PerBinPump(())
+    with pytest.raises(ValueError, match="pump must be ConstantPump or PerBinPump, got 1.0"):
+        ProtocolConfig(2, 1.0, DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
+    with pytest.raises(ValueError, match="need at least one time-bin entry plus the no-herald"):
+        OutcomeDistribution((1.0,))
 
 
 @pytest.mark.parametrize("time_bins", [True, 2.5, 0])
@@ -193,7 +229,8 @@ def test_per_bin_pump_length_must_match():
     pump = PerBinPump((0.1, 0.2, 0.3))
     config = ProtocolConfig(3, pump, DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
     assert config.bin_means() == pytest.approx([0.1, 0.2, 0.3])
-    with pytest.raises(ValueError):
+    # the config checks the schedule through the pump's own bin_means
+    with pytest.raises(ValueError, match="schedule has 3 entries but the protocol has 2 "):
         ProtocolConfig(2, pump, DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
 
 

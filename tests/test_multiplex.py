@@ -22,7 +22,7 @@ from loopsource import (
     parallel_unconditional_fidelity,
     unconditional_fidelity,
 )
-from loopsource import multiplex
+from loopsource import analytic, multiplex
 from loopsource.analytic import _bin_law, _bin_rows, closed_form
 from loopsource.models import DetectorOutcome, detect_prob, transmission
 from loopsource.multiplex import (
@@ -514,22 +514,36 @@ def test_stacked_sweep_makes_one_eigenvalue_call_per_bin(monkeypatch):
     assert calls == [(8 - loops, 6, 6) for loops in reversed(range(8))]
 
 
+def test_enumeration_oracle_refuses_a_bank_beyond_its_cap():
+    # (10 + 1)**6 = 1,771,561 joint outcomes, past the 200,000 cap
+    assert m_source_distribution_oracle(0.5, 10, 5).time_bins == 10  # 161,051 outcomes
+    with pytest.raises(ValueError, match="enumeration too large"):
+        m_source_distribution_oracle(0.5, 10, 6)
+
+
+@pytest.mark.parametrize("optimize", [optimize_constant, optimize_schedule])
+def test_optimizers_refuse_an_objective_given_as_text(optimize):
+    with pytest.raises(ValueError, match="objective must be an Objective, got 'conditional'"):
+        optimize(_bucket_config(3), "conditional")
+
+
 def test_schedule_optimizer_builds_the_bin_rows_once(monkeypatch):
-    # the sweep built one row per bin, t + 1 calls with the objective's
+    # the sweep and the objective each build the train's rows in one call,
+    # whatever the train's length
     calls = []
 
     def counted(*args):
         calls.append(args)
         return bin_rows(*args)
 
-    bin_rows = multiplex._bin_rows
-    monkeypatch.setattr(multiplex, "_bin_rows", counted)
+    bin_rows = analytic._bin_rows
+    monkeypatch.setattr(analytic, "_bin_rows", counted)
     counts = []
     for t in (2, 50):
         calls.clear()
         optimize_schedule(_bucket_config(t), Objective.CONDITIONAL)
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts == [2, 2]
 
 
 def _roots_rows(rng):
