@@ -282,9 +282,10 @@ def _series_length(source: SourceModel) -> int:
     ``_SERIES_LIMIT`` so that no oracle starts a series it cannot finish."""
     length = thermal_truncation(source)
     if length > _SERIES_LIMIT:
+        from decimal import Decimal  # formats a length beyond the float range
         raise ValueError(f"a series oracle at nbar {source.mean_photon_number} would sum "
-                         f"{length} photon numbers, beyond the {_SERIES_LIMIT} of nbar "
-                         f"{_SERIES_LIMIT_NBAR:g}")
+                         f"{Decimal(length):.3g} photon numbers, beyond the {_SERIES_LIMIT} "
+                         f"of nbar {_SERIES_LIMIT_NBAR:g}")
     return length
 
 

@@ -667,8 +667,8 @@ def _fig8(p: dict):
     for eta in p["etas"]:
         # every train length is a head of the longest train
         template = _template(DetectorKind.BUCKET, eta, ts[-1])
-        for name, results in (("constant", _constant_heads(template, Objective.UNCONDITIONAL, ts)),
-                              ("biased", _schedule_heads(template, ts))):
+        for name, heads in (("constant", _constant_heads), ("biased", _schedule_heads)):
+            results = heads(template, Objective.UNCONDITIONAL, ts)
             table[f"{name}_eta{eta:g}"] = np.array([result.objective_value for result in results])
     return table
 

@@ -142,12 +142,15 @@ class PerBinPump:
         if len(self.mean_photon_numbers) == 0:
             raise ValueError("per-bin pump schedule must have at least one entry")
 
-    def bin_means(self, time_bins: int) -> np.ndarray:
+    def _check_length(self, time_bins: int) -> None:
         if len(self.mean_photon_numbers) != time_bins:
             raise ValueError(
                 f"schedule has {len(self.mean_photon_numbers)} entries "
                 f"but the protocol has {time_bins} time-bins"
             )
+
+    def bin_means(self, time_bins: int) -> np.ndarray:
+        self._check_length(time_bins)
         return np.asarray(self.mean_photon_numbers, dtype=float)
 
 
@@ -168,7 +171,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         _check_count(self.time_bins, "time_bins")
         if isinstance(self.pump, PerBinPump):
-            self.pump.bin_means(self.time_bins)  # checks the schedule's length
+            self.pump._check_length(self.time_bins)
         elif not isinstance(self.pump, ConstantPump):
             raise ValueError(f"pump must be ConstantPump or PerBinPump, got {self.pump!r}")
 

@@ -6,11 +6,10 @@ index is the minimum across sources.  This module provides that
 distribution in closed form, a brute-force enumeration oracle for small
 m, and optimizers for the pump power (a single constant level, or one
 level per time-bin).  Bin l's law does not depend on the train length,
-so each optimizer also solves a list of train lengths as heads of the
-longest train: ``_constant_heads`` for either objective, of which
-``optimize_constant`` is the one-head case, and ``_schedule_heads`` for
-the unconditional objective, in one Bellman sweep over the stack.
-``optimize_schedule`` runs Dinkelbach's iteration on one train.
+so each optimizer solves a list of train lengths as heads of the longest
+train, for either objective: ``optimize_constant`` and
+``optimize_schedule`` are the one-head cases of ``_constant_heads`` and
+``_schedule_heads``.
 """
 
 from __future__ import annotations
@@ -196,47 +195,44 @@ def optimize_schedule(
     schedule in reverse-chronological order (entry 0 is the final bin);
     ``evaluations`` counts the candidate pump levels evaluated.
     """
-    sweep = _bellman_sweep(config, bounds)
-    evaluate = _objective(config, objective)
-    span = np.array([config.time_bins])
-    lam, found = 0.0, 0
-    for rounds in range(1, _DINKELBACH_MAX_ITER + 1):
-        chosen, inside = sweep(span, lam)
-        found += int(inside[0])
-        value = float(evaluate(chosen, span)[0])
-        # a NaN ratio never compares, so it keeps iterating
-        if objective is Objective.UNCONDITIONAL or rounds == _DINKELBACH_MAX_ITER or value <= lam:
-            return OptimizationResult(
-                schedule=PerBinPump(tuple(chosen[0].tolist())),
-                objective_value=value,
-                objective_kind=objective,
-                evaluations=2 * rounds * config.time_bins + found,
-            )
-        lam = value
+    return _schedule_heads(config, objective, [config.time_bins], bounds)[0]
 
 
 def _schedule_heads(
     config: ProtocolConfig,
+    objective: Objective,
     lengths,
     bounds: tuple[float, float] = (1e-3, 10.0),
 ) -> list[OptimizationResult]:
-    """Unconditional :func:`optimize_schedule` of the head of each length
-    in ``lengths``, each bit for bit the result for that shorter train,
-    from one :func:`_bellman_sweep` over the stack of heads."""
+    """:func:`optimize_schedule` of the head of each length in ``lengths``,
+    each bit for bit the result for that shorter train.  Each Dinkelbach
+    round is one :func:`_bellman_sweep` over the heads still iterating."""
+    sweep = _bellman_sweep(config, bounds)
+    evaluate = _objective(config, objective)
+    lams, found, results = [0.0] * len(lengths), [0] * len(lengths), [None] * len(lengths)
     # longest first, so that the heads still in the train at bin l are a prefix
-    heads = np.argsort(lengths, kind="stable")[::-1]
-    span = np.asarray(lengths)[heads]
-    chosen, found = _bellman_sweep(config, bounds)(span, 0.0)
-    values = _objective(config, Objective.UNCONDITIONAL)(chosen, span)
-    results: list = [None] * span.size
-    for head, row, value, t, inside in zip(heads.tolist(), chosen, values, span.tolist(), found):
-        results[head] = OptimizationResult(PerBinPump(tuple(row[:t].tolist())), float(value),
-                                           Objective.UNCONDITIONAL, int(2 * t + inside))
+    iterating, rounds = np.argsort(lengths, kind="stable")[::-1].tolist(), 0
+    while iterating:
+        rounds += 1
+        last = objective is Objective.UNCONDITIONAL or rounds == _DINKELBACH_MAX_ITER
+        span = np.array([lengths[head] for head in iterating])
+        chosen, inside = sweep(span, np.array([[lams[head]] for head in iterating]))
+        stack = zip(iterating, chosen, evaluate(chosen, span).tolist(), inside.tolist())
+        iterating = []
+        for head, schedule, value, count in stack:
+            found[head] += count
+            if last or value <= lams[head]:  # a NaN ratio never compares, so it keeps iterating
+                t = int(lengths[head])
+                results[head] = OptimizationResult(PerBinPump(tuple(schedule[:t].tolist())),
+                                                   value, objective, 2 * rounds * t + found[head])
+            else:
+                lams[head] = value
+                iterating.append(head)
     return results
 
 
 def _bellman_sweep(config: ProtocolConfig, bounds: tuple[float, float]):
-    """Backward induction of heads of the train at a given ``lambda``.
+    """Backward induction of heads of the train, each at its own ``lambda``.
 
     Each bin's maximum is exact: the Bellman term is rational in n, so its
     stationary points are the real roots of a polynomial of degree 6 or
@@ -248,9 +244,9 @@ def _bellman_sweep(config: ProtocolConfig, bounds: tuple[float, float]):
     heads longer than l take their step at bin l together: one eigenvalue
     call for their roots and one evaluation of their candidates.
 
-    Returns ``sweep(span, lam)``, which maps the head lengths ``span``
-    (longest first) and a scalar ``lam`` to the schedules ``[heads, t]``,
-    lo past each head's end, and how many interior roots each evaluated."""
+    Returns ``sweep(span, lam)``, which maps head lengths ``span`` (longest
+    first) and their ``lam[heads, 1]`` to the schedules ``[heads, t]``, lo
+    past each head's end, and how many interior roots each evaluated."""
     lo, hi = _check_bounds(bounds)
     eta_d = config.detector.efficiency
     kind = config.detector.kind
@@ -285,15 +281,15 @@ def _bellman_sweep(config: ProtocolConfig, bounds: tuple[float, float]):
             # detector, the lossless plateau where every level is optimal,
             # or coefficients that overflowed into a NaN future value) leaves
             # the bounds alone, and a NaN value reaches the caller.
-            future_live = future[:live]
-            roots = _real_roots(numerators[loops] - (lam + future_live) * denominators[loops])
+            future_live, lam_live = future[:live], lam[:live]
+            roots = _real_roots(numerators[loops] - (lam_live + future_live) * denominators[loops])
             inside = (roots > lo) & (roots < hi)
             found[:live] += inside
             step = candidates[:live]
             step[:, 1:-1] = np.sort(np.where(inside, roots, np.nan), axis=1)
             single, miss, fidelity = _bin_law(step, eta_d, bins[loops])
-            value = single * (fidelity - lam) + miss * future_live
-            best = _best_candidate(value, tie_scale + np.abs(future_live))
+            value = single * (fidelity - lam_live) + miss * future_live
+            best = _best_candidate(value, tie_scale[:live] + np.abs(future_live))
             picked = index[:live], best
             chosen[:live, loops], future_live[:, 0] = step[picked], value[picked]
         return chosen, found.sum(axis=1)

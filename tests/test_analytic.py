@@ -249,6 +249,7 @@ def test_series_oracles_refuse_series_beyond_the_domain(nbar):
         assert time.perf_counter() - start < 1.0
         assert not isinstance(raised.value, UndefinedConditionalError)
         assert f"{nbar}" in str(raised.value)
+        assert len(str(raised.value)) < 200  # the length to a few digits
 
 
 def test_series_oracles_admit_the_series_at_the_top_of_the_domain():

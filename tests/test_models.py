@@ -229,9 +229,21 @@ def test_per_bin_pump_length_must_match():
     pump = PerBinPump((0.1, 0.2, 0.3))
     config = ProtocolConfig(3, pump, DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
     assert config.bin_means() == pytest.approx([0.1, 0.2, 0.3])
-    # the config checks the schedule through the pump's own bin_means
+    # the config and bin_means share the pump's length check
     with pytest.raises(ValueError, match="schedule has 3 entries but the protocol has 2 "):
         ProtocolConfig(2, pump, DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
+
+
+def test_per_bin_config_checks_the_length_without_building_the_means(monkeypatch):
+    def refuse(self, time_bins):
+        raise AssertionError("bin_means built an array")
+
+    monkeypatch.setattr(PerBinPump, "bin_means", refuse)
+    pump = PerBinPump((0.1, 0.2, 0.3))
+    config = ProtocolConfig(3, pump, DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
+    assert config.pump is pump
+    with pytest.raises(ValueError, match="schedule has 3 entries but the protocol has 4 "):
+        ProtocolConfig(4, pump, DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
 
 
 def test_constant_pump_broadcast():

@@ -466,11 +466,9 @@ def test_stacked_heads_equal_one_row_calls_bit_for_bit(kind, objective, case):
     detector, loss = DetectorModel(kind, eta_d), LossModel(eta_s, eta_f)
     lengths = [5, 1, 8, 3, 2, 7, 4, 6]  # heads in any order
     template = ProtocolConfig(8, ConstantPump(1.0), detector, loss)
-    # the schedule stack solves the unconditional objective only
-    stacks = [(_constant_heads(template, objective, lengths, bounds), optimize_constant)]
-    if objective is Objective.UNCONDITIONAL:
-        stacks.append((_schedule_heads(template, lengths, bounds), optimize_schedule))
-    for stacked, optimize in stacks:
+    for heads, optimize in ((_constant_heads, optimize_constant),
+                            (_schedule_heads, optimize_schedule)):
+        stacked = heads(template, objective, lengths, bounds)
         for t, result in zip(lengths, stacked):
             config = ProtocolConfig(t, ConstantPump(1.0), detector, loss)
             # repr spells every float exactly, NaN included
@@ -509,9 +507,32 @@ def test_stacked_sweep_makes_one_eigenvalue_call_per_bin(monkeypatch):
 
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    _schedule_heads(_bucket_config(8), range(1, 9))
+    _schedule_heads(_bucket_config(8), Objective.UNCONDITIONAL, range(1, 9))
     # bin l is shared by the 8 - l heads longer than l
     assert calls == [(8 - loops, 6, 6) for loops in reversed(range(8))]
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_conditional_stack_iterates_each_head_as_its_own_call_does(kind, monkeypatch):
+    # each head takes its own number of Dinkelbach rounds; one that left
+    # the stack early or stayed too long would change the rows solved
+    rows = []
+
+    def counted(a):
+        rows.append(a.shape[0])
+        return eigvals(a)
+
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    detector, loss = DetectorModel(kind, 0.9), LossModel(0.9, 0.8)
+    for t in range(1, 9):
+        optimize_schedule(ProtocolConfig(t, ConstantPump(1.0), detector, loss),
+                          Objective.CONDITIONAL)
+    one_head = sum(rows)
+    rows.clear()
+    _schedule_heads(ProtocolConfig(8, ConstantPump(1.0), detector, loss),
+                    Objective.CONDITIONAL, range(1, 9))
+    assert sum(rows) == one_head > 2 * sum(range(1, 9))  # several rounds a head
 
 
 def test_enumeration_oracle_refuses_a_bank_beyond_its_cap():
