@@ -8,12 +8,13 @@ photon statistics of the source, the detector response, the switch and
 fibre losses, and the protocol configuration shared by the closed-form
 and Monte Carlo code paths.
 
-The thermal rate (:func:`_thermal_rate`) and the binomial law
-(:func:`_binomial_law`) are written here only, array-native.  The rate is
-read by ``thermal_pmf``, ``thermal_truncation``, ``analytic.prep_pmf`` and
-the Monte Carlo quantile; the binomial law by ``detect_prob``,
-``analytic.prep_pmf``, the Monte Carlo herald test and thinning, and the
-m-source bank (``analytic._parallel_train``).
+The thermal rate (:func:`_thermal_rate`), the thermal law's vacuum term
+(:func:`_thermal_vacuum_log`) and the binomial law (:func:`_binomial_law`)
+are written here only, array-native.  The rate is read by ``thermal_pmf``,
+``thermal_truncation``, ``analytic.prep_pmf`` and the Monte Carlo
+quantile; the vacuum term by the Monte Carlo gap; the binomial law by
+``detect_prob``, ``analytic.prep_pmf``, the Monte Carlo herald test and
+thinning, and the m-source bank (``analytic._parallel_train``).
 """
 
 from __future__ import annotations
@@ -264,6 +265,13 @@ def _thermal_rate(nbar):
         return np.where(np.isfinite(inverse), np.log1p(inverse), -np.log(nbar))
 
 
+def _thermal_vacuum_log(nbar):
+    """``log P(n = 0) = -log1p(nbar)`` of the thermal law, for a float or an
+    array nbar.  Not the log of the rounded ``1 / (1 + nbar)``, which reads
+    0 below nbar ~1e-16."""
+    return -np.log1p(nbar)
+
+
 def thermal_truncation(source: SourceModel) -> int:
     """Smallest series length whose thermal tail mass is below TAIL_MASS,
     floored at TRUNCATION_FLOOR terms, all that a vacuum (rate inf) gets.
@@ -302,7 +310,7 @@ def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n):
 
 def _herald_given_n(det: DetectorModel, n):
     """:func:`detect_prob` of the herald outcome, unchecked: the Monte Carlo
-    herald test calls it on every block, where a count scan would cost time."""
+    herald test calls it on every round, where a count scan would cost time."""
     term = "one" if det.kind is DetectorKind.NUMBER_RESOLVED else "some"
     return _binomial_law(n, det.efficiency, term)[0]
 

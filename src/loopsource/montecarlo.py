@@ -1,32 +1,42 @@
 """Event-level Monte Carlo simulation of the loop-source protocol.
 
-Each trial pumps the source once per time-bin, draws a thermal photon
-number and a herald outcome per bin, keeps the most recent heralded bin
-(the switch dumps anything held earlier), and thins the kept photons
-through the accumulated switch and fibre losses at extraction.  The
-thinning is the binomial inverse CDF at one uniform ``u``: with ``P0``
-and ``P1`` the chances that none or exactly one of the held photons
-survives, ``u <= P0`` is vacuum, ``P0 < u <= P0 + P1`` is a single
-photon and anything above is more.  Only the single-photon event is
-counted, so the engine evaluates those two terms in closed form, O(1)
-per trial for every photon number the sampler can draw.  The quantile,
-herald test and thinning read the laws of :mod:`loopsource.models`.
+Each trial pumps the source once per time-bin, keeps the most recent
+heralded bin (the switch dumps anything held earlier), and thins the
+kept photons through the accumulated losses at extraction: with ``P0``
+and ``P1`` the chances that none or exactly one survives, a uniform
+``u <= P0`` is vacuum and ``P0 < u <= P0 + P1`` a single photon, the
+only event counted.  A vacuum bin can neither herald nor be kept, so a
+trial jumps from one non-vacuum bin to the next by a geometric gap
+(Devroye 1986), draws ``n >= 1`` there and tests the herald.  All laws
+come from :mod:`loopsource.models`.
 
 Reproducibility contract.  Trials run in pages of ``_PAGE_TRIALS``, and
-bins (newest first) in blocks fixed by the configurations alone (see
-``_Bank.blocks``).  At the start of a block the page's trials that no
-source has heralded yet are ranked in trial order, and the trial of rank
-``r`` reads words ``[r w, (r + 1) w)`` of each source's thermal range and
-herald range of (page, block), ``w`` being the block width; word
-``r w + k`` belongs to the block's bin ``k``.  The thinning draw of the
-page's trial ``i`` is word ``i`` of the page's thinning range in source
-0's stream.  Source ``s`` reads the Philox stream keyed by
-``(seed, s)``, whose 256-bit counter ``(c, block, page, kind)`` names
-one range per (kind, page, block), ``c`` counting its 4-word blocks.
+sources in order, each in rounds; a source that cannot herald (eta_d 0
+or every bin mean 0) is skipped.  Source ``s`` searches a trial's bins
+below its bound, the freshest herald of sources ``0..s-1`` (else the
+number of bins), so a tie keeps the lower source.  In round ``r``:
 
-Only the bins up to a trial's freshest herald in any source can change
-its result, so no uniform is generated for a trial after its block of
-that herald.  A trial's uniforms depend only on the trials before it in
+* The page's trials still searching (in round 0, those with a bound
+  above 0, from bin 0), ranked in trial order, read word ``k`` of the gap
+  range at rank ``k``.  A trial lands on the first bin ``b`` at or after
+  its start by which the chance that all are vacuum falls below
+  ``1 - u``: ``start + floor(log1p(-u) / log P0)`` for a constant pump, a
+  search in the prefix of ``log P0 = -log1p(nbar)`` for a per-bin one.
+* A trial whose ``b`` is not below its bound stops.  The others, ranked
+  again, read word ``k`` of the thermal and herald ranges:
+  ``n = 1 + floor(log1p(-u) / -rate)`` (the law is memoryless), and a
+  herald where the herald uniform lies below its probability given ``n``.
+* A trial that heralds, or whose ``b + 1`` reaches its bound, stops; the
+  others start round ``r + 1`` at ``b + 1``.
+
+The thinning draw of the page's trial ``i`` is word ``i`` of the page's
+thinning range of source 0.  Source ``s`` reads the Philox stream keyed
+``(seed, s)`` (Salmon et al. 2011), whose counter ``(c, round, page,
+kind)`` names one range per (kind, page, round), ``c`` counting 4-word
+blocks; kinds are gap 0, thermal 1, herald 2 and thinning 3.
+
+So no uniform is drawn for a vacuum bin or a bin older than the freshest
+herald, and a trial's uniforms depend only on the trials before it in
 its page: results are bit-identical for given (configs, seed) however
 many trials follow, and ``simulate_trial`` replays a trial by running
 its page up to it.
@@ -39,26 +49,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _closed_form_of
 from .models import (
     OutcomeDistribution,
+    PerBinPump,
     ProtocolConfig,
     _binomial_law,
     _check_count,
     _herald_given_n,
     _is_int,
     _thermal_rate,
+    _thermal_vacuum_log,
     transmission,
 )
 
-# Both sizes are part of the address contract above.  A page's arrays
-# are O(page) and its block arrays O(page x block width).  Sources run
-# one after another through the same arrays, so block widths are capped
-# so that one source's thermal and herald uniforms of a page's block
-# stay within the budget (8 MB) whatever the number of sources; this
-# also bounds the herald stage's temporaries.
+# Part of the address contract above.  A page's arrays and reads hold at
+# most one entry per trial; the bank's, one per bin and source.
 _PAGE_TRIALS = 1 << 14
-_BATCH_BUDGET_DRAWS = 1 << 20
 
 # Largest mean photon number sampled: below it the median photon number
 # (nbar ln 2) stays under 2**53, where a double holds every integer.  The
@@ -69,7 +75,7 @@ _MAX_SAMPLEABLE_NBAR = 4.0e15
 _MAX_TRIALS = 2**63 - 1
 
 # Fourth word of the Philox counter: which kind of uniform a range holds.
-_THERMAL, _HERALD, _THINNING = 0, 1, 2
+_GAP, _THERMAL, _HERALD, _THINNING = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,11 @@ class SimulationSummary:
 
 
 def draws_per_trial(time_bins: int) -> int:
-    """Uniforms a trial can read from one source: one thermal and one
-    herald draw per bin plus one output-thinning draw."""
+    """The dense count ``2t + 1``: one thermal and one herald draw per bin
+    plus one thinning draw, the count that ``bench/tracing.py`` multiplies
+    into its ``montecarlo.draws``.  It is not what a trial reads: the
+    engine draws no uniform for a vacuum bin or a bin older than the
+    freshest herald, and one gap uniform per non-vacuum bin it visits."""
     return 2 * time_bins + 1
 
 
@@ -196,7 +205,7 @@ def _proportion(successes: int, denominator: int) -> Estimate:
 
 class _Bank:
     """The sources of one seeded run: their streams, loss chains and
-    block plan, and the page function that simulates their trials."""
+    laws, and the page function that simulates their trials."""
 
     def __init__(self, configs: list[ProtocolConfig], seed: int) -> None:
         if len(configs) == 0:
@@ -211,74 +220,98 @@ class _Bank:
                     f"mean photon numbers above {_MAX_SAMPLEABLE_NBAR:g} cannot be "
                     "sampled in double precision"
                 )
-        self.configs = list(configs)
-        self.rates = [_thermal_rate(config.bin_means()) for config in configs]
         self.streams = [_Stream(seed, s) for s in range(len(configs))]
         loops = np.arange(self.time_bins)
         self.taus = np.stack([transmission(config.loss, loops) for config in configs])
-        # The expected share of trials no source has heralded by each bin,
-        # negated so that it ascends.
-        share = np.prod([_closed_form_of(config).survival for config in configs], axis=0)
-        self._falling_share = -share
-        self._max_width = max(1, _BATCH_BUDGET_DRAWS // (2 * _PAGE_TRIALS))
-
-    def blocks(self):
-        """``(start, stop)`` of each block of bins, newest first.  A block
-        ends at the first bin by which the bank's expected unheralded
-        share has halved since the block began, or after ``_max_width``
-        bins, so a page's block arrays fit ``_BATCH_BUDGET_DRAWS``."""
-        start, level = 0, 1.0
-        while start < self.time_bins:
-            halved = int(np.searchsorted(self._falling_share, -0.5 * level))
-            stop = min(max(halved, start) + 1, start + self._max_width, self.time_bins)
-            yield start, stop
-            level = -self._falling_share[stop - 1]
-            start = stop
+        # A source that cannot herald reads no words: its gaps would divide
+        # by a zero vacuum log, or visit every bin that holds a photon.
+        self.sources = [
+            (s, _Source(config))
+            for s, config in enumerate(configs)
+            if config.detector.efficiency > 0.0 and np.any(config.bin_means() > 0.0)
+        ]
 
     def page(self, page: int, rows: int):
         """Loop index of the freshest herald of each of the page's first
         ``rows`` trials (the number of bins when no source heralded), and
         whether it output a single photon."""
-        t = self.time_bins
-        loop_index = np.full(rows, t)
+        loop_index = np.full(rows, self.time_bins)
         held, tau = np.zeros(rows), np.zeros(rows)
-        live = np.arange(rows)
-        buffer = np.empty(2 * rows * self._max_width)
-        for block, (start, stop) in enumerate(self.blocks()):
-            if not live.size:
-                break
-            width, size = stop - start, live.size * (stop - start)
-            thermal, herald = buffer[:size], buffer[size : 2 * size]
-            for s, config in enumerate(self.configs):
-                self.streams[s].read(_THERMAL, page, block, thermal)
-                self.streams[s].read(_HERALD, page, block, herald)
-                # Rank-major words: one row per live trial, one column per bin.
-                rates = self.rates[s][start:stop]
-                photons = _thermal_inverse_cdf(thermal.reshape(-1, width), rates).ravel()
+        for s, source in self.sources:
+            stream = self.streams[s]
+            # A source searches only bins fresher than the best herald of
+            # the sources before it, so a tie keeps the lower source and a
+            # herald at bin 0 cannot be beaten.
+            live = loop_index.nonzero()[0]
+            bound = loop_index.take(live)
+            start, rnd = np.zeros(live.size, dtype=np.intp), 0
+            # Each round moves every trial's start on, so at most t rounds.
+            while live.size:
+                bins = source.next_bin(start, stream.read(_GAP, page, rnd, live.size))
+                # Index arrays, not masks: a mask gather costs ~5x as much.
+                keep = (bins < bound).nonzero()[0]
+                live, bound, bins = live.take(keep), bound.take(keep), bins.take(keep)
+                photons = source.photons(bins, stream.read(_THERMAL, page, rnd, live.size))
                 # A uniform below the herald probability given the bin's
                 # photon number stands in for sampling the detector's count.
-                hits = np.flatnonzero(herald < _herald_given_n(config.detector, photons))
-                ranks, bins = np.divmod(hits, width)
-                trials, loops = live[ranks], start + bins
-                # The freshest herald is a trial's first hit, and a tie
-                # keeps the lower source.
-                fresher = loops < loop_index[trials]
-                fresher[1:] &= ranks[1:] != ranks[:-1]
-                trials, loops, hits = trials[fresher], loops[fresher], hits[fresher]
+                herald = stream.read(_HERALD, page, rnd, live.size)
+                hit = herald < _herald_given_n(source.detector, photons)
+                won = hit.nonzero()[0]
+                trials, loops = live.take(won), bins.take(won).astype(np.intp)
                 loop_index[trials] = loops
-                held[trials] = photons[hits]
-                tau[trials] = self.taus[s, loops]
-            live = live[loop_index[live] == t]
-        out_uniform = np.empty(rows)
-        self.streams[0].read(_THINNING, page, 0, out_uniform)
+                held[trials] = photons.take(won)
+                tau[trials] = self.taus[s].take(loops)
+                start = bins + 1
+                keep = (~hit & (start < bound)).nonzero()[0]
+                live, bound, start = live.take(keep), bound.take(keep), start.take(keep)
+                rnd += 1
+        out_uniform = self.streams[0].read(_THINNING, page, 0, rows)
         # Unheralded trials hold no photons, so the test reads False for
         # them whatever transmission they are paired with.
         return loop_index, _single_photon(held, tau, out_uniform)
 
 
+class _Source:
+    """One source's laws as the rounds read them: where a trial's next
+    non-vacuum bin lies, and how many photons it holds there."""
+
+    def __init__(self, config: ProtocolConfig) -> None:
+        self.detector = config.detector
+        means = config.bin_means()
+        self.per_bin = isinstance(config.pump, PerBinPump)
+        if not self.per_bin:
+            means = means[0]
+        self.rate = _thermal_rate(means)
+        vacuum_log = _thermal_vacuum_log(means)
+        if self.per_bin:
+            # The prefix of -log P(n = 0): bins [a, b) are all vacuum with
+            # chance exp(vacuum[a] - vacuum[b]).
+            self.vacuum = np.concatenate([[0.0], np.cumsum(-vacuum_log)])
+        else:
+            # Capped (nbar below 1e-300) so that the gap cannot overflow:
+            # there every gap but that of u = 0 exceeds 1e284 bins either way.
+            self.vacuum_log = min(vacuum_log, -1e-300)
+
+    def next_bin(self, start: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """First bin at or after ``start`` by which the chance that every
+        bin from ``start`` is vacuum falls below ``1 - u``, for gap uniforms
+        ``u``: the next non-vacuum bin (at least the number of bins when
+        there is none)."""
+        log_u = np.log1p(-uniforms)
+        if self.per_bin:
+            return np.searchsorted(self.vacuum, self.vacuum[start] - log_u, side="right") - 1
+        return start + np.floor(log_u / self.vacuum_log)
+
+    def photons(self, bins: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Photon numbers of non-vacuum bins: the thermal law is memoryless,
+        so ``n - 1`` given ``n >= 1`` follows the quantile itself."""
+        rate = self.rate[bins] if self.per_bin else self.rate
+        return 1.0 + _thermal_inverse_cdf(uniforms, rate)
+
+
 class _Stream:
     """The Philox stream of one (seed, source index) key, read by address:
-    ``read`` fills an array with the first words of one counter range."""
+    ``read`` returns the first words of one counter range."""
 
     def __init__(self, seed: int, source_index: int) -> None:
         self._key = (seed, source_index)
@@ -286,23 +319,23 @@ class _Stream:
             np.random.Philox(key=np.array(self._key, dtype=np.uint64))
         )
 
-    def read(self, kind: int, page: int, block: int, out: np.ndarray) -> None:
-        """Fill ``out`` with the uniforms at words ``0, 1, ...`` of the
-        range of ``kind`` for (``page``, ``block``)."""
+    def read(self, kind: int, page: int, rnd: int, size: int) -> np.ndarray:
+        """The uniforms at words ``0, ..., size - 1`` of the range of
+        ``kind`` for (``page``, round ``rnd``)."""
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": (0, block, page, kind), "key": self._key},
+            "state": {"counter": (0, rnd, page, kind), "key": self._key},
             "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._gen.random(out=out)
+        return self._gen.random(size)
 
 
 def _thermal_inverse_cdf(uniforms: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Map uniforms to thermal photon numbers per bin via the geometric
-    quantile ``floor(log1p(-u) / -rate)``; column k uses the rate of bin k
+    """Map uniforms to thermal photon numbers via the geometric quantile
+    ``floor(log1p(-u) / -rate)``, the rates broadcast against the uniforms
     (:func:`loopsource.models._thermal_rate`).  The numbers are
     integer-valued doubles, and the herald and thinning tests read them
     as such; the largest (~1.5e17 at the sampling cap) is exact."""

@@ -1,3 +1,5 @@
+import ast
+import collections
 import math
 import subprocess
 import sys
@@ -25,6 +27,7 @@ from loopsource import (
     herald_train,
     m_source_distribution,
     outcome_distribution,
+    parallel_unconditional_fidelity,
     run_simulation,
     simulate_parallel_sources,
     simulate_trial,
@@ -56,7 +59,7 @@ def _per_bin_config():
 
 
 def _train_config():
-    # the benchmark's mc_train point: S ~ 0.31 per bin, blocks of two bins
+    # the benchmark's mc_train point: S ~ 0.31 per bin
     return ProtocolConfig(
         50, ConstantPump(0.5), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)
     )
@@ -73,94 +76,106 @@ def _bank_configs():
     ]
 
 
-def _words(seed, source_index, kind, page, block, word, count):
+def _words(seed, source_index, kind, page, rnd, word, count):
     """``count`` uniforms from word ``word`` of one counter range, taken
     from numpy's own generator started at that range."""
     key = np.array([seed, source_index], dtype=np.uint64)
-    counter = np.array([word // 4, block, page, kind], dtype=np.uint64)
+    counter = np.array([word // 4, rnd, page, kind], dtype=np.uint64)
     generator = np.random.Generator(np.random.Philox(key=key, counter=counter))
     return generator.random(word % 4 + count)[word % 4 :]
 
 
-def _oracle_blocks(configs):
-    """The documented block plan, bin by bin: a block ends at the first
-    bin by which the bank's expected unheralded share has halved since
-    the block began, and holds at most budget / (2 page) bins."""
-    t = configs[0].time_bins
-    share = np.ones(t)
-    for config in configs:
-        singles = [herald_single_shot(SourceModel(n), config.detector) for n in config.bin_means()]
-        share = share * np.cumprod(1.0 - np.array(singles))
-    max_width = max(1, montecarlo._BATCH_BUDGET_DRAWS // (2 * montecarlo._PAGE_TRIALS))
-    blocks, start, level = [], 0, 1.0
-    while start < t:
-        stop = start + 1
-        while stop < t and stop - start < max_width and share[stop - 1] > level / 2:
-            stop += 1
-        blocks.append((start, stop))
-        start, level = stop, share[stop - 1]
-    return blocks
+def _can_herald(config):
+    return config.detector.efficiency > 0.0 and any(config.bin_means() > 0.0)
+
+
+def _oracle_next_bin(config, start, u):
+    """The documented gap rule: the first bin ``b >= start`` at which the
+    chance that bins ``start..b`` are all vacuum falls below ``1 - u``,
+    by the formula for a constant pump and a bin-by-bin scan of the
+    prefix of ``log1p(nbar)`` for a per-bin one (``t`` when there is none).
+    It takes numpy's log1p, as the engine does: libm's differs from it in
+    the last bit on some inputs."""
+    t, log_u = config.time_bins, np.log1p(-u)
+    if isinstance(config.pump, ConstantPump):
+        with np.errstate(over="ignore"):
+            gap = np.floor(log_u / -np.log1p(config.pump.mean_photon_number))
+        return int(min(t, start + gap))
+    prefix = np.concatenate([[0.0], np.cumsum(np.log1p(config.bin_means()))])
+    b = start
+    while b < t and not prefix[b + 1] > prefix[start] - log_u:
+        b += 1
+    return b
 
 
 def _oracle_run(configs, seed, trials):
-    """Every trial's (loop index, single photon, winning source, tie), one
-    trial at a time from the documented addresses: in each block, the rank
-    of a trial that no source has heralded yet is the number of earlier
-    trials of its page still unheralded there, and it reads words
-    [rank w, (rank + 1) w) of each source's thermal and herald ranges.
-    ``tie`` says whether a higher source heralded at the winner's bin."""
+    """Every trial's (loop index, single photon, winning source), one trial
+    at a time from the documented words.  In round ``r`` of source ``s``
+    a trial's rank is the number of earlier trials of its page that read a
+    gap word there, and its landing rank the number that read thermal and
+    herald words there; a source searches only bins fresher than the
+    freshest herald of the sources before it."""
     t, page_trials = configs[0].time_bins, montecarlo._PAGE_TRIALS
-    blocks = _oracle_blocks(configs)
     outcomes = []
     for i in range(trials):
         page, row = divmod(i, page_trials)
         if row == 0:
-            live_before = [0] * len(blocks)
-        best, tie = None, False
-        for block, (start, stop) in enumerate(blocks):
-            width, rank = stop - start, live_before[block]
-            live_before[block] += 1
-            for s, config in enumerate(configs):
-                thermal = _words(seed, s, 0, page, block, rank * width, width)
-                herald = _words(seed, s, 1, page, block, rank * width, width)
-                rates = _thermal_rate(config.bin_means()[start:stop])
-                photons = _thermal_inverse_cdf(thermal, rates)
-                outcome = herald_outcome(config.detector.kind)
-                heralds = herald < detect_prob(config.detector, outcome, photons)
-                if heralds.any():
-                    k = int(np.argmax(heralds))
-                    if best is None or start + k < best[0]:
-                        best, tie = (start + k, s, photons[k]), False
-                    elif start + k == best[0]:
-                        tie = True
-            if best is not None:
-                break
+            gaps, landings = collections.Counter(), collections.Counter()
+        best = None
+        for s, config in enumerate(configs):
+            if not _can_herald(config):
+                continue
+            bound = t if best is None else best[0]
+            start, rnd = 0, 0
+            while start < bound:
+                u = _words(seed, s, 0, page, rnd, gaps[s, rnd], 1)[0]
+                gaps[s, rnd] += 1
+                b = _oracle_next_bin(config, start, u)
+                if b >= bound:
+                    break
+                k = landings[s, rnd]
+                landings[s, rnd] += 1
+                thermal = _words(seed, s, 1, page, rnd, k, 1)[0]
+                herald = _words(seed, s, 2, page, rnd, k, 1)[0]
+                n = 1.0 + np.floor(np.log1p(-thermal) / -_thermal_rate(config.bin_means()[b]))
+                if herald < detect_prob(config.detector, herald_outcome(config.detector.kind), n):
+                    best = (b, s, n)
+                    break
+                start, rnd = b + 1, rnd + 1
         if best is None:
-            outcomes.append((t, False, None, False))
+            outcomes.append((t, False, None))
             continue
         loop, source, held = best
         tau = transmission(configs[source].loss, loop)
-        u = _words(seed, 0, 2, page, 0, row, 1)
-        outcomes.append((loop, bool(_single_photon(np.array([held]), tau, u)[0]), source, tie))
+        u = _words(seed, 0, 3, page, 0, row, 1)
+        outcomes.append((loop, bool(_single_photon(np.array([held]), tau, u)[0]), source))
     return outcomes
 
 
-def test_draws_per_trial_counts_the_uniforms_a_trial_reads(monkeypatch):
-    for t in range(1, 40):
-        assert draws_per_trial(t) == 2 * t + 1
-    # a trial reads at most one thermal and one herald draw per bin from
-    # each source, and the page one thinning draw per trial
-    configs = _bank_configs()
-    words = [0]
+def _counting_reads(monkeypatch):
+    """Record every ``_Stream.read`` as (key, kind, page, round, size)."""
+    reads = []
     read = montecarlo._Stream.read
 
-    def counted(self, kind, page, block, out):
-        words[0] += out.size
-        read(self, kind, page, block, out)
+    def recorded(self, kind, page, rnd, size):
+        reads.append((self._key, kind, page, rnd, size))
+        return read(self, kind, page, rnd, size)
 
-    monkeypatch.setattr(montecarlo._Stream, "read", counted)
+    monkeypatch.setattr(montecarlo._Stream, "read", recorded)
+    return reads
+
+
+def test_draws_per_trial_is_the_dense_count(monkeypatch):
+    for t in range(1, 40):
+        assert draws_per_trial(t) == 2 * t + 1
+    # a source runs at most one round per bin for a trial, and a round
+    # reads at most a gap, a thermal and a herald word; the page reads one
+    # thinning word per trial
+    configs = _bank_configs()
+    reads = _counting_reads(monkeypatch)
     simulate_parallel_sources(configs, 5000, 5)
-    assert 5000 < words[0] <= 5000 * (len(configs) * (draws_per_trial(4) - 1) + 1)
+    words = sum(read[-1] for read in reads)
+    assert 5000 < words <= 5000 * (len(configs) * 3 * 4 + 1)
 
 
 def test_trial_outcomes_are_well_formed():
@@ -185,7 +200,7 @@ def test_trial_outcomes_are_well_formed():
         ProtocolConfig(3, ConstantPump(0.9), DetectorModel(BUCKET, 0.8), LossModel(1.0, 1.0)),
         # heavy pump: a heralded bin holds ~30 photons on average
         ProtocolConfig(48, ConstantPump(30.0), DetectorModel(BUCKET, 0.9), LossModel(0.05, 0.9)),
-        # blocks of two bins: some trials herald after the first block
+        # S ~ 0.31 per bin: many trials take several rounds
         _train_config(),
         # pump just below the sampler's limit of 4e15 (warnings fail the
         # suite); the first loop keeps about one of the ~nbar held photons
@@ -231,35 +246,42 @@ def _check_against_oracle(configs, seed, trials):
     return outcomes
 
 
-_LAYOUT_CONFIGS = {
-    # two-bin blocks: S ~ 0.31 per bin
+_ORACLE_CONFIGS = {
+    # S ~ 0.31 per bin: many trials take several rounds
     "mc_train": _train_config(),
-    # nearly every trial heralds in the newest bin
+    # nearly every trial heralds in the newest bin, in round 0
     "nbar30": ProtocolConfig(
         48, ConstantPump(30.0), DetectorModel(BUCKET, 0.9), LossModel(0.05, 0.9)
     ),
-    # blocks of 16 bins
+    # gaps of ~20 bins
     "t200": ProtocolConfig(
         200, ConstantPump(0.05), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)
     ),
-    # rare heralds: the share never halves, so a block ends at the width
-    # cap or at the end of the train
+    # rare heralds: most trials jump past the end of the train at once
     "rare": ProtocolConfig(
         50, ConstantPump(1e-3), DetectorModel(RESOLVED, 0.9), LossModel(0.9, 0.9)
     ),
+    # the gap's divisor is capped; every trial jumps past the end
+    "nbar1e-200": ProtocolConfig(
+        50, ConstantPump(1e-200), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)
+    ),
     "t1": ProtocolConfig(1, ConstantPump(0.7), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)),
+    # a blind detector: the source reads no gap words
     "eta0": ProtocolConfig(
         6, ConstantPump(2.0), DetectorModel(BUCKET, 0.0), LossModel(0.9, 0.9)
     ),
     "lossless_resolved": ProtocolConfig(
         12, ConstantPump(1.2), DetectorModel(RESOLVED, 1.0), LossModel(1.0, 1.0)
     ),
+    # a search never lands on a zero bin
     "per_bin_zeros": ProtocolConfig(
         8,
         PerBinPump((0.0, 3.0, 0.0, 0.0, 0.4, 0.0, 2.5, 0.0)),
         DetectorModel(BUCKET, 0.8),
         LossModel(0.85, 0.9),
     ),
+    # no bin is vacuum; a resolved detector rarely heralds ~nbar photons,
+    # so its trials take one round per bin
     **{
         f"nbar3.9e15_{kind.value}": ProtocolConfig(
             2, ConstantPump(3.9e15), DetectorModel(kind, 0.9), LossModel(3e-16, 1.0)
@@ -275,47 +297,80 @@ def small_pages(monkeypatch):
     monkeypatch.setattr(montecarlo, "_PAGE_TRIALS", 64)
 
 
-@pytest.mark.parametrize("config", _LAYOUT_CONFIGS.values(), ids=_LAYOUT_CONFIGS.keys())
+@pytest.mark.parametrize("config", _ORACLE_CONFIGS.values(), ids=_ORACLE_CONFIGS.keys())
 def test_batch_run_matches_per_trial_oracle(small_pages, config):
-    """The page engine evaluates blocks for the live trials of a page at
+    """The page engine runs each round for the live trials of a page at
     once; reading each trial's documented words on its own and applying
-    the freshest-herald rule bin by bin must give the same trials."""
+    the gap and herald rules landing by landing must give the same trials."""
     _check_against_oracle([config], 3, 300)
 
 
-@pytest.mark.parametrize("budget", [1 << 20, 2 * 64], ids=["halving", "capped"])
 @pytest.mark.parametrize("bank", ["heterogeneous", "identical"])
-def test_parallel_run_matches_per_trial_oracle(small_pages, monkeypatch, bank, budget):
-    """The same for banks of three sources, including ties, which go to
-    the lowest source index, and blocks cut to one bin by the budget."""
-    monkeypatch.setattr(montecarlo, "_BATCH_BUDGET_DRAWS", budget)
+def test_parallel_run_matches_per_trial_oracle(small_pages, bank):
+    """The same for banks of three sources, where a later source searches
+    only bins fresher than the earlier sources' freshest herald."""
     configs = _bank_configs() if bank == "heterogeneous" else [_per_bin_config()] * 3
     outcomes = _check_against_oracle(configs, 8, 400)
     assert {outcome[2] for outcome in outcomes} >= {0, 1, 2}
-    if bank == "identical":
-        assert any(outcome[3] for outcome in outcomes)
-    widths = {stop - start for start, stop in _oracle_blocks(configs)}
-    assert widths == ({1} if budget < 1 << 20 else {1, 2})
 
 
-def test_block_plan_follows_the_halving_rule():
-    banks = {name: montecarlo._Bank([c], 0) for name, c in _LAYOUT_CONFIGS.items()}
-    banks["bank"] = montecarlo._Bank(_bank_configs(), 0)
-    plans = {}
-    for name, bank in banks.items():
-        blocks = list(bank.blocks())
-        assert blocks == _oracle_blocks(bank.configs), name
-        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
-        assert blocks[-1][1] == bank.time_bins
-        plans[name] = [stop - start for start, stop in blocks]
-    assert plans["mc_train"] == [2] * 25
-    assert plans["nbar30"] == [1] * 48
-    assert plans["t200"] == [16] * 12 + [8]
-    assert plans["bank"] == [1, 2, 1]
-    # the share never halves: a blind detector fills the train, and rare
-    # heralds meet one source's cap of 32 bins at pages of 2**14 trials
-    assert plans["eta0"] == [6]
-    assert plans["rare"] == [32, 18]
+def test_a_tie_goes_to_the_lowest_source():
+    """Both sources herald in the one bin but for a vacuum (chance 1e-6).
+    Source 1 transmits nothing, so had it won a trial no single photon
+    could come out; source 0 keeps ~nbar photons at transmission
+    1/nbar, one of which survives alone with chance ~1/4."""
+    kept = ProtocolConfig(1, ConstantPump(1e6), DetectorModel(BUCKET, 1.0), LossModel(1e-6, 1.0))
+    dark = ProtocolConfig(1, ConstantPump(1e6), DetectorModel(BUCKET, 1.0), LossModel(0.0, 1.0))
+    outcomes = _check_against_oracle([kept, dark], 4, 400)
+    assert {outcome[2] for outcome in outcomes} == {0}
+    summary = simulate_parallel_sources([kept, dark], 20_000, 4)
+    assert abs(summary.unconditional_fidelity.value - 0.25) < 0.02
+    assert simulate_parallel_sources([dark, kept], 20_000, 4).unconditional_fidelity.value == 0.0
+
+
+def _vacuum_chances(config):
+    """Exact chance that a search from bin 0 lands on each bin, and that
+    it finds no non-vacuum bin (last entry)."""
+    q = [Fraction(1) / (1 + Fraction(x)) for x in config.bin_means().tolist()]
+    chances, none = [], Fraction(1)
+    for q_b in q:
+        chances.append(none * (1 - q_b))
+        none *= q_b
+    return [float(c) for c in chances + [none]]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ProtocolConfig(12, ConstantPump(0.15), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)),
+        ProtocolConfig(
+            8, PerBinPump((0.0, 3.0, 0.0, 0.0, 0.4, 0.0, 2.5, 0.0)),
+            DetectorModel(BUCKET, 0.8), LossModel(0.85, 0.9),
+        ),
+    ],
+    ids=["constant", "per_bin_zeros"],
+)
+def test_gaps_follow_the_vacuum_law(config):
+    """The bin a search lands on is the documented scan to the bit, and its
+    law is the thermal vacuum law: P(land on b) = P0^b (1 - P0), the
+    product over earlier bins for a per-bin pump, within 5 sigma on 2e5
+    uniforms; a zero bin is never landed on."""
+    source = montecarlo._Source(config)
+    t = config.time_bins
+    uniforms = np.random.default_rng(17).random(200_000)
+    bins = source.next_bin(np.zeros(uniforms.size, dtype=np.intp), uniforms)
+    landed = np.minimum(bins, t).astype(np.intp)
+    for u, b in zip(uniforms[:300].tolist(), landed[:300].tolist()):
+        assert b == _oracle_next_bin(config, 0, u)
+    counts = np.bincount(landed, minlength=t + 1)
+    for count, p in zip(counts.tolist(), _vacuum_chances(config)):
+        se = math.sqrt(p * (1.0 - p) / uniforms.size)
+        assert abs(count / uniforms.size - p) <= 5.0 * se
+        if p == 0.0:
+            assert count == 0
+    # searches that start later land at or after their start
+    starts = np.arange(uniforms.size) % t
+    assert (source.next_bin(starts, uniforms) >= starts).all()
 
 
 @pytest.mark.parametrize("configs", [[_per_bin_config()], _bank_configs()], ids=["m1", "m3"])
@@ -336,78 +391,102 @@ def test_trial_outcome_does_not_depend_on_the_trials_after_it(small_pages, confi
 
 def test_stream_reads_native_philox_ranges():
     stream = montecarlo._Stream(7, 2)
-    out = np.empty(70)
-    for kind, page, block in [(0, 0, 0), (1, 3, 5), (2, 2**50, 0), (0, 1, 99_999)]:
-        stream.read(kind, page, block, out)
-        assert np.array_equal(out, _words(7, 2, kind, page, block, 0, 70))
+    for kind, page, rnd in [(0, 0, 0), (1, 3, 5), (3, 2**50, 0), (2, 1, 99_999)]:
+        assert np.array_equal(stream.read(kind, page, rnd, 70), _words(7, 2, kind, page, rnd, 0, 70))
     assert np.array_equal(_words(7, 2, 1, 3, 5, 9, 20), _words(7, 2, 1, 3, 5, 0, 29)[9:])
 
 
+def test_distinct_addresses_read_disjoint_words():
+    """Ranges of distinct (seed, source, kind, page, round) share no word:
+    the words of 400 addresses, the extremes of every field included and
+    one read a full page long, hold no repeated value (an overlap would
+    repeat its words), and the same address reads the same words again."""
+    seeds_sources = [(0, 0), (0, 1), (0, 2), (2**64 - 1, 0), (1, 0)]
+    pages = [0, 1, 2, 2**50 - 1]
+    rounds = [0, 1, 2, 99_999, 2**62 - 1]
+    seen, total = set(), 0
+    for seed, source in seeds_sources:
+        stream = montecarlo._Stream(seed, source)
+        for kind in range(4):
+            for page in pages:
+                for rnd in rounds:
+                    size = 64 if (page, rnd) != (1, 1) else montecarlo._PAGE_TRIALS
+                    words = stream.read(kind, page, rnd, size)
+                    seen.update(words.tolist())
+                    total += size
+        assert np.array_equal(stream.read(2, 1, 2, 64), montecarlo._Stream(seed, source).read(2, 1, 2, 64))
+    assert len(seen) == total
+
+
 @pytest.mark.parametrize("configs", [[_train_config()], _bank_configs()], ids=["m1", "m3"])
-def test_no_counter_is_read_twice(small_pages, monkeypatch, configs):
+def test_no_range_is_read_twice(small_pages, monkeypatch, configs):
     """Each read fills one range from its first word without carrying into
-    the next range, and no (key, kind, page, block) range is read twice:
-    every source reads the same live trials of each block, and source 0
-    one thinning word per trial of each page."""
+    the next range, and no (key, kind, page, round) range is read twice.  In a round a source's thermal and
+    herald reads are the same size and no larger than its gap read, and
+    source 0 reads one thinning word per trial of each page."""
     reads = []
     read = montecarlo._Stream.read
 
-    def recorded(self, kind, page, block, out):
-        read(self, kind, page, block, out)
+    def recorded(self, kind, page, rnd, size):
+        words = read(self, kind, page, rnd, size)
         counter = tuple(self._gen.bit_generator.state["state"]["counter"].tolist())
-        assert counter == ((out.size + 3) // 4, block, page, kind)
-        reads.append((self._key, kind, page, block, out.size))
+        assert counter == ((size + 3) // 4, rnd, page, kind)
+        reads.append((self._key, kind, page, rnd, size))
+        return words
 
     monkeypatch.setattr(montecarlo._Stream, "read", recorded)
     trials, seed = 300, 44
     simulate_parallel_sources(configs, trials, seed)
     ranges = [r[:4] for r in reads]
     assert len(ranges) == len(set(ranges))
-    sizes = {}
-    for key, kind, page, block, size in reads:
-        sizes.setdefault((kind == 2, page, block), set()).add(size)
-    assert all(len(s) == 1 for s in sizes.values())
+    sizes = {r[:4]: r[4] for r in reads}
+    for (key, kind, page, rnd), size in sizes.items():
+        if kind in (1, 2):
+            assert size == sizes[key, 3 - kind, page, rnd]
+            assert size <= sizes[key, 0, page, rnd]
     pages = range(-(-trials // 64))
-    thinning = {(page, size) for (k, page, _), (size,) in sizes.items() if k}
-    assert thinning == {(page, min(64, trials - 64 * page)) for page in pages}
-    keys = {key for key, kind, *_ in reads if kind != 2}
+    thinning = {(key, page, rnd, size) for (key, kind, page, rnd), size in sizes.items() if kind == 3}
+    assert thinning == {((seed, 0), page, 0, min(64, trials - 64 * page)) for page in pages}
+    keys = {key for key, kind, *_ in reads if kind != 3}
     assert keys == {(seed, s) for s in range(len(configs))}
 
 
-def test_uniform_count_at_the_parallel_benchmark_point(monkeypatch):
-    """At fig9's point (4 sources, t=10) only ~28% of a trial's column
-    draws can change its result; generating uniforms only for trials no
-    source has heralded yet must stay below half of sources x (2t + 1)."""
-    config = ProtocolConfig(10, ConstantPump(0.1), DetectorModel(BUCKET, 0.95), LossModel(0.95, 0.95))
-    words = [0]
-    read = montecarlo._Stream.read
+_WORKLOAD_POINTS = {
+    # the benchmark's mc_train and mc_parallel points (--eta sets eta_d and
+    # both losses), and the rare-herald end of the documented domain
+    "mc_train": ([_train_config()], 5.0),
+    "mc_parallel": (
+        [ProtocolConfig(10, ConstantPump(0.1), DetectorModel(BUCKET, 0.95), LossModel(0.95, 0.95))]
+        * 4,
+        9.0,
+    ),
+    "t1e5_nbar1e-4": (
+        [ProtocolConfig(100_000, ConstantPump(1e-4), DetectorModel(BUCKET, 0.9), LossModel(0.99, 0.999))],
+        6.0,
+    ),
+}
 
-    def counted(self, kind, page, block, out):
-        words[0] += out.size
-        read(self, kind, page, block, out)
 
-    monkeypatch.setattr(montecarlo._Stream, "read", counted)
-    trials = 40_000
-    simulate_parallel_sources([config] * 4, trials, 3)
-    assert words[0] < 0.5 * 4 * draws_per_trial(10) * trials
+@pytest.mark.parametrize("point", _WORKLOAD_POINTS, ids=_WORKLOAD_POINTS.keys())
+def test_uniforms_per_trial_at_the_workload_points(monkeypatch, point):
+    """Uniforms generated per trial, counted at ``_Stream.read``: the dense
+    engine read 8.6 at mc_train's point and 31 at mc_parallel's, and
+    22,000 at t = 1e5, where vacuum skipping reads ~4.2, ~7.7 and ~4.3."""
+    configs, limit = _WORKLOAD_POINTS[point]
+    reads = _counting_reads(monkeypatch)
+    trials = 40_000 if configs[0].time_bins < 1000 else 4_000
+    simulate_parallel_sources(configs, trials, 3)
+    assert sum(read[-1] for read in reads) <= limit * trials
 
 
 @pytest.mark.parametrize("nbar, trials", [(0.5, 20_000), (1e-4, 2_000)])
 def test_long_train_memory_is_bounded(monkeypatch, nbar, trials):
     """t = 1e5 bins, the top of the documented domain: peak allocation
-    stays under 64 MiB, and a rare-herald run generates at most 1.5 x 2t
-    uniforms per trial."""
+    stays under 64 MiB, and no read fills more than a page of words."""
     config = ProtocolConfig(
         100_000, ConstantPump(nbar), DetectorModel(BUCKET, 0.9), LossModel(0.99, 0.999)
     )
-    words = [0]
-    read = montecarlo._Stream.read
-
-    def counted(self, kind, page, block, out):
-        words[0] += out.size
-        read(self, kind, page, block, out)
-
-    monkeypatch.setattr(montecarlo._Stream, "read", counted)
+    reads = _counting_reads(monkeypatch)
     tracemalloc.start()
     try:
         summary = run_simulation(config, trials, 13)
@@ -415,8 +494,110 @@ def test_long_train_memory_is_bounded(monkeypatch, nbar, trials):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    assert words[0] <= 1.5 * 2 * config.time_bins * trials
+    assert max(read[-1] for read in reads) <= montecarlo._PAGE_TRIALS
     assert summary.herald_rate.value > 0.99
+
+
+_EDGE_CONFIGS = {
+    "nbar0": ProtocolConfig(5, ConstantPump(0.0), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)),
+    "per_bin_zeros": _ORACLE_CONFIGS["per_bin_zeros"],
+    "per_bin_all_zero": ProtocolConfig(
+        3, PerBinPump((0.0, 0.0, 0.0)), DetectorModel(RESOLVED, 0.9), LossModel(0.9, 0.9)
+    ),
+    "nbar1e-200_t1e5": ProtocolConfig(
+        100_000, ConstantPump(1e-200), DetectorModel(BUCKET, 0.9), LossModel(0.99, 0.999)
+    ),
+    **{
+        f"cap4e15_{kind.value}": ProtocolConfig(
+            3, ConstantPump(4e15), DetectorModel(kind, 0.9), LossModel(0.9, 0.9)
+        )
+        for kind in (RESOLVED, BUCKET)
+    },
+    "eta0": ProtocolConfig(6, ConstantPump(2.0), DetectorModel(RESOLVED, 0.0), LossModel(0.9, 0.9)),
+    **{
+        f"eta1_{kind.value}": ProtocolConfig(
+            6, ConstantPump(2.0), DetectorModel(kind, 1.0), LossModel(0.9, 0.9)
+        )
+        for kind in (RESOLVED, BUCKET)
+    },
+    "t1": ProtocolConfig(1, ConstantPump(0.7), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)),
+    "resolved": ProtocolConfig(
+        50, ConstantPump(2.0), DetectorModel(RESOLVED, 0.9), LossModel(0.99, 0.999)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _EDGE_CONFIGS, ids=_EDGE_CONFIGS.keys())
+def test_edge_inputs_end_without_warnings(monkeypatch, name):
+    """Each run ends, warns nothing, runs at most one round per bin, reads
+    no word for a source that cannot herald, and agrees with the closed
+    form's herald probability within 5 sigma."""
+    config = _EDGE_CONFIGS[name]
+    reads = _counting_reads(monkeypatch)
+    trials = 2000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = run_simulation(config, trials, 6)
+    rounds = {rnd for _, kind, _, rnd, _ in reads if kind == 0}
+    assert len(rounds) <= config.time_bins
+    if not _can_herald(config):
+        assert [read[1] for read in reads] == [3]
+    expected = outcome_distribution(config).herald_probability
+    se = math.sqrt(expected * (1.0 - expected) / trials)
+    assert abs(summary.herald_rate.value - expected) <= 5.0 * se + 1e-12
+    if name == "nbar1e-200_t1e5":
+        # one gap word per trial, then every trial is past the train
+        assert summary.herald_rate.value == 0.0
+        assert sorted(read[1:] for read in reads) == [
+            (0, 0, 0, trials), (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, trials)
+        ]
+
+
+def test_montecarlo_imports_nothing_from_analytic():
+    """The Monte Carlo route reads only the models' laws, so it stays an
+    independent check of the closed forms."""
+    tree = ast.parse(Path(montecarlo.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("analytic" in name for name in imported), imported
+
+
+def _closed_form_point(configs):
+    """Herald probability and unconditional fidelity of a bank of
+    identical sources, from the closed forms."""
+    config, sources = configs[0], len(configs)
+    report = fidelity_report(config)
+    if sources == 1:
+        return outcome_distribution(config).herald_probability, report.unconditional
+    single = herald_single_shot(SourceModel(float(config.bin_means()[0])), config.detector)
+    dist = m_source_distribution(single, config.time_bins, sources)
+    return 1.0 - dist.no_herald, parallel_unconditional_fidelity(dist, report.per_loop)
+
+
+@pytest.mark.parametrize("point", ["mc_train", "mc_parallel"])
+def test_mean_z_over_forty_seeds_at_the_workload_points(point):
+    """Forty fixed seeds (9001-9040, chosen before the first run) of
+    150,000 trials: the mean z-score of the herald rate and of the
+    unconditional fidelity against the closed form stays within 0.7 of 0,
+    ~4.4 standard errors of a mean of 40 unit normals."""
+    configs = _WORKLOAD_POINTS[point][0]
+    herald, unconditional = _closed_form_point(configs)
+    trials = 150_000
+    z_herald, z_unconditional = [], []
+    for seed in range(9001, 9041):
+        summary = simulate_parallel_sources(configs, trials, seed)
+        for z, value, p in (
+            (z_herald, summary.herald_rate.value, herald),
+            (z_unconditional, summary.unconditional_fidelity.value, unconditional),
+        ):
+            z.append((value - p) / math.sqrt(p * (1.0 - p) / trials))
+    assert abs(np.mean(z_herald)) <= 0.7, np.mean(z_herald)
+    assert abs(np.mean(z_unconditional)) <= 0.7, np.mean(z_unconditional)
 
 
 def test_same_seed_same_summary():
