@@ -134,9 +134,11 @@ def closed_form(nbars, eta_d, taus, kind: DetectorKind) -> ClosedForm:
     ``S_l * prod_{k<l}(1 - S_k)``.  ``nbars`` must carry the train axis:
     a pump of another length would broadcast to a mismatched result.
     """
-    length = np.broadcast_shapes(np.shape(nbars), np.shape(eta_d), np.shape(taus))[-1:]
-    if np.shape(nbars)[-1:] != length:
-        raise ValueError(f"nbars must end in the train axis of length {length[0]}, "
+    shape = np.broadcast_shapes(np.shape(nbars), np.shape(eta_d), np.shape(taus))
+    if not shape:
+        raise ValueError("nbars must end in the train axis, but no input has one")
+    if np.shape(nbars)[-1:] != shape[-1:]:
+        raise ValueError(f"nbars must end in the train axis of length {shape[-1]}, "
                          f"got shape {np.shape(nbars)}")
     return _closed_form_rows(nbars, eta_d, _bin_rows(eta_d, taus, kind))
 

@@ -98,8 +98,8 @@ DEFAULT_DETECTOR_RATE = 1e8
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 # Longest train a command accepts: the closed forms' tested domain.
 _MAX_TIME_BINS = 100_000
-# Most sources `parallel` and fig9 accept: a parallel run keeps a
-# [sources, t] loss chain (51 MB at 64 sources and the longest train).
+# Most sources `parallel` and fig9 accept: it bounds a run's source rounds
+# and fig9's source counts; a bank keeps one loss chain per configuration.
 _MAX_SOURCES = 64
 
 class UsageError(Exception):

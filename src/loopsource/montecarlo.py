@@ -12,7 +12,8 @@ come from :mod:`loopsource.models`.
 
 Reproducibility contract.  Trials run in pages of ``_PAGE_TRIALS``, and
 sources in order, each in rounds; a source that cannot herald (eta_d 0
-or every bin mean 0) is skipped.  Source ``s`` searches a trial's bins
+or every bin mean 0) is skipped; sources given one configuration object
+share its laws, not a stream.  Source ``s`` searches a trial's bins
 below its bound, the freshest herald of sources ``0..s-1`` (else the
 number of bins), so a tie keeps the lower source.  In round ``r``:
 
@@ -63,7 +64,7 @@ from .models import (
 )
 
 # Part of the address contract above.  A page's arrays and reads hold at
-# most one entry per trial; the bank's, one per bin and source.
+# most one entry per trial; a source's, one per bin.
 _PAGE_TRIALS = 1 << 14
 
 # Largest mean photon number sampled: below it the median photon number
@@ -204,32 +205,23 @@ def _proportion(successes: int, denominator: int) -> Estimate:
 
 
 class _Bank:
-    """The sources of one seeded run: their streams, loss chains and
-    laws, and the page function that simulates their trials."""
+    """The sources of one seeded run, each with its own stream, and the
+    page function that simulates their trials."""
 
     def __init__(self, configs: list[ProtocolConfig], seed: int) -> None:
         if len(configs) == 0:
             raise ValueError("need at least one source configuration")
         self.time_bins = configs[0].time_bins
         _check_uint64(seed, "seed")
-        for config in configs:
+        # One source per configuration object, however many indices pass it.
+        laws, self.sources = {}, []
+        for s, config in enumerate(configs):
             if config.time_bins != self.time_bins:
                 raise ValueError("all parallel sources must share the same number of time-bins")
-            if np.any(config.bin_means() > _MAX_SAMPLEABLE_NBAR):
-                raise ValueError(
-                    f"mean photon numbers above {_MAX_SAMPLEABLE_NBAR:g} cannot be "
-                    "sampled in double precision"
-                )
-        self.streams = [_Stream(seed, s) for s in range(len(configs))]
-        loops = np.arange(self.time_bins)
-        self.taus = np.stack([transmission(config.loss, loops) for config in configs])
-        # A source that cannot herald reads no words: its gaps would divide
-        # by a zero vacuum log, or visit every bin that holds a photon.
-        self.sources = [
-            (s, _Source(config))
-            for s, config in enumerate(configs)
-            if config.detector.efficiency > 0.0 and np.any(config.bin_means() > 0.0)
-        ]
+            source = laws.get(id(config)) or laws.setdefault(id(config), _Source(config))
+            if source.can_herald:
+                self.sources.append((_Stream(seed, s), source))
+        self.thinning = _Stream(seed, 0)
 
     def page(self, page: int, rows: int):
         """Loop index of the freshest herald of each of the page's first
@@ -237,8 +229,7 @@ class _Bank:
         whether it output a single photon."""
         loop_index = np.full(rows, self.time_bins)
         held, tau = np.zeros(rows), np.zeros(rows)
-        for s, source in self.sources:
-            stream = self.streams[s]
+        for stream, source in self.sources:
             # A source searches only bins fresher than the best herald of
             # the sources before it, so a tie keeps the lower source and a
             # herald at bin 0 cannot be beaten.
@@ -260,24 +251,32 @@ class _Bank:
                 trials, loops = live.take(won), bins.take(won).astype(np.intp)
                 loop_index[trials] = loops
                 held[trials] = photons.take(won)
-                tau[trials] = self.taus[s].take(loops)
+                tau[trials] = source.taus.take(loops)
                 start = bins + 1
                 keep = (~hit & (start < bound)).nonzero()[0]
                 live, bound, start = live.take(keep), bound.take(keep), start.take(keep)
                 rnd += 1
-        out_uniform = self.streams[0].read(_THINNING, page, 0, rows)
+        out_uniform = self.thinning.read(_THINNING, page, 0, rows)
         # Unheralded trials hold no photons, so the test reads False for
         # them whatever transmission they are paired with.
         return loop_index, _single_photon(held, tau, out_uniform)
 
 
 class _Source:
-    """One source's laws as the rounds read them: where a trial's next
-    non-vacuum bin lies, and how many photons it holds there."""
+    """One configuration's laws as the rounds read them: whether it can
+    herald, where a trial's next non-vacuum bin lies, how many photons it
+    holds there, and the loss chain ``taus`` of its bins."""
 
     def __init__(self, config: ProtocolConfig) -> None:
-        self.detector = config.detector
         means = config.bin_means()
+        if np.any(means > _MAX_SAMPLEABLE_NBAR):
+            raise ValueError(f"mean photon numbers above {_MAX_SAMPLEABLE_NBAR:g} cannot be "
+                             "sampled in double precision")
+        self.detector = config.detector
+        # A source that cannot herald reads no words: its gaps would divide
+        # by a zero vacuum log, or visit every bin that holds a photon.
+        self.can_herald = self.detector.efficiency > 0.0 and np.any(means > 0.0)
+        self.taus = transmission(config.loss, np.arange(config.time_bins))
         self.per_bin = isinstance(config.pump, PerBinPump)
         if not self.per_bin:
             means = means[0]

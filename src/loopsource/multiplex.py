@@ -142,7 +142,7 @@ def _constant_heads(
     that shorter train.  The heads zoom side by side, with one kernel call
     per round for every head still zooming."""
     lo, hi = _check_bounds(bounds)
-    evaluate = _objective(config, objective)
+    evaluate = _objective(config, objective, _train_rows(config))
     lengths = np.asarray(lengths)
     grids = np.repeat(np.geomspace(lo, hi, _GRID_POINTS)[None], lengths.size, axis=0)
     widths = np.full(lengths.size, np.inf)
@@ -207,8 +207,9 @@ def _schedule_heads(
     """:func:`optimize_schedule` of the head of each length in ``lengths``,
     each bit for bit the result for that shorter train.  Each Dinkelbach
     round is one :func:`_bellman_sweep` over the heads still iterating."""
-    sweep = _bellman_sweep(config, bounds)
-    evaluate = _objective(config, objective)
+    rows = _train_rows(config)
+    sweep = _bellman_sweep(config, rows, bounds)
+    evaluate = _objective(config, objective, rows)
     lams, found, results = [0.0] * len(lengths), [0] * len(lengths), [None] * len(lengths)
     # longest first, so that the heads still in the train at bin l are a prefix
     iterating, rounds = np.argsort(lengths, kind="stable")[::-1].tolist(), 0
@@ -231,8 +232,9 @@ def _schedule_heads(
     return results
 
 
-def _bellman_sweep(config: ProtocolConfig, bounds: tuple[float, float]):
-    """Backward induction of heads of the train, each at its own ``lambda``.
+def _bellman_sweep(config: ProtocolConfig, rows, bounds: tuple[float, float]):
+    """Backward induction of heads of the train, whose bins have ``rows``
+    (:func:`loopsource.analytic._train_rows`), each at its own ``lambda``.
 
     Each bin's maximum is exact: the Bellman term is rational in n, so its
     stationary points are the real roots of a polynomial of degree 6 or
@@ -250,7 +252,6 @@ def _bellman_sweep(config: ProtocolConfig, bounds: tuple[float, float]):
     lo, hi = _check_bounds(bounds)
     eta_d = config.detector.efficiency
     kind = config.detector.kind
-    rows = _train_rows(config)
     numer, denom = (np.array(np.broadcast_arrays(*row)).T for row in rows[:2])
     j = rows[2]
     numerators, denominators = _stationarity_terms(eta_d, numer, denom, j)
@@ -374,17 +375,17 @@ def _best_candidate(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.argmax(values >= threshold, axis=-1)
 
 
-def _objective(config: ProtocolConfig, objective: Objective):
-    """Objective of heads of the train: maps reverse-chronological pump
-    vectors ``nbars[k, ..., t]`` (t = ``config.time_bins``) and k head
-    lengths to values ``[k, ...]``, row i that of its head of length
-    ``lengths[i]``, bit for bit the objective of that shorter train (see
-    :meth:`ClosedForm.by_length`).  The conditional objective is extended
-    with value 0 where the train can never herald, keeping it total."""
+def _objective(config: ProtocolConfig, objective: Objective, rows):
+    """Objective of heads of the train whose bins have ``rows``: maps
+    reverse-chronological pump vectors ``nbars[k, ..., t]`` (t =
+    ``config.time_bins``) and k head lengths to values ``[k, ...]``, row i
+    that of its head of length ``lengths[i]``, bit for bit the objective of
+    that shorter train (see :meth:`ClosedForm.by_length`).  The conditional
+    objective is extended with value 0 where the train can never herald,
+    keeping it total."""
     if not isinstance(objective, Objective):
         raise ValueError(f"objective must be an Objective, got {objective!r}")
     eta_d = config.detector.efficiency
-    rows = _train_rows(config)
     field = objective.value  # the ClosedForm attribute of the same name
 
     def evaluate(nbars, lengths):

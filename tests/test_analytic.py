@@ -530,13 +530,20 @@ def test_head_is_the_closed_form_of_the_shorter_train_bit_for_bit(longest, fract
                                       strict=True, err_msg=name)
 
 
-@pytest.mark.parametrize("nbars", [np.array([0.5]), np.array(0.5), np.full((5, 1), 0.5)],
-                         ids=["one-bin", "scalar", "column"])
-def test_closed_form_rejects_a_pump_without_the_train_axis(nbars):
+_FIVE_BIN_TAUS = transmission(LossModel(0.9, 0.9), np.arange(5))
+
+
+@pytest.mark.parametrize("nbars, taus, match", [
+    (np.array([0.5]), _FIVE_BIN_TAUS, "train axis of length 5"),
+    (np.array(0.5), _FIVE_BIN_TAUS, "train axis of length 5"),
+    (np.full((5, 1), 0.5), _FIVE_BIN_TAUS, "train axis of length 5"),
+    (0.5, 1.0, "no input has one"),
+], ids=["one-bin", "scalar", "column", "all-scalar"])
+def test_closed_form_rejects_a_pump_without_the_train_axis(nbars, taus, match):
     # a one-bin pump against a five-bin loss chain returned one weight and
-    # five per-loop fidelities: herald 0.310 where the five-bin train reads 0.844
-    taus = transmission(LossModel(0.9, 0.9), np.arange(5))
-    with pytest.raises(ValueError, match="train axis of length 5"):
+    # five per-loop fidelities: herald 0.310 where the five-bin train reads
+    # 0.844; with no train axis anywhere the train raised numpy's IndexError
+    with pytest.raises(ValueError, match=match):
         closed_form(nbars, 0.9, taus, BUCKET)
 
 

@@ -305,13 +305,49 @@ def test_batch_run_matches_per_trial_oracle(small_pages, config):
     _check_against_oracle([config], 3, 300)
 
 
-@pytest.mark.parametrize("bank", ["heterogeneous", "identical"])
+def _mixed_bank():
+    # indices 0 and 2 share a per-bin configuration; index 1 has a constant
+    # pump and other losses
+    per_bin, constant = _bank_configs()[1], _mixed_config()
+    return [per_bin, constant, per_bin]
+
+
+@pytest.mark.parametrize("bank", ["heterogeneous", "identical", "mixed"])
 def test_parallel_run_matches_per_trial_oracle(small_pages, bank):
     """The same for banks of three sources, where a later source searches
     only bins fresher than the earlier sources' freshest herald."""
-    configs = _bank_configs() if bank == "heterogeneous" else [_per_bin_config()] * 3
+    configs = {"heterogeneous": _bank_configs(), "identical": [_per_bin_config()] * 3,
+               "mixed": _mixed_bank()}[bank]
     outcomes = _check_against_oracle(configs, 8, 400)
     assert {outcome[2] for outcome in outcomes} >= {0, 1, 2}
+
+
+def test_a_configuration_passed_to_several_sources_is_built_once(monkeypatch):
+    """The bank builds one source, loss chain included, per configuration
+    object however many indices pass it, and each index still reads its
+    own stream: an equal copy in place of the shared object, built on its
+    own, gives the same run."""
+    chains = []
+
+    def counted(loss, loops):
+        chains.append(loss)
+        return transmission(loss, loops)
+
+    monkeypatch.setattr(montecarlo, "transmission", counted)
+
+    def run(configs):
+        chains.clear()
+        summary = simulate_parallel_sources(configs, 3000, 6)
+        return len(chains), repr(summary)
+
+    assert run([_per_bin_config()] * 64)[0] == 1
+    assert run(_bank_configs())[0] == 3
+    per_bin, constant, _ = bank = _mixed_bank()
+    copy = ProtocolConfig(4, PerBinPump(per_bin.pump.mean_photon_numbers), per_bin.detector,
+                          per_bin.loss)
+    (shared, summary), (unshared, copied) = run(bank), run([per_bin, constant, copy])
+    assert (shared, unshared) == (2, 3)
+    assert summary == copied
 
 
 def test_a_tie_goes_to_the_lowest_source():
@@ -720,8 +756,14 @@ def test_two_source_histogram_matches_closed_form():
 def test_parallel_sources_must_share_shape():
     a = _mixed_config()
     b = ProtocolConfig(5, ConstantPump(0.9), a.detector, a.loss)
-    with pytest.raises(ValueError):
-        simulate_parallel_sources([a, b], 100, 0)
+    capped = ProtocolConfig(4, ConstantPump(5e15), a.detector, a.loss)
+    # the sources are checked in order, each for its shape, then its pump
+    for configs in ([a, b], [a, a, b, capped]):
+        with pytest.raises(ValueError, match="^all parallel sources must share the same "
+                           "number of time-bins$"):
+            simulate_parallel_sources(configs, 100, 0)
+    with pytest.raises(ValueError, match="cannot be sampled"):
+        simulate_parallel_sources([a, capped, b], 100, 0)
 
 
 def test_trial_count_beyond_the_int64_histogram_is_rejected_before_a_page(monkeypatch):
@@ -836,10 +878,15 @@ def test_sampler_rejects_pump_above_its_limit(capsys):
     config = ProtocolConfig(
         2, ConstantPump(5e15), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)
     )
-    with pytest.raises(ValueError, match="cannot be sampled"):
+    message = "^mean photon numbers above 4e\\+15 cannot be sampled in double precision$"
+    with pytest.raises(ValueError, match=message):
         run_simulation(config, 10, 0)
-    with pytest.raises(ValueError, match="cannot be sampled"):
+    with pytest.raises(ValueError, match=message):
         simulate_trial([config], 0, 0)
+    # after three indices that share one sampleable configuration
+    sampleable = ProtocolConfig(2, ConstantPump(0.5), config.detector, config.loss)
+    with pytest.raises(ValueError, match=message):
+        simulate_parallel_sources([sampleable] * 3 + [config], 10, 0)
     assert main(["simulate", "--nbar", "5e15", "--t", "2", "--trials", "10"]) == 2
     assert "cannot be sampled" in capsys.readouterr().err
 

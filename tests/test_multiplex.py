@@ -549,7 +549,7 @@ def test_optimizers_refuse_an_objective_given_as_text(optimize):
 
 
 def test_schedule_optimizer_builds_the_bin_rows_once(monkeypatch):
-    # the sweep and the objective each build the train's rows in one call,
+    # the sweep and the objective share one build of the train's rows,
     # whatever the train's length
     calls = []
 
@@ -564,7 +564,7 @@ def test_schedule_optimizer_builds_the_bin_rows_once(monkeypatch):
         calls.clear()
         optimize_schedule(_bucket_config(t), Objective.CONDITIONAL)
         counts.append(len(calls))
-    assert counts == [2, 2]
+    assert counts == [1, 1]
 
 
 def _roots_rows(rng):
