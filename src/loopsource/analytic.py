@@ -33,9 +33,10 @@ from .models import (
     _binomial_law,
     _capped_herald,
     _check_count,
+    _check_kind,
     _check_probability,
+    _counts,
     _herald_given_n,
-    _photon_numbers,
     _shaped_as,
     _thermal_rate,
     detect_prob,
@@ -140,6 +141,7 @@ def closed_form(nbars, eta_d, taus, kind: DetectorKind) -> ClosedForm:
     if np.shape(nbars)[-1:] != shape[-1:]:
         raise ValueError(f"nbars must end in the train axis of length {shape[-1]}, "
                          f"got shape {np.shape(nbars)}")
+    _check_kind(kind)
     return _closed_form_rows(nbars, eta_d, _bin_rows(eta_d, taus, kind))
 
 
@@ -312,7 +314,7 @@ def prep_pmf(source: SourceModel, det: DetectorModel, n: int) -> float:
     factor is finite for every finite nbar, and dividing by eta_d first
     keeps the product normal at tiny eta_d and huge nbar.
     """
-    counts = _photon_numbers(n, 1)
+    counts = _counts(n, "heralded photon number", 1)
     _can_herald(source, det, "the post-herald state")
     nbar, eta = source.mean_photon_number, det.efficiency
     q = 1.0 / (1.0 + nbar)
@@ -327,7 +329,7 @@ def prep_pmf_oracle(source: SourceModel, det: DetectorModel, n):
     """Bayes-ratio evaluation of the heralded photon-number distribution,
     for an int n or elementwise over an array of photon numbers:
     p_detect(herald|n) * p_thermal(n) / (series herald probability)."""
-    _photon_numbers(n, 1)
+    _counts(n, "heralded photon number", 1)
     single = _heralded(herald_single_shot_oracle(source, det), "the post-herald state")
     return _joint(source, det, n) / single
 
@@ -374,7 +376,7 @@ def large_nbar_asymptote(eta: float, nbar: float) -> float:
     fidelity with every efficiency equal to eta.  A test reference only;
     see the README note on its accuracy."""
     _check_probability(eta, "eta")
-    if nbar <= 0.0:
+    if not nbar > 0.0:
         raise ValueError(f"nbar must be > 0, got {nbar}")
     return eta * eta / nbar
 

@@ -688,12 +688,17 @@ def _fig10(p: dict):
     # axes eta, nbar, loop
     taus = np.stack([_eta_chain(eta, p["t"]) for eta in etas])[:, None, :]
     table = {"nbar": np.repeat(nbars, len(etas)), "eta": np.tile(etas, len(nbars))}
+    # one kernel call per chunk of etas, so that its arrays stay bounded
+    step = max(1, _KERNEL_CELLS // (len(nbars) * p["t"]))
     for kind in DetectorKind:
-        result = _trains(kind, nbars, etas[:, None, None], taus)
-        for m in p["source_counts"]:
-            bank = _parallel_train(result.single_shot, result.per_loop, m)
+        columns = {m: [] for m in p["source_counts"]}
+        for i in range(0, len(etas), step):
+            result = _trains(kind, nbars, etas[i:i + step, None, None], taus[i:i + step])
+            for m, blocks in columns.items():
+                blocks.append(_parallel_train(result.single_shot, result.per_loop, m).unconditional)
+        for m, blocks in columns.items():
             # the table runs nbar-major
-            table[f"unconditional_{kind.value}_m{m}"] = bank.unconditional.T.ravel()
+            table[f"unconditional_{kind.value}_m{m}"] = np.concatenate(blocks).T.ravel()
     return table
 
 
@@ -709,6 +714,9 @@ def _fig11(p: dict):
 
 
 _NBAR_GRID = np.linspace(0.05, 2.0, 40)  # fig7 and fig10
+# Most cells (eta x nbar x bin) of one fig10 kernel call, ~137 bytes each at
+# its peak: fig10 --t 100000, one eta a call, peaks at ~0.6 GB, not ~14 GB.
+_KERNEL_CELLS = 1 << 20
 _ETA_GRID = np.linspace(0.5, 1.0, 26)
 
 # Standard figure datasets: the builder and its parameters, each flag's

@@ -62,6 +62,11 @@ def _check_count(value: int, name: str) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_kind(kind) -> None:
+    if not isinstance(kind, DetectorKind):
+        raise ValueError(f"kind must be a DetectorKind, got {kind!r}")
+
+
 def _check_probability(value: float, name: str) -> None:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -97,8 +102,7 @@ class DetectorModel:
     efficiency: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, DetectorKind):
-            raise ValueError(f"kind must be a DetectorKind, got {self.kind!r}")
+        _check_kind(self.kind)
         _check_probability(self.efficiency, "detector efficiency")
 
 
@@ -115,15 +119,8 @@ class LossModel:
 
 
 @dataclass(frozen=True)
-class ConstantPump:
+class ConstantPump(SourceModel):
     """The same mean photon number in every time-bin."""
-
-    mean_photon_number: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "mean_photon_number", _check_mean_photon_number(self.mean_photon_number)
-        )
 
     def bin_means(self, time_bins: int) -> np.ndarray:
         return np.full(time_bins, self.mean_photon_number)
@@ -224,14 +221,18 @@ def _capped_herald(weight_sum):
     return np.minimum(weight_sum, 1.0)
 
 
-def _photon_numbers(n, least: int = 0) -> np.ndarray:
-    """``n`` (an int or an array) as an array of photon numbers >= ``least``
+def _counts(n, noun: str, least: int = 0) -> np.ndarray:
+    """``n`` (an int or an array) as an array of integer counts >= ``least``
     of at least one dimension: numpy evaluates ``x**2`` over a 0-d exponent
-    as ``x*x``, so a scalar call would not match the array call."""
+    as ``x*x``, so a scalar call would not match the array call.  Bools and
+    non-integral floats (NaN and infinities among them) are no counts; an
+    integer array needs no scan for them."""
     counts = np.atleast_1d(n)
     if np.any(counts < least):
-        noun = "heralded photon number" if least else "photon number"
         raise ValueError(f"{noun} must be >= {least}, got {n}")
+    kind = counts.dtype.kind
+    if kind == "b" or kind == "f" and not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
+        raise ValueError(f"{noun} must be an integer, got {n!r}")
     return counts
 
 
@@ -249,7 +250,7 @@ def thermal_pmf(source: SourceModel, n):
     vacuum source reads 1 at n = 0 and 0 elsewhere.
     """
     nbar = source.mean_photon_number
-    counts = _photon_numbers(n)
+    counts = _counts(n, "photon number")
     if nbar == 0.0:
         return _shaped_as(np.where(counts == 0, 1.0, 0.0), n)
     return _shaped_as(np.exp(-counts * _thermal_rate(nbar)) / (nbar + 1.0), n)
@@ -294,7 +295,7 @@ def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n):
     (:func:`_binomial_law`), ZERO is P(none), ONE P(one) and CLICK P(some);
     NO_CLICK is ``1 - CLICK``.
     """
-    counts = _photon_numbers(n)
+    counts = _counts(n, "photon number")
     resolved = det.kind is DetectorKind.NUMBER_RESOLVED
     if outcome is herald_outcome(det.kind):
         value = _herald_given_n(det, counts)
@@ -352,9 +353,7 @@ def transmission(loss: LossModel, loops):
     int, or an array of loop counts): one switch pass to enter plus a
     switch and a fibre pass per loop, ``eta_s * (eta_s * eta_f)**loops``.
     An int is evaluated as a one-entry array, so it matches the array call
-    bit for bit (see :func:`_photon_numbers`)."""
-    counts = np.atleast_1d(loops)
-    if np.any(counts < 0):
-        raise ValueError(f"loop count must be >= 0, got {loops}")
+    bit for bit (see :func:`_counts`)."""
+    counts = _counts(loops, "loop count")
     eta_s = loss.switch_efficiency
     return _shaped_as(eta_s * (eta_s * loss.fibre_efficiency) ** counts, loops)

@@ -205,14 +205,16 @@ def _proportion(successes: int, denominator: int) -> Estimate:
 
 
 class _Bank:
-    """The sources of one seeded run, each with its own stream, and the
-    page function that simulates their trials."""
+    """The sources of one seeded run, the Philox generator that reads their
+    streams by address, and the page function that simulates their trials."""
 
     def __init__(self, configs: list[ProtocolConfig], seed: int) -> None:
         if len(configs) == 0:
             raise ValueError("need at least one source configuration")
         self.time_bins = configs[0].time_bins
         _check_uint64(seed, "seed")
+        self._seed = seed
+        self._gen = np.random.Generator(np.random.Philox())
         # One source per configuration object, however many indices pass it.
         laws, self.sources = {}, []
         for s, config in enumerate(configs):
@@ -220,8 +222,21 @@ class _Bank:
                 raise ValueError("all parallel sources must share the same number of time-bins")
             source = laws.get(id(config)) or laws.setdefault(id(config), _Source(config))
             if source.can_herald:
-                self.sources.append((_Stream(seed, s), source))
-        self.thinning = _Stream(seed, 0)
+                self.sources.append((s, source))
+
+    def read(self, source: int, kind: int, page: int, rnd: int, size: int) -> np.ndarray:
+        """The uniforms at words ``0, ..., size - 1`` of the range of ``kind``
+        for (``page``, round ``rnd``) of source ``source``'s stream.  It sets
+        the whole state, key included, so one generator serves every stream."""
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, rnd, page, kind), "key": (self._seed, source)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen.random(size)
 
     def page(self, page: int, rows: int):
         """Loop index of the freshest herald of each of the page's first
@@ -229,7 +244,7 @@ class _Bank:
         whether it output a single photon."""
         loop_index = np.full(rows, self.time_bins)
         held, tau = np.zeros(rows), np.zeros(rows)
-        for stream, source in self.sources:
+        for index, source in self.sources:
             # A source searches only bins fresher than the best herald of
             # the sources before it, so a tie keeps the lower source and a
             # herald at bin 0 cannot be beaten.
@@ -238,14 +253,14 @@ class _Bank:
             start, rnd = np.zeros(live.size, dtype=np.intp), 0
             # Each round moves every trial's start on, so at most t rounds.
             while live.size:
-                bins = source.next_bin(start, stream.read(_GAP, page, rnd, live.size))
+                bins = source.next_bin(start, self.read(index, _GAP, page, rnd, live.size))
                 # Index arrays, not masks: a mask gather costs ~5x as much.
                 keep = (bins < bound).nonzero()[0]
                 live, bound, bins = live.take(keep), bound.take(keep), bins.take(keep)
-                photons = source.photons(bins, stream.read(_THERMAL, page, rnd, live.size))
+                photons = source.photons(bins, self.read(index, _THERMAL, page, rnd, live.size))
                 # A uniform below the herald probability given the bin's
                 # photon number stands in for sampling the detector's count.
-                herald = stream.read(_HERALD, page, rnd, live.size)
+                herald = self.read(index, _HERALD, page, rnd, live.size)
                 hit = herald < _herald_given_n(source.detector, photons)
                 won = hit.nonzero()[0]
                 trials, loops = live.take(won), bins.take(won).astype(np.intp)
@@ -256,7 +271,7 @@ class _Bank:
                 keep = (~hit & (start < bound)).nonzero()[0]
                 live, bound, start = live.take(keep), bound.take(keep), start.take(keep)
                 rnd += 1
-        out_uniform = self.thinning.read(_THINNING, page, 0, rows)
+        out_uniform = self.read(0, _THINNING, page, 0, rows)
         # Unheralded trials hold no photons, so the test reads False for
         # them whatever transmission they are paired with.
         return loop_index, _single_photon(held, tau, out_uniform)
@@ -306,30 +321,6 @@ class _Source:
         so ``n - 1`` given ``n >= 1`` follows the quantile itself."""
         rate = self.rate[bins] if self.per_bin else self.rate
         return 1.0 + _thermal_inverse_cdf(uniforms, rate)
-
-
-class _Stream:
-    """The Philox stream of one (seed, source index) key, read by address:
-    ``read`` returns the first words of one counter range."""
-
-    def __init__(self, seed: int, source_index: int) -> None:
-        self._key = (seed, source_index)
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array(self._key, dtype=np.uint64))
-        )
-
-    def read(self, kind: int, page: int, rnd: int, size: int) -> np.ndarray:
-        """The uniforms at words ``0, ..., size - 1`` of the range of
-        ``kind`` for (``page``, round ``rnd``)."""
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, rnd, page, kind), "key": self._key},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._gen.random(size)
 
 
 def _thermal_inverse_cdf(uniforms: np.ndarray, rates: np.ndarray) -> np.ndarray:

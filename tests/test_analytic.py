@@ -547,6 +547,13 @@ def test_closed_form_rejects_a_pump_without_the_train_axis(nbars, taus, match):
         closed_form(nbars, 0.9, taus, BUCKET)
 
 
+def test_closed_form_rejects_a_kind_that_is_not_a_detector_kind():
+    # the string read as number-resolved: herald 0.514, where the bucket
+    # detector reads 0.672
+    with pytest.raises(ValueError, match="kind must be a DetectorKind, got 'bucket'"):
+        closed_form(np.full(3, 0.5), 0.9, 0.9, "bucket")
+
+
 @pytest.mark.parametrize("batched", [True, False])
 @pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
 def test_by_length_reads_each_head_bit_for_bit(kind, batched):
@@ -655,6 +662,8 @@ def test_asymptote_formula_and_validation():
         large_nbar_asymptote(1.2, 10.0)
     with pytest.raises(ValueError):
         large_nbar_asymptote(0.9, 0.0)
+    with pytest.raises(ValueError, match="nbar must be > 0, got nan"):
+        large_nbar_asymptote(0.9, math.nan)
 
 
 def test_asymptote_tracks_bucket_fidelity_at_high_pump():

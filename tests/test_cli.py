@@ -414,6 +414,25 @@ def test_builders_read_every_train_length_from_one_kernel_call(argv, calls, monk
     assert len(made) == calls
 
 
+@pytest.mark.parametrize("budget, chunks", [(1, 26), (3000, 2)])
+def test_fig10_in_chunks_of_etas_renders_the_bytes_of_one_call(budget, chunks, monkeypatch,
+                                                                tmp_path):
+    """fig10 bounds each kernel call's [eta, nbar, bin] arrays by a cell
+    budget (a single call at --t 100000 needed ~14 GB); every chunking of
+    its 26 etas renders the same bytes."""
+    whole = run_cli(["figure", "fig10"], tmp_path, "whole")
+    kernel, made = analytic._closed_form_rows, []
+
+    def counted(*args):
+        made.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(cli, "_KERNEL_CELLS", budget)
+    monkeypatch.setattr(analytic, "_closed_form_rows", counted)
+    assert run_cli(["figure", "fig10"], tmp_path, "chunked") == whole
+    assert len(made) == 2 * chunks
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("args", [
     ["figure", "fig2"],

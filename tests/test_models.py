@@ -15,12 +15,15 @@ from loopsource import (
     PerBinPump,
     ProtocolConfig,
     SourceModel,
+    fidelity_after_loops,
     m_source_distribution,
+    prep_pmf,
     prep_pmf_oracle,
     thermal_pmf,
     thermal_truncation,
     transmission,
 )
+from loopsource.cli import assess_feasibility
 from loopsource.models import (
     TAIL_MASS,
     TRUNCATION_FLOOR,
@@ -249,6 +252,12 @@ def test_per_bin_config_checks_the_length_without_building_the_means(monkeypatch
 def test_constant_pump_broadcast():
     pump = ConstantPump(0.7)
     assert pump.bin_means(4) == pytest.approx([0.7] * 4)
+    # a source model of its own type: a bare SourceModel is no pump
+    assert isinstance(pump, SourceModel) and repr(pump) == "ConstantPump(mean_photon_number=0.7)"
+    assert pump == ConstantPump(0.7) and hash(pump) == hash(ConstantPump(0.7))
+    assert pump != SourceModel(0.7)
+    with pytest.raises(ValueError, match=r"pump must be .*, got SourceModel\(mean_photon_number=0.7\)"):
+        ProtocolConfig(2, SourceModel(0.7), DetectorModel(BUCKET, 1.0), LossModel(1.0, 1.0))
 
 
 def test_outcome_distribution_validation():
@@ -299,3 +308,35 @@ def test_thermal_pmf_rejects_negative_count():
         detect_prob(DetectorModel(BUCKET, 0.5), DetectorOutcome.CLICK, np.array([2, -1]))
     with pytest.raises(ValueError):
         prep_pmf_oracle(SourceModel(1.0), DetectorModel(BUCKET, 0.5), np.array([1, 0]))
+
+
+_SOURCE, _LOSS = SourceModel(1.0), LossModel(0.9, 0.9)
+_DETECTOR = DetectorModel(BUCKET, 0.9)
+
+
+@pytest.mark.parametrize("count, noun, call", [
+    (2.5, "photon number", lambda n: thermal_pmf(_SOURCE, n)),
+    (True, "photon number", lambda n: thermal_pmf(_SOURCE, n)),
+    (np.array([1, 2, math.nan]), "photon number", lambda n: thermal_pmf(_SOURCE, n)),
+    (np.array([0, math.inf]), "photon number", lambda n: thermal_pmf(_SOURCE, n)),
+    (0.5, "photon number", lambda n: detect_prob(_DETECTOR, DetectorOutcome.CLICK, n)),
+    (1.5, "heralded photon number", lambda n: prep_pmf(_SOURCE, _DETECTOR, n)),
+    (np.array([True, True]), "heralded photon number",
+     lambda n: prep_pmf_oracle(_SOURCE, _DETECTOR, n)),
+    (2.5, "loop count", lambda n: transmission(_LOSS, n)),
+    (math.nan, "loop count", lambda n: transmission(_LOSS, n)),
+    (1.5, "loop count", lambda n: fidelity_after_loops(_SOURCE, _DETECTOR, _LOSS, n)),
+    (2.5, "loop count", lambda n: assess_feasibility(1e6, loops=n)),
+], ids=["pmf-2.5", "pmf-True", "pmf-nan", "pmf-inf", "detect-0.5", "prep-1.5", "prep-bools",
+        "transmission-2.5", "transmission-nan", "fidelity-1.5", "feasibility-2.5"])
+def test_counts_must_be_integers(count, noun, call):
+    # each read a value: thermal_pmf 0.0884 at 2.5, detect_prob 0.684 at
+    # 0.5, assess_feasibility loops_assessed=2.5; True raised numpy's TypeError
+    with pytest.raises(ValueError, match=f"{noun} must be an integer"):
+        call(count)
+
+
+def test_integral_float_counts_read_as_their_ints():
+    assert thermal_pmf(_SOURCE, 2.0) == thermal_pmf(_SOURCE, 2)
+    chain = transmission(_LOSS, np.array([0.0, 3.0]))
+    assert chain.tolist() == transmission(_LOSS, np.array([0, 3])).tolist()

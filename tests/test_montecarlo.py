@@ -153,15 +153,15 @@ def _oracle_run(configs, seed, trials):
 
 
 def _counting_reads(monkeypatch):
-    """Record every ``_Stream.read`` as (key, kind, page, round, size)."""
+    """Record every ``_Bank.read`` as (key, kind, page, round, size)."""
     reads = []
-    read = montecarlo._Stream.read
+    read = montecarlo._Bank.read
 
-    def recorded(self, kind, page, rnd, size):
-        reads.append((self._key, kind, page, rnd, size))
-        return read(self, kind, page, rnd, size)
+    def recorded(self, source, kind, page, rnd, size):
+        reads.append(((self._seed, source), kind, page, rnd, size))
+        return read(self, source, kind, page, rnd, size)
 
-    monkeypatch.setattr(montecarlo._Stream, "read", recorded)
+    monkeypatch.setattr(montecarlo._Bank, "read", recorded)
     return reads
 
 
@@ -426,9 +426,9 @@ def test_trial_outcome_does_not_depend_on_the_trials_after_it(small_pages, confi
 
 
 def test_stream_reads_native_philox_ranges():
-    stream = montecarlo._Stream(7, 2)
+    bank = montecarlo._Bank([_train_config()], 7)
     for kind, page, rnd in [(0, 0, 0), (1, 3, 5), (3, 2**50, 0), (2, 1, 99_999)]:
-        assert np.array_equal(stream.read(kind, page, rnd, 70), _words(7, 2, kind, page, rnd, 0, 70))
+        assert np.array_equal(bank.read(2, kind, page, rnd, 70), _words(7, 2, kind, page, rnd, 0, 70))
     assert np.array_equal(_words(7, 2, 1, 3, 5, 9, 20), _words(7, 2, 1, 3, 5, 0, 29)[9:])
 
 
@@ -442,16 +442,31 @@ def test_distinct_addresses_read_disjoint_words():
     rounds = [0, 1, 2, 99_999, 2**62 - 1]
     seen, total = set(), 0
     for seed, source in seeds_sources:
-        stream = montecarlo._Stream(seed, source)
+        bank = montecarlo._Bank([_train_config()], seed)
         for kind in range(4):
             for page in pages:
                 for rnd in rounds:
                     size = 64 if (page, rnd) != (1, 1) else montecarlo._PAGE_TRIALS
-                    words = stream.read(kind, page, rnd, size)
+                    words = bank.read(source, kind, page, rnd, size)
                     seen.update(words.tolist())
                     total += size
-        assert np.array_equal(stream.read(2, 1, 2, 64), montecarlo._Stream(seed, source).read(2, 1, 2, 64))
+        again = montecarlo._Bank([_train_config()], seed).read(source, 2, 1, 2, 64)
+        assert np.array_equal(bank.read(source, 2, 1, 2, 64), again)
     assert len(seen) == total
+
+
+def test_a_bank_reads_every_stream_through_one_generator(monkeypatch):
+    """64 sources build one Philox generator, not one per source index
+    plus one for the thinning."""
+    philox, made = np.random.Philox, []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    montecarlo._Bank([_train_config()] * 64, 3)
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("configs", [[_train_config()], _bank_configs()], ids=["m1", "m3"])
@@ -461,16 +476,18 @@ def test_no_range_is_read_twice(small_pages, monkeypatch, configs):
     herald reads are the same size and no larger than its gap read, and
     source 0 reads one thinning word per trial of each page."""
     reads = []
-    read = montecarlo._Stream.read
+    read = montecarlo._Bank.read
 
-    def recorded(self, kind, page, rnd, size):
-        words = read(self, kind, page, rnd, size)
-        counter = tuple(self._gen.bit_generator.state["state"]["counter"].tolist())
-        assert counter == ((size + 3) // 4, rnd, page, kind)
-        reads.append((self._key, kind, page, rnd, size))
+    def recorded(self, source, kind, page, rnd, size):
+        words = read(self, source, kind, page, rnd, size)
+        state = self._gen.bit_generator.state["state"]
+        assert tuple(state["counter"].tolist()) == ((size + 3) // 4, rnd, page, kind)
+        key = tuple(state["key"].tolist())
+        assert key == (self._seed, source)
+        reads.append((key, kind, page, rnd, size))
         return words
 
-    monkeypatch.setattr(montecarlo._Stream, "read", recorded)
+    monkeypatch.setattr(montecarlo._Bank, "read", recorded)
     trials, seed = 300, 44
     simulate_parallel_sources(configs, trials, seed)
     ranges = [r[:4] for r in reads]
@@ -505,7 +522,7 @@ _WORKLOAD_POINTS = {
 
 @pytest.mark.parametrize("point", _WORKLOAD_POINTS, ids=_WORKLOAD_POINTS.keys())
 def test_uniforms_per_trial_at_the_workload_points(monkeypatch, point):
-    """Uniforms generated per trial, counted at ``_Stream.read``: the dense
+    """Uniforms generated per trial, counted at ``_Bank.read``: the dense
     engine read 8.6 at mc_train's point and 31 at mc_parallel's, and
     22,000 at t = 1e5, where vacuum skipping reads ~4.2, ~7.7 and ~4.3."""
     configs, limit = _WORKLOAD_POINTS[point]
