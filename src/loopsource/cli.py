@@ -688,17 +688,23 @@ def _fig10(p: dict):
     # axes eta, nbar, loop
     taus = np.stack([_eta_chain(eta, p["t"]) for eta in etas])[:, None, :]
     table = {"nbar": np.repeat(nbars, len(etas)), "eta": np.tile(etas, len(nbars))}
-    # one kernel call per chunk of etas, so that its arrays stay bounded
-    step = max(1, _KERNEL_CELLS // (len(nbars) * p["t"]))
+    # one kernel call per block of etas and nbars, so that its arrays stay
+    # bounded: whole rows of nbars while they fit, else one eta a call
+    nbar_step = max(1, min(len(nbars), _KERNEL_CELLS // p["t"]))
+    eta_step = max(1, _KERNEL_CELLS // (nbar_step * p["t"]))
     for kind in DetectorKind:
-        columns = {m: [] for m in p["source_counts"]}
-        for i in range(0, len(etas), step):
-            result = _trains(kind, nbars, etas[i:i + step, None, None], taus[i:i + step])
-            for m, blocks in columns.items():
-                blocks.append(_parallel_train(result.single_shot, result.per_loop, m).unconditional)
-        for m, blocks in columns.items():
+        columns = {m: np.empty((len(etas), len(nbars))) for m in p["source_counts"]}
+        for i in range(0, len(etas), eta_step):
+            rows = slice(i, i + eta_step)
+            for j in range(0, len(nbars), nbar_step):
+                cols = slice(j, j + nbar_step)
+                result = _trains(kind, nbars[cols], etas[rows, None, None], taus[rows])
+                for m, column in columns.items():
+                    column[rows, cols] = _parallel_train(result.single_shot, result.per_loop,
+                                                         m).unconditional
+        for m, column in columns.items():
             # the table runs nbar-major
-            table[f"unconditional_{kind.value}_m{m}"] = np.concatenate(blocks).T.ravel()
+            table[f"unconditional_{kind.value}_m{m}"] = column.T.ravel()
     return table
 
 
@@ -715,7 +721,7 @@ def _fig11(p: dict):
 
 _NBAR_GRID = np.linspace(0.05, 2.0, 40)  # fig7 and fig10
 # Most cells (eta x nbar x bin) of one fig10 kernel call, ~137 bytes each at
-# its peak: fig10 --t 100000, one eta a call, peaks at ~0.6 GB, not ~14 GB.
+# its peak: fig10 --t 100000, ten nbars a call, peaks at ~0.18 GB, not ~14 GB.
 _KERNEL_CELLS = 1 << 20
 _ETA_GRID = np.linspace(0.5, 1.0, 26)
 

@@ -253,7 +253,9 @@ def thermal_pmf(source: SourceModel, n):
     counts = _counts(n, "photon number")
     if nbar == 0.0:
         return _shaped_as(np.where(counts == 0, 1.0, 0.0), n)
-    return _shaped_as(np.exp(-counts * _thermal_rate(nbar)) / (nbar + 1.0), n)
+    # counts times the negated rate, not the negated counts: an unsigned
+    # count would wrap
+    return _shaped_as(np.exp(counts * -_thermal_rate(nbar)) / (nbar + 1.0), n)
 
 
 def _thermal_rate(nbar):
@@ -309,36 +311,71 @@ def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n):
     return _shaped_as(value, n)
 
 
-def _herald_given_n(det: DetectorModel, n):
+def _herald_given_n(det: DetectorModel, n, m=None, out=None):
     """:func:`detect_prob` of the herald outcome, unchecked: the Monte Carlo
-    herald test calls it on every round, where a count scan would cost time."""
+    herald test calls it on every round, where a count scan would cost time.
+    ``m`` and ``out`` pass to :func:`_binomial_law`."""
     term = "one" if det.kind is DetectorKind.NUMBER_RESOLVED else "some"
-    return _binomial_law(n, det.efficiency, term)[0]
+    return _binomial_law(n, det.efficiency, term, m=m, out=out)[0]
 
 
-# Each term of Binomial(n, p): its value in m = log1p(-p), and at p = 1.
+# Each term of Binomial(n, p): its value in m = log1p(-p), written to
+# ``out`` with ``w`` as scratch (new arrays where they are None), and its
+# value at p = 1.
 _BINOMIAL = {
-    "none": (lambda n, p, m: np.exp(n * m), lambda n: n == 0),
-    "one": (lambda n, p, m: p * n * np.exp((n - 1.0) * m), lambda n: n == 1),
-    "some": (lambda n, p, m: -np.expm1(n * m), lambda n: n >= 1),
+    "none": (lambda n, p, m, out, w: np.exp(np.multiply(n, m, out=out), out=out),
+             lambda n: n == 0),
+    "one": (lambda n, p, m, out, w: np.multiply(
+                np.multiply(p, n, out=w),
+                np.exp(np.multiply(np.subtract(n, 1.0, out=out), m, out=out), out=out),
+                out=out),
+            lambda n: n == 1),
+    "some": (lambda n, p, m, out, w: np.negative(
+                 np.expm1(np.multiply(n, m, out=out), out=out), out=out),
+             lambda n: n >= 1),
 }
 
 
-def _binomial_law(n, p, *terms: str) -> tuple:
+def _log_miss(p, out=None):
+    """``m = log1p(-p)``, the log of a miss, in which :func:`_binomial_law`
+    writes its terms.  It is -inf at p = 1, with numpy's divide warning,
+    where the law reads no m."""
+    return np.log1p(np.negative(p, out=out), out=out)
+
+
+def _binomial_law(n, p, *terms: str, m=None, out=None) -> tuple:
     """P(none), P(one) or P(some) of Binomial(n, p) for each of ``terms``,
     elementwise over counts n and probabilities p, in log form so that none
     cancels at tiny p.  At p = 1 (m = -inf) each is its exact indicator:
-    by a branch for a scalar p, by ``np.where`` for an array p."""
+    by a branch for a scalar p, by overwriting the log form for an array p.
+
+    A caller that holds ``m`` (:func:`_log_miss`) of a scalar p may pass it.
+    ``out``, if given, holds one array per term, then one for m (None for a
+    scalar p) and one of scratch, each of the broadcast shape of n and p
+    and overlapping neither; the terms are written there, so that a caller
+    can evaluate the law page after page without allocating."""
     laws = [_BINOMIAL[term] for term in terms]
+    rows, m_row, w = (out[:-2], *out[-2:]) if out is not None else ((None,) * len(laws), None, None)
     if np.ndim(p) == 0:
         if p == 1.0:
-            return tuple(np.asarray(exact(n), dtype=float) for _, exact in laws)
-        m = np.log1p(-p)  # finite, so no warning to silence
-        return tuple(law(n, p, m) for law, _ in laws)
+            return tuple(_into(row, exact(n)) for (_, exact), row in zip(laws, rows))
+        m = _log_miss(p) if m is None else m  # finite, so no warning to silence
+        return tuple(law(n, p, m, row, w) for (law, _), row in zip(laws, rows))
     certain = p == 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.log1p(-p)
-        return tuple(np.where(certain, exact(n), law(n, p, m)) for law, exact in laws)
+        m = _log_miss(p, m_row)
+        values = tuple(law(n, p, m, row, w) for (law, _), row in zip(laws, rows))
+    for value, (_, exact) in zip(values, laws):
+        np.copyto(value, exact(n), where=certain)
+    return values
+
+
+def _into(row, value):
+    """``value`` as a float array, written to ``row`` when one is given."""
+    if row is None:
+        return np.asarray(value, dtype=float)
+    row[...] = value
+    return row
 
 
 def herald_outcome(kind: DetectorKind) -> DetectorOutcome:

@@ -41,6 +41,11 @@ herald, and a trial's uniforms depend only on the trials before it in
 its page: results are bit-identical for given (configs, seed) however
 many trials follow, and ``simulate_trial`` replays a trial by running
 its page up to it.
+
+A bank reuses one page workspace, allocated when it is built: each page
+fills its rows in place, and ``_Bank.page`` returns its loop indices as a
+view of it, valid until the next page.  Only the compactions' index
+arrays and gathers are still allocated page by page.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .models import (
     _check_count,
     _herald_given_n,
     _is_int,
+    _log_miss,
     _thermal_rate,
     _thermal_vacuum_log,
     transmission,
@@ -77,6 +83,14 @@ _MAX_TRIALS = 2**63 - 1
 
 # Fourth word of the Philox counter: which kind of uniform a range holds.
 _GAP, _THERMAL, _HERALD, _THINNING = 0, 1, 2, 3
+
+# Rows of a bank's page workspace, each of ``_PAGE_TRIALS`` doubles.  A
+# read fills the row of its kind, rows 0-2; the thinning, read after the
+# rounds end, takes the gap row.  Then come the page's held photon numbers
+# and their transmissions, and two rows for the binomial law.
+_READ_ROW = (_GAP, _THERMAL, _HERALD, _GAP)
+_HELD, _TAU, _LAW = 3, 4, 5
+_WORK_ROWS = 7
 
 
 @dataclass(frozen=True)
@@ -206,7 +220,8 @@ def _proportion(successes: int, denominator: int) -> Estimate:
 
 class _Bank:
     """The sources of one seeded run, the Philox generator that reads their
-    streams by address, and the page function that simulates their trials."""
+    streams by address, the page workspace, and the page function that
+    simulates their trials."""
 
     def __init__(self, configs: list[ProtocolConfig], seed: int) -> None:
         if len(configs) == 0:
@@ -223,11 +238,17 @@ class _Bank:
             source = laws.get(id(config)) or laws.setdefault(id(config), _Source(config))
             if source.can_herald:
                 self.sources.append((s, source))
+        # Filled in place page after page, so that a page allocates no array
+        # of its size but its compactions' index arrays and gathers.
+        self._loop_index = np.empty(_PAGE_TRIALS, dtype=np.intp)
+        self._work = np.empty((_WORK_ROWS, _PAGE_TRIALS))
 
     def read(self, source: int, kind: int, page: int, rnd: int, size: int) -> np.ndarray:
         """The uniforms at words ``0, ..., size - 1`` of the range of ``kind``
-        for (``page``, round ``rnd``) of source ``source``'s stream.  It sets
-        the whole state, key included, so one generator serves every stream."""
+        for (``page``, round ``rnd``) of source ``source``'s stream, in the
+        workspace row of ``kind``: valid until the next read of that kind.
+        It sets the whole state, key included, so one generator serves every
+        stream."""
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": (0, rnd, page, kind), "key": (self._seed, source)},
@@ -236,32 +257,42 @@ class _Bank:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        return self._gen.random(size)
+        return self._gen.random(out=self._work[_READ_ROW[kind], :size])
 
     def page(self, page: int, rows: int):
         """Loop index of the freshest herald of each of the page's first
         ``rows`` trials (the number of bins when no source heralded), and
-        whether it output a single photon."""
-        loop_index = np.full(rows, self.time_bins)
-        held, tau = np.zeros(rows), np.zeros(rows)
+        whether it output a single photon.  The loop indices are a view of
+        the bank's workspace, valid until its next page."""
+        work = self._work[:, :rows]
+        loop_index, held, tau = self._loop_index[:rows], work[_HELD], work[_TAU]
+        loop_index.fill(self.time_bins)
+        held.fill(0.0)
+        tau.fill(0.0)
         for index, source in self.sources:
             # A source searches only bins fresher than the best herald of
             # the sources before it, so a tie keeps the lower source and a
             # herald at bin 0 cannot be beaten.
             live = loop_index.nonzero()[0]
             bound = loop_index.take(live)
-            start, rnd = np.zeros(live.size, dtype=np.intp), 0
+            # Round 0 searches every trial from bin 0.
+            start, rnd = 0, 0
             # Each round moves every trial's start on, so at most t rounds.
             while live.size:
-                bins = source.next_bin(start, self.read(index, _GAP, page, rnd, live.size))
+                gaps = self.read(index, _GAP, page, rnd, live.size)
+                bins = source.next_bin(start, gaps, out=gaps)
                 # Index arrays, not masks: a mask gather costs ~5x as much.
                 keep = (bins < bound).nonzero()[0]
                 live, bound, bins = live.take(keep), bound.take(keep), bins.take(keep)
-                photons = source.photons(bins, self.read(index, _THERMAL, page, rnd, live.size))
+                thermal = self.read(index, _THERMAL, page, rnd, live.size)
+                photons = source.photons(bins, thermal, out=thermal)
                 # A uniform below the herald probability given the bin's
                 # photon number stands in for sampling the detector's count.
                 herald = self.read(index, _HERALD, page, rnd, live.size)
-                hit = herald < _herald_given_n(source.detector, photons)
+                # A scalar eta_d needs no row for the law's log term.
+                term, scratch = self._work[_LAW:, :live.size]
+                hit = herald < _herald_given_n(source.detector, photons, source.herald_m,
+                                               (term, None, scratch))
                 won = hit.nonzero()[0]
                 trials, loops = live.take(won), bins.take(won).astype(np.intp)
                 loop_index[trials] = loops
@@ -272,9 +303,12 @@ class _Bank:
                 live, bound, start = live.take(keep), bound.take(keep), start.take(keep)
                 rnd += 1
         out_uniform = self.read(0, _THINNING, page, 0, rows)
+        # The rounds are over, so the thinning's P0 and P1 take the thermal
+        # and herald rows.
+        law = (work[_THERMAL], work[_HERALD], *work[_LAW:])
         # Unheralded trials hold no photons, so the test reads False for
         # them whatever transmission they are paired with.
-        return loop_index, _single_photon(held, tau, out_uniform)
+        return loop_index, _single_photon(held, tau, out_uniform, law)
 
 
 class _Source:
@@ -288,6 +322,10 @@ class _Source:
             raise ValueError(f"mean photon numbers above {_MAX_SAMPLEABLE_NBAR:g} cannot be "
                              "sampled in double precision")
         self.detector = config.detector
+        # The herald law's log term, once per source (-inf at eta_d 1, where
+        # the law reads none).
+        with np.errstate(divide="ignore"):
+            self.herald_m = _log_miss(self.detector.efficiency)
         # A source that cannot herald reads no words: its gaps would divide
         # by a zero vacuum log, or visit every bin that holds a photon.
         self.can_herald = self.detector.efficiency > 0.0 and np.any(means > 0.0)
@@ -306,34 +344,41 @@ class _Source:
             # there every gap but that of u = 0 exceeds 1e284 bins either way.
             self.vacuum_log = min(vacuum_log, -1e-300)
 
-    def next_bin(self, start: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    def next_bin(self, start, uniforms: np.ndarray, out=None) -> np.ndarray:
         """First bin at or after ``start`` by which the chance that every
         bin from ``start`` is vacuum falls below ``1 - u``, for gap uniforms
         ``u``: the next non-vacuum bin (at least the number of bins when
-        there is none)."""
-        log_u = np.log1p(-uniforms)
+        there is none).  A constant pump's bins are computed in ``out``
+        (which may be ``uniforms``), a new array where it is None."""
+        log_u = np.log1p(np.negative(uniforms, out=out), out=out)
         if self.per_bin:
-            return np.searchsorted(self.vacuum, self.vacuum[start] - log_u, side="right") - 1
-        return start + np.floor(log_u / self.vacuum_log)
+            target = np.subtract(self.vacuum[start], log_u, out=log_u)
+            return np.searchsorted(self.vacuum, target, side="right") - 1
+        return np.add(start, np.floor(np.divide(log_u, self.vacuum_log, out=log_u), out=log_u),
+                      out=log_u)
 
-    def photons(self, bins: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    def photons(self, bins: np.ndarray, uniforms: np.ndarray, out=None) -> np.ndarray:
         """Photon numbers of non-vacuum bins: the thermal law is memoryless,
-        so ``n - 1`` given ``n >= 1`` follows the quantile itself."""
+        so ``n - 1`` given ``n >= 1`` follows the quantile itself.  They are
+        computed in ``out`` (which may be ``uniforms``), a new array where
+        it is None."""
         rate = self.rate[bins] if self.per_bin else self.rate
-        return 1.0 + _thermal_inverse_cdf(uniforms, rate)
+        quantile = _thermal_inverse_cdf(uniforms, rate, out)
+        return np.add(1.0, quantile, out=quantile)
 
 
-def _thermal_inverse_cdf(uniforms: np.ndarray, rates: np.ndarray) -> np.ndarray:
+def _thermal_inverse_cdf(uniforms: np.ndarray, rates, out=None) -> np.ndarray:
     """Map uniforms to thermal photon numbers via the geometric quantile
     ``floor(log1p(-u) / -rate)``, the rates broadcast against the uniforms
-    (:func:`loopsource.models._thermal_rate`).  The numbers are
-    integer-valued doubles, and the herald and thinning tests read them
-    as such; the largest (~1.5e17 at the sampling cap) is exact."""
-    return np.floor(np.log1p(-uniforms) / -rates)
+    (:func:`loopsource.models._thermal_rate`), in ``out`` when given.  The
+    numbers are integer-valued doubles, and the herald and thinning tests
+    read them as such; the largest (~1.5e17 at the sampling cap) is exact."""
+    log_u = np.log1p(np.negative(uniforms, out=out), out=out)
+    return np.floor(np.divide(log_u, -rates, out=log_u), out=log_u)
 
 
 def _single_photon(
-    held: np.ndarray, tau: np.ndarray | float, out_uniform: np.ndarray
+    held: np.ndarray, tau: np.ndarray | float, out_uniform: np.ndarray, out=None
 ) -> np.ndarray:
     """Whether binomial thinning of ``held`` photons through transmission
     ``tau`` leaves exactly one, by the inverse CDF at ``out_uniform``:
@@ -341,9 +386,10 @@ def _single_photon(
     event that the binomial quantile at ``u`` is 1 up to ``u`` falling
     within rounding of a CDF boundary.  Where ``P0`` or ``P1`` underflows,
     its true value lies below the smallest nonzero uniform (2**-53), so the
-    decision stands.  Held counts of 0 never give a single photon."""
-    p0, p1 = _binomial_law(held, tau, "none", "one")
-    return (p0 < out_uniform) & (out_uniform <= p0 + p1)
+    decision stands.  Held counts of 0 never give a single photon.  ``out``
+    passes to :func:`loopsource.models._binomial_law`."""
+    p0, p1 = _binomial_law(held, tau, "none", "one", out=out)
+    return (p0 < out_uniform) & (out_uniform <= np.add(p0, p1, out=p1))
 
 
 def _check_uint64(value: int, name: str) -> None:

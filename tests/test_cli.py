@@ -414,23 +414,29 @@ def test_builders_read_every_train_length_from_one_kernel_call(argv, calls, monk
     assert len(made) == calls
 
 
-@pytest.mark.parametrize("budget, chunks", [(1, 26), (3000, 2)])
-def test_fig10_in_chunks_of_etas_renders_the_bytes_of_one_call(budget, chunks, monkeypatch,
-                                                                tmp_path):
+@pytest.mark.parametrize("budget, calls", [
+    (1, 26 * 40), (5, 26 * 40), (15, 26 * 14), (200, 26), (3000, 2),
+])
+def test_fig10_in_blocks_of_the_grid_renders_the_bytes_of_one_call(budget, calls, monkeypatch,
+                                                                   tmp_path):
     """fig10 bounds each kernel call's [eta, nbar, bin] arrays by a cell
-    budget (a single call at --t 100000 needed ~14 GB); every chunking of
-    its 26 etas renders the same bytes."""
+    budget (a single call at --t 100000 needed ~14 GB, and one eta a call
+    ~0.6 GB), chunking its 26 etas and then its 40 nbars; every blocking
+    renders the same bytes, and no call holds more cells than the budget
+    where the budget holds one train (t = 5)."""
     whole = run_cli(["figure", "fig10"], tmp_path, "whole")
-    kernel, made = analytic._closed_form_rows, []
+    kernel, cells = analytic._closed_form_rows, []
 
     def counted(*args):
-        made.append(args)
-        return kernel(*args)
+        result = kernel(*args)
+        cells.append(max(np.size(field) for field in result))
+        return result
 
     monkeypatch.setattr(cli, "_KERNEL_CELLS", budget)
     monkeypatch.setattr(analytic, "_closed_form_rows", counted)
     assert run_cli(["figure", "fig10"], tmp_path, "chunked") == whole
-    assert len(made) == 2 * chunks
+    assert len(cells) == 2 * calls
+    assert max(cells) <= max(budget, FIGURES["fig10"][1]["t"])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

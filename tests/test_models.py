@@ -28,6 +28,8 @@ from loopsource.models import (
     TAIL_MASS,
     TRUNCATION_FLOOR,
     DetectorOutcome,
+    _binomial_law,
+    _log_miss,
     _thermal_rate,
     detect_prob,
     herald_outcome,
@@ -340,3 +342,34 @@ def test_integral_float_counts_read_as_their_ints():
     assert thermal_pmf(_SOURCE, 2.0) == thermal_pmf(_SOURCE, 2)
     chain = transmission(_LOSS, np.array([0.0, 3.0]))
     assert chain.tolist() == transmission(_LOSS, np.array([0, 3])).tolist()
+
+
+@pytest.mark.parametrize("nbar, count, signed", [
+    (1.0, np.array([3], dtype=np.uint32), np.array([3])),
+    (1.0, np.array([3], dtype=np.uint64), np.array([3])),
+    # numpy holds 2**63 as a uint64; 2.0**63 is the same count, exactly
+    (1e20, 2**63, 2.0**63),
+], ids=["uint32", "uint64", "2**63"])
+def test_unsigned_counts_read_as_their_signed_values(nbar, count, signed):
+    # the negated count wrapped: each read inf, with an overflow warning
+    value = thermal_pmf(SourceModel(nbar), count)
+    assert np.array_equal(value, thermal_pmf(SourceModel(nbar), signed))
+    assert 0.0 < np.min(value) < 1.0
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0, np.array([0.0, 0.3, 1.0, 1e-300, 0.999])],
+                         ids=["scalar", "certain", "array"])
+def test_binomial_law_writes_the_same_terms_to_out(p):
+    """With ``out`` the law writes each term to its array and returns those
+    arrays, holding the values it returns without ``out``; a given m is
+    the one it would compute."""
+    n = np.array([0.0, 1.0, 2.0, 7.0, 1e6])
+    terms = ("none", "one", "some")
+    expected = _binomial_law(n, p, *terms)
+    out = tuple(np.full(n.size, np.nan) for _ in range(len(terms) + 2))
+    values = _binomial_law(n, p, *terms, out=out)
+    assert all(value is row for value, row in zip(values, out))
+    assert all(np.array_equal(value, e) for value, e in zip(values, expected))
+    if np.ndim(p) == 0 and p < 1.0:
+        given = _binomial_law(n, p, *terms, m=_log_miss(p))
+        assert all(np.array_equal(value, e) for value, e in zip(given, expected))

@@ -551,6 +551,60 @@ def test_long_train_memory_is_bounded(monkeypatch, nbar, trials):
     assert summary.herald_rate.value > 0.99
 
 
+def test_a_steady_page_allocates_less_than_a_mebibyte():
+    """A bank fills one page workspace in place: after a warm page, a full
+    page at mc_parallel's point allocates only its compactions' index
+    arrays, ~0.7 MiB at its peak, where the page-sized temporaries of each
+    step took ~1.3 MiB."""
+    configs, _ = _WORKLOAD_POINTS["mc_parallel"]
+    bank = montecarlo._Bank(configs, 3)
+    bank.page(0, montecarlo._PAGE_TRIALS)
+    tracemalloc.start()
+    try:
+        bank.page(1, montecarlo._PAGE_TRIALS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_pages_reuse_the_bank_workspace(monkeypatch):
+    """Every read of a kind fills the same row from page to page, and each
+    page's loop indices are a view of the same array."""
+    rows = collections.defaultdict(set)
+    read = montecarlo._Bank.read
+
+    def recorded(self, source, kind, page, rnd, size):
+        words = read(self, source, kind, page, rnd, size)
+        rows[kind].add(words.__array_interface__["data"][0])
+        return words
+
+    monkeypatch.setattr(montecarlo._Bank, "read", recorded)
+    bank = montecarlo._Bank(_bank_configs(), 5)
+    first = bank.page(0, 1000)[0]
+    last = bank.page(1, 1000)[0]
+    assert np.shares_memory(first, last)
+    assert sorted(rows) == [0, 1, 2, 3]
+    assert all(len(addresses) == 1 for addresses in rows.values())
+
+
+@pytest.mark.parametrize("config", [_train_config(), _per_bin_config()], ids=["constant", "per_bin"])
+def test_gap_and_quantile_leave_their_uniforms_alone_without_out(config):
+    """``next_bin`` and ``photons`` write to their uniforms only when told
+    to, and give the same numbers either way."""
+    source = montecarlo._Source(config)
+    uniforms = np.random.default_rng(4).random(1000)
+    kept = uniforms.copy()
+    start = np.arange(uniforms.size) % config.time_bins
+    bins = source.next_bin(start, uniforms)
+    landed = np.minimum(bins, config.time_bins - 1).astype(np.intp)
+    photons = source.photons(landed, uniforms)
+    assert np.array_equal(uniforms, kept)
+    for step, first, expected in [(source.next_bin, start, bins), (source.photons, landed, photons)]:
+        work = kept.copy()
+        assert np.array_equal(step(first, work, out=work), expected)
+
+
 _EDGE_CONFIGS = {
     "nbar0": ProtocolConfig(5, ConstantPump(0.0), DetectorModel(BUCKET, 0.9), LossModel(0.9, 0.9)),
     "per_bin_zeros": _ORACLE_CONFIGS["per_bin_zeros"],
