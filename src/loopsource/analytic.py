@@ -71,6 +71,17 @@ _SERIES_CHUNK = 1 << 16
 # peak RSS by ~0.35 MB.
 _SERIES_LIMIT_NBAR = 1e8
 _SERIES_LIMIT = 2_763_102_125
+# Most cells (batch x bin) of one kernel call, ~137 bytes each at its peak:
+# fig10 --t 100000, ten nbars a call, peaks at ~0.18 GB, not ~14 GB.
+_KERNEL_CELLS = 1 << 20
+
+
+def _kernel_slices(count: int, cells: int) -> list[slice]:
+    """Slices of ``range(count)`` for kernel calls over entries of ``cells``
+    cells each: as few as hold at most ``_KERNEL_CELLS`` cells a call, or
+    one entry a call where one entry alone exceeds them."""
+    step = max(1, _KERNEL_CELLS // cells)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 class ClosedForm(NamedTuple):

@@ -60,6 +60,7 @@ from .analytic import (
     _bin_law,
     _bin_rows,
     _closed_form_of,
+    _kernel_slices,
     _parallel_train,
     closed_form,
     conditional_fidelity,
@@ -601,6 +602,16 @@ def _template(kind: DetectorKind, eta: float, t: int) -> ProtocolConfig:
     return ProtocolConfig(t, ConstantPump(1.0), DetectorModel(kind, eta), LossModel(eta, eta))
 
 
+def _eta_unconditional(kind: DetectorKind, nbars, eta: float, ts) -> np.ndarray:
+    """``[len(ts), len(nbars)]`` unconditional fidelities of constant-pump
+    trains of each length in ``ts``, every efficiency ``eta``: heads of one
+    kernel call, or of one per block of nbars that fits the cell budget."""
+    taus, values = _eta_chain(eta, ts[-1]), np.empty((len(ts), len(nbars)))
+    for cols in _kernel_slices(len(nbars), ts[-1]):
+        values[:, cols] = _trains(kind, nbars[cols], eta, taus).by_length(ts)[1]
+    return values
+
+
 def _fig2(p: dict):
     ts = p["t"]
     table: dict = {"time_bins": list(ts)}
@@ -644,8 +655,7 @@ def _fig6(p: dict):
     table = {"nbar": np.array(nbars)}
     for kind in DetectorKind:
         for eta in p["etas"]:
-            result = _trains(kind, nbars, eta, _eta_chain(eta, ts[-1]))
-            for t, values in zip(ts, result.by_length(ts)[1]):
+            for t, values in zip(ts, _eta_unconditional(kind, nbars, eta, ts)):
                 table[f"unconditional_{kind.value}_eta{eta:g}_t{t}"] = values
     return table
 
@@ -654,9 +664,8 @@ def _fig7(p: dict):
     nbars, etas = p["nbar"], p["eta"]
     table = {"nbar": np.repeat(nbars, len(etas)), "eta": np.tile(etas, len(nbars))}
     for kind in DetectorKind:
-        # one kernel call per eta: rows eta, columns nbar; the table runs nbar-major
-        values = np.array([_trains(kind, nbars, eta, _eta_chain(eta, p["t"])).unconditional
-                           for eta in etas])
+        # rows eta, columns nbar; the table runs nbar-major
+        values = np.array([_eta_unconditional(kind, nbars, eta, [p["t"]])[0] for eta in etas])
         table[f"unconditional_{kind.value}"] = values.T.ravel()
     return table
 
@@ -690,14 +699,12 @@ def _fig10(p: dict):
     table = {"nbar": np.repeat(nbars, len(etas)), "eta": np.tile(etas, len(nbars))}
     # one kernel call per block of etas and nbars, so that its arrays stay
     # bounded: whole rows of nbars while they fit, else one eta a call
-    nbar_step = max(1, min(len(nbars), _KERNEL_CELLS // p["t"]))
-    eta_step = max(1, _KERNEL_CELLS // (nbar_step * p["t"]))
+    col_blocks = _kernel_slices(len(nbars), p["t"])
+    row_blocks = _kernel_slices(len(etas), col_blocks[0].stop * p["t"])
     for kind in DetectorKind:
         columns = {m: np.empty((len(etas), len(nbars))) for m in p["source_counts"]}
-        for i in range(0, len(etas), eta_step):
-            rows = slice(i, i + eta_step)
-            for j in range(0, len(nbars), nbar_step):
-                cols = slice(j, j + nbar_step)
+        for rows in row_blocks:
+            for cols in col_blocks:
                 result = _trains(kind, nbars[cols], etas[rows, None, None], taus[rows])
                 for m, column in columns.items():
                     column[rows, cols] = _parallel_train(result.single_shot, result.per_loop,
@@ -720,9 +727,6 @@ def _fig11(p: dict):
 
 
 _NBAR_GRID = np.linspace(0.05, 2.0, 40)  # fig7 and fig10
-# Most cells (eta x nbar x bin) of one fig10 kernel call, ~137 bytes each at
-# its peak: fig10 --t 100000, ten nbars a call, peaks at ~0.18 GB, not ~14 GB.
-_KERNEL_CELLS = 1 << 20
 _ETA_GRID = np.linspace(0.5, 1.0, 26)
 
 # Standard figure datasets: the builder and its parameters, each flag's

@@ -311,12 +311,12 @@ def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n):
     return _shaped_as(value, n)
 
 
-def _herald_given_n(det: DetectorModel, n, m=None, out=None):
+def _herald_given_n(det: DetectorModel, n, out=None):
     """:func:`detect_prob` of the herald outcome, unchecked: the Monte Carlo
     herald test calls it on every round, where a count scan would cost time.
-    ``m`` and ``out`` pass to :func:`_binomial_law`."""
+    ``out`` passes to :func:`_binomial_law`."""
     term = "one" if det.kind is DetectorKind.NUMBER_RESOLVED else "some"
-    return _binomial_law(n, det.efficiency, term, m=m, out=out)[0]
+    return _binomial_law(n, det.efficiency, term, out=out)[0]
 
 
 # Each term of Binomial(n, p): its value in m = log1p(-p), written to
@@ -336,46 +336,27 @@ _BINOMIAL = {
 }
 
 
-def _log_miss(p, out=None):
-    """``m = log1p(-p)``, the log of a miss, in which :func:`_binomial_law`
-    writes its terms.  It is -inf at p = 1, with numpy's divide warning,
-    where the law reads no m."""
-    return np.log1p(np.negative(p, out=out), out=out)
-
-
-def _binomial_law(n, p, *terms: str, m=None, out=None) -> tuple:
+def _binomial_law(n, p, *terms: str, out=None) -> tuple:
     """P(none), P(one) or P(some) of Binomial(n, p) for each of ``terms``,
-    elementwise over counts n and probabilities p, in log form so that none
-    cancels at tiny p.  At p = 1 (m = -inf) each is its exact indicator:
-    by a branch for a scalar p, by overwriting the log form for an array p.
+    elementwise over counts n and probabilities p, in ``m = log1p(-p)`` so
+    that none cancels at tiny p.  Where p = 1, m is -inf and each term is
+    overwritten by its exact indicator.
 
-    A caller that holds ``m`` (:func:`_log_miss`) of a scalar p may pass it.
     ``out``, if given, holds one array per term, then one for m (None for a
     scalar p) and one of scratch, each of the broadcast shape of n and p
     and overlapping neither; the terms are written there, so that a caller
     can evaluate the law page after page without allocating."""
     laws = [_BINOMIAL[term] for term in terms]
-    rows, m_row, w = (out[:-2], *out[-2:]) if out is not None else ((None,) * len(laws), None, None)
-    if np.ndim(p) == 0:
-        if p == 1.0:
-            return tuple(_into(row, exact(n)) for (_, exact), row in zip(laws, rows))
-        m = _log_miss(p) if m is None else m  # finite, so no warning to silence
-        return tuple(law(n, p, m, row, w) for (law, _), row in zip(laws, rows))
-    certain = p == 1.0
+    rows, m, w = (out[:-2], *out[-2:]) if out is not None else ((None,) * len(laws), None, None)
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = _log_miss(p, m_row)
+        m = np.log1p(np.negative(p, out=m), out=m)
         values = tuple(law(n, p, m, row, w) for (law, _), row in zip(laws, rows))
-    for value, (_, exact) in zip(values, laws):
-        np.copyto(value, exact(n), where=certain)
+    certain = p == 1.0
+    if np.count_nonzero(certain):  # on a float p, a fraction of np.any's cost
+        values = tuple(np.asarray(value) for value in values)  # a scalar term as a 0-d array
+        for value, (_, exact) in zip(values, laws):
+            np.copyto(value, exact(n), where=certain)
     return values
-
-
-def _into(row, value):
-    """``value`` as a float array, written to ``row`` when one is given."""
-    if row is None:
-        return np.asarray(value, dtype=float)
-    row[...] = value
-    return row
 
 
 def herald_outcome(kind: DetectorKind) -> DetectorOutcome:

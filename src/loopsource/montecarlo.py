@@ -63,7 +63,6 @@ from .models import (
     _check_count,
     _herald_given_n,
     _is_int,
-    _log_miss,
     _thermal_rate,
     _thermal_vacuum_log,
     transmission,
@@ -289,10 +288,8 @@ class _Bank:
                 # A uniform below the herald probability given the bin's
                 # photon number stands in for sampling the detector's count.
                 herald = self.read(index, _HERALD, page, rnd, live.size)
-                # A scalar eta_d needs no row for the law's log term.
                 term, scratch = self._work[_LAW:, :live.size]
-                hit = herald < _herald_given_n(source.detector, photons, source.herald_m,
-                                               (term, None, scratch))
+                hit = herald < _herald_given_n(source.detector, photons, (term, None, scratch))
                 won = hit.nonzero()[0]
                 trials, loops = live.take(won), bins.take(won).astype(np.intp)
                 loop_index[trials] = loops
@@ -322,10 +319,6 @@ class _Source:
             raise ValueError(f"mean photon numbers above {_MAX_SAMPLEABLE_NBAR:g} cannot be "
                              "sampled in double precision")
         self.detector = config.detector
-        # The herald law's log term, once per source (-inf at eta_d 1, where
-        # the law reads none).
-        with np.errstate(divide="ignore"):
-            self.herald_m = _log_miss(self.detector.efficiency)
         # A source that cannot herald reads no words: its gaps would divide
         # by a zero vacuum log, or visit every bin that holds a photon.
         self.can_herald = self.detector.efficiency > 0.0 and np.any(means > 0.0)

@@ -20,7 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import ClosedForm, _bin_law, _closed_form_rows, _parallel_train, _train_rows
+from .analytic import (
+    ClosedForm, _bin_law, _closed_form_rows, _kernel_slices, _parallel_train, _train_rows
+)
 from .models import (
     ConstantPump,
     DetectorKind,
@@ -139,19 +141,24 @@ def _constant_heads(
 ) -> list[OptimizationResult]:
     """:func:`optimize_constant` of the head of each length in ``lengths``
     (the train of that many freshest bins), each bit for bit the result for
-    that shorter train.  The heads zoom side by side, with one kernel call
-    per round for every head still zooming."""
+    that shorter train.  The heads zoom side by side, each round in blocks
+    of the heads still zooming, and of levels where one head alone exceeds
+    the cell budget (:func:`loopsource.analytic._kernel_slices`)."""
     lo, hi = _check_bounds(bounds)
     evaluate = _objective(config, objective, _train_rows(config))
-    lengths = np.asarray(lengths)
+    lengths, t = np.asarray(lengths), config.time_bins
     grids = np.repeat(np.geomspace(lo, hi, _GRID_POINTS)[None], lengths.size, axis=0)
     widths = np.full(lengths.size, np.inf)
     results: list = [None] * lengths.size
     zooming, rounds = list(range(lengths.size)), 0
     while zooming:
         rounds += 1
-        pumps = np.repeat(grids[zooming, :, None], config.time_bins, axis=-1)
-        values = evaluate(pumps, lengths[zooming])
+        scan, heads = grids[zooming], lengths[zooming]
+        values = np.empty_like(scan)
+        for rows in _kernel_slices(len(zooming), _GRID_POINTS * t):
+            for cols in _kernel_slices(_GRID_POINTS, t):
+                pumps = np.repeat(scan[rows, cols, None], t, axis=-1)
+                values[rows, cols] = evaluate(pumps, heads[rows])
         bests = _best_candidate(values, np.fmax.reduce(np.abs(values), axis=-1, keepdims=True))
         narrowing = []
         for row, value, best in zip(zooming, values, bests.tolist()):

@@ -414,6 +414,21 @@ def test_builders_read_every_train_length_from_one_kernel_call(argv, calls, monk
     assert len(made) == calls
 
 
+def _kernel_cells(monkeypatch, budget):
+    """Set the kernel cell budget, and record the cells of each kernel
+    call's largest field from then on."""
+    kernel, cells = analytic._closed_form_rows, []
+
+    def counted(*args):
+        result = kernel(*args)
+        cells.append(max(np.size(field) for field in result))
+        return result
+
+    monkeypatch.setattr(analytic, "_KERNEL_CELLS", budget)
+    monkeypatch.setattr(analytic, "_closed_form_rows", counted)
+    return cells
+
+
 @pytest.mark.parametrize("budget, calls", [
     (1, 26 * 40), (5, 26 * 40), (15, 26 * 14), (200, 26), (3000, 2),
 ])
@@ -425,18 +440,30 @@ def test_fig10_in_blocks_of_the_grid_renders_the_bytes_of_one_call(budget, calls
     renders the same bytes, and no call holds more cells than the budget
     where the budget holds one train (t = 5)."""
     whole = run_cli(["figure", "fig10"], tmp_path, "whole")
-    kernel, cells = analytic._closed_form_rows, []
-
-    def counted(*args):
-        result = kernel(*args)
-        cells.append(max(np.size(field) for field in result))
-        return result
-
-    monkeypatch.setattr(cli, "_KERNEL_CELLS", budget)
-    monkeypatch.setattr(analytic, "_closed_form_rows", counted)
+    cells = _kernel_cells(monkeypatch, budget)
     assert run_cli(["figure", "fig10"], tmp_path, "chunked") == whole
     assert len(cells) == 2 * calls
     assert max(cells) <= max(budget, FIGURES["fig10"][1]["t"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("figure, scale, calls", [
+    ("fig6", 1, 6 * 150), ("fig6", 7, 6 * 22), ("fig7", 1, 52 * 40), ("fig7", 7, 52 * 6),
+])
+def test_fig6_and_fig7_in_blocks_of_nbars_render_the_bytes_of_one_call(figure, scale, calls, fmt,
+                                                                       monkeypatch, tmp_path):
+    """fig6 and fig7 make one kernel call per detector and eta over all
+    their nbars (fig6 --t 1,20000 peaked at 442 MB) unless the nbars
+    exceed the cell budget; then they call per block of nbars, which
+    renders the same bytes and holds no more cells than the budget where
+    it holds one train."""
+    argv = ["figure", figure, "--format", fmt]
+    whole = run_cli(argv, tmp_path, "whole")
+    t = int(np.max(FIGURES[figure][1]["t"]))
+    cells = _kernel_cells(monkeypatch, scale * t)
+    assert run_cli(argv, tmp_path, "blocked") == whole
+    assert len(cells) == calls
+    assert max(cells) <= scale * t
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -29,7 +29,6 @@ from loopsource.models import (
     TRUNCATION_FLOOR,
     DetectorOutcome,
     _binomial_law,
-    _log_miss,
     _thermal_rate,
     detect_prob,
     herald_outcome,
@@ -361,8 +360,7 @@ def test_unsigned_counts_read_as_their_signed_values(nbar, count, signed):
                          ids=["scalar", "certain", "array"])
 def test_binomial_law_writes_the_same_terms_to_out(p):
     """With ``out`` the law writes each term to its array and returns those
-    arrays, holding the values it returns without ``out``; a given m is
-    the one it would compute."""
+    arrays, holding the values it returns without ``out``."""
     n = np.array([0.0, 1.0, 2.0, 7.0, 1e6])
     terms = ("none", "one", "some")
     expected = _binomial_law(n, p, *terms)
@@ -370,6 +368,21 @@ def test_binomial_law_writes_the_same_terms_to_out(p):
     values = _binomial_law(n, p, *terms, out=out)
     assert all(value is row for value, row in zip(values, out))
     assert all(np.array_equal(value, e) for value, e in zip(values, expected))
-    if np.ndim(p) == 0 and p < 1.0:
-        given = _binomial_law(n, p, *terms, m=_log_miss(p))
-        assert all(np.array_equal(value, e) for value, e in zip(given, expected))
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.3, 1.0 - 2.0**-53, 1.0])
+@pytest.mark.parametrize("term", ["none", "one", "some"])
+def test_binomial_law_reads_a_scalar_p_as_an_array_of_it(term, p):
+    """One path for every p: the law at a scalar p is the law at an array
+    holding p, bit for bit, the exact indicators at p = 1 among them."""
+    n = np.array([0.0, 1.0, 2.0, 7.0, 1e6, 2.0**53])
+    scalar = _binomial_law(n, p, term)[0]
+    array = _binomial_law(n, np.full_like(n, p), term)[0]
+    assert scalar.tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_binomial_law_at_a_scalar_count_and_a_certain_p_is_exact(n):
+    # the scalar terms are overwritten where p = 1 like any others
+    values = _binomial_law(n, 1.0, "none", "one", "some")
+    assert [float(value) for value in values] == [n == 0, n == 1, n >= 1]

@@ -475,6 +475,33 @@ def test_stacked_heads_equal_one_row_calls_bit_for_bit(kind, objective, case):
             assert repr(result) == repr(optimize(config, objective, bounds)), (optimize, t)
 
 
+@pytest.mark.parametrize("budget", [8, 100, 3 * 64 * 8])
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_constant_heads_in_blocks_of_the_cell_budget_equal_one_call(kind, objective, budget,
+                                                                     monkeypatch):
+    """The stacked constant heads evaluate [heads, levels, t] cells a round
+    (fig8 --t 1..300 peaked at 569 MB), so they call the kernel per block
+    of heads, and of levels where one head alone exceeds the budget: the
+    results stay bit for bit, and no call holds more cells than the budget
+    where it holds one train."""
+    lengths = [5, 1, 8, 3, 2, 7, 4, 6]
+    template = ProtocolConfig(8, ConstantPump(1.0), DetectorModel(kind, 0.9), LossModel(0.95, 0.9))
+    whole = _constant_heads(template, objective, lengths)
+    kernel, cells = multiplex._closed_form_rows, []
+
+    def counted(*args):
+        result = kernel(*args)
+        cells.append(max(np.size(field) for field in result))
+        return result
+
+    monkeypatch.setattr(analytic, "_KERNEL_CELLS", budget)
+    monkeypatch.setattr(multiplex, "_closed_form_rows", counted)
+    # repr spells every float exactly
+    assert repr(_constant_heads(template, objective, lengths)) == repr(whole)
+    assert max(cells) <= budget
+
+
 @pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
 def test_schedule_evaluations_count_every_candidate_of_every_round(kind, objective, monkeypatch):
