@@ -30,6 +30,7 @@ from .models import (
     ProtocolConfig,
     SourceModel,
     UndefinedConditionalError,
+    _bin_herald,
     _binomial_law,
     _capped_herald,
     _check_count,
@@ -206,25 +207,17 @@ def _bin_rows(eta_d, taus, kind: DetectorKind):
 
 
 def _bin_law(nbars, eta_d, rows):
-    """``(S, 1 - S, F)`` of each bin from its ``rows`` (see :func:`_bin_rows`),
-    in the thermal ratio ``q = 1/(1 + n)``, ``p = n q``: ``1 + x`` reads
-    ``X = q + eta_d p`` and a row of degree d reads ``sum_i c_i p**(d-i) q**i``,
-    each term at most its coefficient.  Then ``S = (eta_d p/X) (q/X)**(j-2)``
-    and ``F = (Q/R) (X q**(d-1) / R)**(j-1)``, whose ratios are at most 1, 2
-    and 1 term by term (``tau, eta_d <= b``), so both are finite for every
-    finite n and F is exactly 1 where the forms are equal (the lossless
-    resolved plateau).  A bucket misses with ``q/X``, not a cancelling 1 - S.
-    R underflows only where tau = eta_d = 0 and Q = 0; the floor keeps F at 0."""
+    """``(S, 1 - S, F)`` of each bin from its ``rows`` (see :func:`_bin_rows`):
+    S and 1 - S from the herald law (:func:`loopsource.models._bin_herald`),
+    and F in its ratio ``q``, ``p``, ``X``.  A row of degree d reads
+    ``sum_i c_i p**(d-i) q**i``, each term at most its coefficient, and
+    ``F = (Q/R) (X q**(d-1) / R)**(j-1)``, whose ratios are at most 1, 2 and 1
+    term by term (``tau, eta_d <= b``): finite for every finite n, and exactly
+    1 where the forms are equal (the lossless resolved plateau).  R underflows
+    only where tau = eta_d = 0 and Q = 0; the floor keeps F at 0."""
     numerator, denominator, j = rows
-    n = np.asarray(nbars, dtype=float)
-    q = 1.0 / (1.0 + n)
-    p = n * q
-    eta_p = eta_d * p
-    x_form = eta_p + q
-    single, miss = eta_p / x_form, q / x_form
-    if j == 3:  # S = x/(1 + x)**2 is at most 1/4, so 1 - S cannot cancel
-        single *= miss
-        miss = 1.0 - single
+    kind = DetectorKind.NUMBER_RESOLVED if j == 3 else DetectorKind.BUCKET
+    single, miss, q, p, x_form = _bin_herald(nbars, eta_d, kind)
     q_powers = [1.0, q]  # q**i up to the rows' degree
     while len(q_powers) < len(denominator):
         q_powers.append(q_powers[-1] * q)
@@ -268,8 +261,7 @@ def herald_single_shot(source: SourceModel, det: DetectorModel) -> float:
     """Probability that a single pump pulse produces a successful herald:
     exactly one count on a number-resolved detector, any click on a
     bucket detector."""
-    rows = _bin_rows(det.efficiency, 1.0, det.kind)
-    return float(_bin_law(source.mean_photon_number, det.efficiency, rows)[0])
+    return float(_bin_herald(source.mean_photon_number, det.efficiency, det.kind)[0])
 
 
 def herald_single_shot_oracle(source: SourceModel, det: DetectorModel) -> float:
@@ -318,8 +310,8 @@ def prep_pmf(source: SourceModel, det: DetectorModel, n: int) -> float:
     A herald biases the thermal statistics toward the photon numbers the
     detector is likely to flag, so this differs from the bare source law.
     Bayes' rule ``P(herald | n) p_thermal(n) / S`` with S cancelled by hand,
-    in the thermal ratio ``q = 1/(1 + nbar)``, ``p = nbar q`` and
-    ``X = q + eta_d p`` of :func:`_bin_law`: ``p_thermal(n)`` is
+    in the thermal ratio ``q``, ``p`` and ``X`` of the herald law
+    (:func:`loopsource.models._bin_herald`): ``p_thermal(n)`` is
     ``p q exp(-(n - 1) rate)`` (:func:`loopsource.models._thermal_rate`) and
     S is ``eta_d p q / (X X)`` resolved, ``eta_d p q / (X q)`` bucket.  Every
     factor is finite for every finite nbar, and dividing by eta_d first
@@ -328,9 +320,7 @@ def prep_pmf(source: SourceModel, det: DetectorModel, n: int) -> float:
     counts = _counts(n, "heralded photon number", 1)
     _can_herald(source, det, "the post-herald state")
     nbar, eta = source.mean_photon_number, det.efficiency
-    q = 1.0 / (1.0 + nbar)
-    p = nbar * q
-    x_form = eta * p + q
+    _, _, q, _, x_form = _bin_herald(nbar, eta, det.kind)
     last = x_form if det.kind is DetectorKind.NUMBER_RESOLVED else q
     thermal = np.exp(-(counts - 1.0) * _thermal_rate(nbar))
     return _shaped_as(_herald_given_n(det, counts) / eta * thermal * x_form * last, n)

@@ -9,12 +9,14 @@ fibre losses, and the protocol configuration shared by the closed-form
 and Monte Carlo code paths.
 
 The thermal rate (:func:`_thermal_rate`), the thermal law's vacuum term
-(:func:`_thermal_vacuum_log`) and the binomial law (:func:`_binomial_law`)
-are written here only, array-native.  The rate is read by ``thermal_pmf``,
-``thermal_truncation``, ``analytic.prep_pmf`` and the Monte Carlo
-quantile; the vacuum term by the Monte Carlo gap; the binomial law by
-``detect_prob``, ``analytic.prep_pmf``, the Monte Carlo herald test and
-thinning, and the m-source bank (``analytic._parallel_train``).
+(:func:`_thermal_vacuum_log`), the binomial law (:func:`_binomial_law`) and
+the per-bin herald law (:func:`_bin_herald`) are written here only,
+array-native.  The rate is read by ``thermal_pmf``, ``thermal_truncation``,
+``analytic.prep_pmf`` and the Monte Carlo quantile; the vacuum term by the
+Monte Carlo gap; the binomial law by ``detect_prob``, ``analytic.prep_pmf``,
+the Monte Carlo herald test and thinning, and the m-source bank
+(``analytic._parallel_train``); the herald law by ``analytic._bin_law``,
+``prep_pmf``, ``herald_single_shot`` and the schedule optimizer.
 """
 
 from __future__ import annotations
@@ -294,17 +296,15 @@ def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n):
     the detector, for an int n or elementwise over an array of photon
     numbers.  ZERO/ONE are only defined for number-resolved detectors and
     NO_CLICK/CLICK only for bucket detectors.  Of the count Binomial(n, eta)
-    (:func:`_binomial_law`), ZERO is P(none), ONE P(one) and CLICK P(some);
-    NO_CLICK is ``1 - CLICK``.
+    (:func:`_binomial_law`), ONE is P(one), CLICK P(some), and ZERO and
+    NO_CLICK P(none), not a ``1 - CLICK`` that cancels when clicks are sure.
     """
     counts = _counts(n, "photon number")
     resolved = det.kind is DetectorKind.NUMBER_RESOLVED
     if outcome is herald_outcome(det.kind):
         value = _herald_given_n(det, counts)
-    elif outcome is DetectorOutcome.ZERO and resolved:
+    elif outcome is (DetectorOutcome.ZERO if resolved else DetectorOutcome.NO_CLICK):
         value = _binomial_law(counts, det.efficiency, "none")[0]
-    elif outcome is DetectorOutcome.NO_CLICK and not resolved:
-        value = 1.0 - _herald_given_n(det, counts)
     else:
         kind = "number-resolved" if resolved else "bucket"
         raise ValueError(f"outcome {outcome} is not defined for a {kind} detector")
@@ -357,6 +357,26 @@ def _binomial_law(n, p, *terms: str, out=None) -> tuple:
         for value, (_, exact) in zip(values, laws):
             np.copyto(value, exact(n), where=certain)
     return values
+
+
+def _bin_herald(nbars, eta_d, kind: DetectorKind):
+    """The per-bin herald law ``(S, 1 - S, q, p, X)`` of a thermal pulse of
+    mean n (``nbars``, elementwise) through a detector of efficiency ``eta_d``,
+    in the thermal ratio ``q = 1/(1 + n)``, ``p = n q``, where ``1 + eta_d n``
+    reads ``X = q + eta_d p``.  A bucket heralds with ``S = eta_d p/X`` and
+    misses with ``q/X``, not a cancelling 1 - S; a resolved detector heralds
+    with ``S = (eta_d p/X)(q/X)``, at most 1/4, so its 1 - S cannot cancel.
+    Every ratio is at most 1, so the law is finite for every finite n."""
+    n = np.asarray(nbars, dtype=float)
+    q = 1.0 / (1.0 + n)
+    p = n * q
+    eta_p = eta_d * p
+    x_form = eta_p + q
+    single, miss = eta_p / x_form, q / x_form
+    if kind is DetectorKind.NUMBER_RESOLVED:
+        single *= miss
+        miss = 1.0 - single
+    return single, miss, q, p, x_form
 
 
 def herald_outcome(kind: DetectorKind) -> DetectorOutcome:

@@ -343,12 +343,11 @@ class _Source:
         ``u``: the next non-vacuum bin (at least the number of bins when
         there is none).  A constant pump's bins are computed in ``out``
         (which may be ``uniforms``), a new array where it is None."""
-        log_u = np.log1p(np.negative(uniforms, out=out), out=out)
         if self.per_bin:
+            log_u = np.log1p(np.negative(uniforms, out=out), out=out)
             target = np.subtract(self.vacuum[start], log_u, out=log_u)
             return np.searchsorted(self.vacuum, target, side="right") - 1
-        return np.add(start, np.floor(np.divide(log_u, self.vacuum_log, out=log_u), out=log_u),
-                      out=log_u)
+        return np.add(start, _geometric_quantile(uniforms, self.vacuum_log, out), out=out)
 
     def photons(self, bins: np.ndarray, uniforms: np.ndarray, out=None) -> np.ndarray:
         """Photon numbers of non-vacuum bins: the thermal law is memoryless,
@@ -356,18 +355,18 @@ class _Source:
         computed in ``out`` (which may be ``uniforms``), a new array where
         it is None."""
         rate = self.rate[bins] if self.per_bin else self.rate
-        quantile = _thermal_inverse_cdf(uniforms, rate, out)
+        quantile = _geometric_quantile(uniforms, -rate, out)
         return np.add(1.0, quantile, out=quantile)
 
 
-def _thermal_inverse_cdf(uniforms: np.ndarray, rates, out=None) -> np.ndarray:
-    """Map uniforms to thermal photon numbers via the geometric quantile
-    ``floor(log1p(-u) / -rate)``, the rates broadcast against the uniforms
-    (:func:`loopsource.models._thermal_rate`), in ``out`` when given.  The
-    numbers are integer-valued doubles, and the herald and thinning tests
-    read them as such; the largest (~1.5e17 at the sampling cap) is exact."""
+def _geometric_quantile(uniforms: np.ndarray, log_ratios, out=None) -> np.ndarray:
+    """``floor(log1p(-u) / log r)``, the quantile at uniforms u of the geometric
+    law ``(1 - r) r**k``, the logs broadcast against u, in ``out`` when given:
+    a constant pump's gap (r = P0) and a thermal photon number (log r = -rate).
+    The numbers are integer-valued doubles, read as such by the herald and
+    thinning tests; the largest photon number (~1.5e17 at the cap) is exact."""
     log_u = np.log1p(np.negative(uniforms, out=out), out=out)
-    return np.floor(np.divide(log_u, -rates, out=log_u), out=log_u)
+    return np.floor(np.divide(log_u, log_ratios, out=log_u), out=log_u)
 
 
 def _single_photon(

@@ -29,6 +29,7 @@ from .models import (
     OutcomeDistribution,
     PerBinPump,
     ProtocolConfig,
+    _bin_herald,
     _check_count,
     _check_probability,
 )
@@ -267,7 +268,7 @@ def _bellman_sweep(config: ProtocolConfig, rows, bounds: tuple[float, float]):
     # S rises with n for a bucket detector and peaks at n = 1/eta_d for a
     # resolved one.
     peak = hi if kind is DetectorKind.BUCKET or eta_d * hi <= 1.0 else max(lo, 1.0 / eta_d)
-    largest_single = float(_bin_law(peak, eta_d, bins[0])[0])
+    largest_single = float(_bin_herald(peak, eta_d, kind)[0])
     degree = numerators.shape[-1] - 1
 
     def sweep(span, lam):

@@ -42,7 +42,13 @@ def herald_given_n(eta_d, n: int, kind: DetectorKind) -> Fraction:
     eta = Fraction(eta_d)
     if kind is DetectorKind.NUMBER_RESOLVED:
         return n * eta * (1 - eta) ** (n - 1) if n else Fraction(0)
-    return 1 - (1 - eta) ** n
+    return 1 - none_given_n(eta_d, n)
+
+
+def none_given_n(eta_d, n: int) -> Fraction:
+    """Probability that a detector of efficiency ``eta_d`` counts none of
+    ``n`` photons, ``(1 - eta)**n``: a resolved zero or a bucket no-click."""
+    return (1 - Fraction(eta_d)) ** n
 
 
 def thermal_pmf(nbar, n: int) -> Fraction:

@@ -36,7 +36,7 @@ from loopsource import (
     unconditional_fidelity,
 )
 from loopsource.analytic import _SERIES_LIMIT, _bin_law, _bin_rows, _series_length, closed_form
-from loopsource.models import thermal_truncation, transmission
+from loopsource.models import _bin_herald, thermal_truncation, transmission
 
 RESOLVED = DetectorKind.NUMBER_RESOLVED
 BUCKET = DetectorKind.BUCKET
@@ -472,6 +472,8 @@ def test_per_bin_law_matches_exact_rationals_over_the_domain(kind):
     eta = np.array(etas)[None, :, None, None]
     tau = np.array(taus)[None, None, :, None]
     single, miss, fidelity = np.broadcast_arrays(*_bin_law(n, eta, _bin_rows(eta, tau, kind)))
+    # the herald law alone, over the nbar and eta_d axes
+    law_single, law_miss = _bin_herald(n, eta, kind)[:2]
     result = closed_form(n, eta, tau, kind)
     assert np.isfinite(fidelity).all() and np.isfinite(result.unconditional).all()
     assert ((0.0 <= fidelity) & (fidelity <= 1.0)).all()
@@ -483,9 +485,14 @@ def test_per_bin_law_matches_exact_rationals_over_the_domain(kind):
             assert f == 0.0
         for value, reference in ((f, exact_fidelity), (single[i, j, k, 0], exact_single),
                                  (miss[i, j, k, 0], 1 - exact_single),
+                                 (law_single[i, j, 0, 0], exact_single),
+                                 (law_miss[i, j, 0, 0], 1 - exact_single),
                                  (result.unconditional[i, j, k], exact_product)):
             if exact.is_normal(reference):
                 assert exact.within_ulps(value, reference), (nbars[i], etas[j], taus[k])
+    for (i, j), shot in np.ndenumerate(result.single_shot[:, :, 0, 0]):
+        api = herald_single_shot(SourceModel(nbars[i]), DetectorModel(kind, etas[j]))
+        assert api.hex() == float(shot).hex(), (nbars[i], etas[j])
 
 
 @pytest.mark.parametrize("kind", [RESOLVED, BUCKET])

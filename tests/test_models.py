@@ -117,7 +117,7 @@ def test_detect_prob_bounds_and_bucket_sum(eta, n):
     no_click = detect_prob(bucket, DetectorOutcome.NO_CLICK, n)
     assert 0.0 <= click <= 1.0
     assert 0.0 <= no_click <= 1.0
-    # complement construction makes the bucket pair sum exact, not approximate
+    # P(some) and P(none), rounded separately, still sum to exactly 1 here
     assert click + no_click == 1.0
     for outcome in (DetectorOutcome.ZERO, DetectorOutcome.ONE):
         assert 0.0 <= detect_prob(resolved, outcome, n) <= 1.0
@@ -129,9 +129,17 @@ def test_detect_prob_matches_exact_herald_law(kind, eta):
     # the bucket click was 1 - (1 - eta)**n, 8.9e-5 relative off at eta 1e-12
     det = DetectorModel(kind, eta)
     outcome = herald_outcome(kind)
+    none = DetectorOutcome.ZERO if kind is RESOLVED else DetectorOutcome.NO_CLICK
     for n in range(60):
         reference = exact.herald_given_n(eta, n, kind)
         assert exact.within_ulps(detect_prob(det, outcome, n), reference, 4)
+        assert exact.within_ulps(detect_prob(det, none, n), exact.none_given_n(eta, n), 4)
+    # The bucket no-click was 1 - click, 0.0 here for 1e-20.  P(none) is
+    # exp(n log1p(-eta)), whose relative error is about n |log(1 - eta)| times
+    # the log's: at most 2 n |log(1 - eta)| + 1 ulps, 23 measured here.
+    pin = DetectorModel(kind, 0.9)
+    ulps = 1 + 2 * math.ceil(20 * -math.log1p(-0.9))
+    assert exact.within_ulps(detect_prob(pin, none, 20), exact.none_given_n(0.9, 20), ulps)
 
 
 @pytest.mark.parametrize("kind", [RESOLVED, BUCKET])

@@ -37,8 +37,8 @@ from loopsource import montecarlo
 from loopsource.cli import main
 from loopsource.models import DetectorOutcome, _thermal_rate, detect_prob, herald_outcome
 from loopsource.montecarlo import (
+    _geometric_quantile,
     _single_photon,
-    _thermal_inverse_cdf,
     draws_per_trial,
 )
 
@@ -924,7 +924,7 @@ def test_thermal_quantile_is_exact():
     # is compared as the nearest double, the closest a sampled double can be.
     uniforms = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
     for nbar in (0.0, 5e-324, 1e-4, 0.5, 1e6, 1e12, 1e14, 4e15):
-        photons = _thermal_inverse_cdf(uniforms, _thermal_rate(nbar))
+        photons = _geometric_quantile(uniforms, -_thermal_rate(nbar))
         for u, sampled in zip(uniforms.tolist(), photons.tolist()):
             quotient = exact.thermal_quotient(nbar, u)
             expected = float(math.floor(quotient))
