@@ -8,15 +8,15 @@ photon statistics of the source, the detector response, the switch and
 fibre losses, and the protocol configuration shared by the closed-form
 and Monte Carlo code paths.
 
-The thermal rate (:func:`_thermal_rate`), the thermal law's vacuum term
-(:func:`_thermal_vacuum_log`), the binomial law (:func:`_binomial_law`) and
-the per-bin herald law (:func:`_bin_herald`) are written here only,
-array-native.  The rate is read by ``thermal_pmf``, ``thermal_truncation``,
-``analytic.prep_pmf`` and the Monte Carlo quantile; the vacuum term by the
-Monte Carlo gap; the binomial law by ``detect_prob``, ``analytic.prep_pmf``,
-the Monte Carlo herald test and thinning, and the m-source bank
-(``analytic._parallel_train``); the herald law by ``analytic._bin_law``,
-``prep_pmf``, ``herald_single_shot`` and the schedule optimizer.
+The thermal rate (:func:`_thermal_rate`), the binomial law
+(:func:`_binomial_law`) and the per-bin herald law (:func:`_bin_herald`, its
+logs :func:`_herald_logs`) are written here only, array-native.  The rate is
+read by ``thermal_pmf``, ``thermal_truncation``, ``analytic.prep_pmf`` and
+the herald logs; the binomial law by ``detect_prob``, ``analytic.prep_pmf``,
+the Monte Carlo thinning and the m-source bank (``analytic._parallel_train``);
+the herald law by ``analytic._bin_law``, ``prep_pmf``, ``herald_single_shot``
+and the schedule optimizer; its logs by the Monte Carlo gap and photon
+number.
 """
 
 from __future__ import annotations
@@ -270,13 +270,6 @@ def _thermal_rate(nbar):
         return np.where(np.isfinite(inverse), np.log1p(inverse), -np.log(nbar))
 
 
-def _thermal_vacuum_log(nbar):
-    """``log P(n = 0) = -log1p(nbar)`` of the thermal law, for a float or an
-    array nbar.  Not the log of the rounded ``1 / (1 + nbar)``, which reads
-    0 below nbar ~1e-16."""
-    return -np.log1p(nbar)
-
-
 def thermal_truncation(source: SourceModel) -> int:
     """Smallest series length whose thermal tail mass is below TAIL_MASS,
     floored at TRUNCATION_FLOOR terms, all that a vacuum (rate inf) gets.
@@ -311,12 +304,10 @@ def detect_prob(det: DetectorModel, outcome: DetectorOutcome, n):
     return _shaped_as(value, n)
 
 
-def _herald_given_n(det: DetectorModel, n, out=None):
-    """:func:`detect_prob` of the herald outcome, unchecked: the Monte Carlo
-    herald test calls it on every round, where a count scan would cost time.
-    ``out`` passes to :func:`_binomial_law`."""
+def _herald_given_n(det: DetectorModel, n):
+    """:func:`detect_prob` of the herald outcome, on checked counts."""
     term = "one" if det.kind is DetectorKind.NUMBER_RESOLVED else "some"
-    return _binomial_law(n, det.efficiency, term, out=out)[0]
+    return _binomial_law(n, det.efficiency, term)[0]
 
 
 # Each term of Binomial(n, p): its value in m = log1p(-p), written to
@@ -377,6 +368,28 @@ def _bin_herald(nbars, eta_d, kind: DetectorKind):
         single *= miss
         miss = 1.0 - single
     return single, miss, q, p, x_form
+
+
+def _herald_logs(nbars, eta_d, kind: DetectorKind):
+    """``(log(1 - S), log r, log x)`` of the herald law of :func:`_bin_herald`,
+    from the inputs, elementwise over ``nbars``.  A bucket misses with
+    ``1/(1 + eta_d n)``, so its log is ``-log1p(eta_d n)``, which does not
+    read 0 where ``eta_d n`` is below an ulp of 1; a resolved detector's S is
+    at most 1/4, so its ``log1p(-S)`` cannot cancel.
+
+    Given a herald, the photon number is ``1 + G(r) + G(x)``, two independent
+    geometrics ``P(G(r) = k) = (1 - r) r**k``, where ``p = n/(1 + n)``,
+    ``x = p (1 - eta_d)`` and r is p for a bucket and x for a resolved
+    detector: ``P(n, click)`` is proportional to ``p**n - x**n``, and
+    ``P(n, one)`` to ``n x**(n - 1)``.  ``log p`` is minus the thermal rate;
+    ``log x`` is -inf at eta_d 1, where ``G(x)`` is 0."""
+    n = np.asarray(nbars, dtype=float)
+    resolved = kind is DetectorKind.NUMBER_RESOLVED
+    log_miss = np.log1p(-_bin_herald(n, eta_d, kind)[0]) if resolved else -np.log1p(eta_d * n)
+    log_p = -_thermal_rate(n)
+    with np.errstate(divide="ignore"):
+        log_x = log_p + np.log1p(-eta_d)
+    return log_miss, log_x if resolved else log_p, log_x
 
 
 def herald_outcome(kind: DetectorKind) -> DetectorOutcome:

@@ -5,47 +5,48 @@ heralded bin (the switch dumps anything held earlier), and thins the
 kept photons through the accumulated losses at extraction: with ``P0``
 and ``P1`` the chances that none or exactly one survives, a uniform
 ``u <= P0`` is vacuum and ``P0 < u <= P0 + P1`` a single photon, the
-only event counted.  A vacuum bin can neither herald nor be kept, so a
-trial jumps from one non-vacuum bin to the next by a geometric gap
-(Devroye 1986), draws ``n >= 1`` there and tests the herald.  All laws
-come from :mod:`loopsource.models`.
+only event counted.  A source's bins herald independently, bin ``l`` with
+probability ``S_l``, so its freshest herald is the first success of a
+Bernoulli sequence, found by one geometric gap (Devroye 1986, ch. X).
+Given the herald, the bin holds ``n = 1 + G(r) + G(x)`` photons, two
+geometrics.  Both laws come from :mod:`loopsource.models`
+(:func:`~loopsource.models._herald_logs`): the engine reads S and the
+heralded law, and does not test the detector photon number by photon
+number.
 
 Reproducibility contract.  Trials run in pages of ``_PAGE_TRIALS``, and
-sources in order, each in rounds; a source that cannot herald (eta_d 0
-or every bin mean 0) is skipped; sources given one configuration object
-share its laws, not a stream.  Source ``s`` searches a trial's bins
-below its bound, the freshest herald of sources ``0..s-1`` (else the
-number of bins), so a tie keeps the lower source.  In round ``r``:
+sources in order; a source that cannot herald (eta_d 0 or every bin mean
+0) is skipped; sources given one configuration object share its laws, not
+a stream.  Source ``s`` searches a trial's bins below its bound, the
+freshest herald of sources ``0..s-1`` (else the number of bins), so a tie
+keeps the lower source:
 
-* The page's trials still searching (in round 0, those with a bound
-  above 0, from bin 0), ranked in trial order, read word ``k`` of the gap
-  range at rank ``k``.  A trial lands on the first bin ``b`` at or after
-  its start by which the chance that all are vacuum falls below
-  ``1 - u``: ``start + floor(log1p(-u) / log P0)`` for a constant pump, a
-  search in the prefix of ``log P0 = -log1p(nbar)`` for a per-bin one.
-* A trial whose ``b`` is not below its bound stops.  The others, ranked
-  again, read word ``k`` of the thermal and herald ranges:
-  ``n = 1 + floor(log1p(-u) / -rate)`` (the law is memoryless), and a
-  herald where the herald uniform lies below its probability given ``n``.
-* A trial that heralds, or whose ``b + 1`` reaches its bound, stops; the
-  others start round ``r + 1`` at ``b + 1``.
+* The page's trials with a bound above 0, ranked in trial order, read word
+  ``k`` of the gap range at rank ``k``.  A trial lands on the first bin
+  ``b`` by which the chance that every bin from 0 misses falls below
+  ``1 - u``: ``floor(log1p(-u) / log(1 - S))`` for a constant pump, a
+  search in the prefix of ``-log(1 - S_l)`` for a per-bin one.
+* A trial whose ``b`` is below its bound heralds there.  Those trials,
+  ranked again, read word ``k`` of the thermal and herald ranges: ``G(r)``
+  and ``G(x)`` are ``floor(log1p(-u) / log r)`` at the thermal and the
+  herald uniform.
 
 The thinning draw of the page's trial ``i`` is word ``i`` of the page's
 thinning range of source 0.  Source ``s`` reads the Philox stream keyed
-``(seed, s)`` (Salmon et al. 2011), whose counter ``(c, round, page,
-kind)`` names one range per (kind, page, round), ``c`` counting 4-word
-blocks; kinds are gap 0, thermal 1, herald 2 and thinning 3.
+``(seed, s)`` (Salmon et al. 2011), whose counter ``(c, 0, page, kind)``
+names one range per (kind, page), ``c`` counting 4-word blocks; kinds are
+gap 0, thermal 1, herald 2 and thinning 3.
 
-So no uniform is drawn for a vacuum bin or a bin older than the freshest
-herald, and a trial's uniforms depend only on the trials before it in
-its page: results are bit-identical for given (configs, seed) however
-many trials follow, and ``simulate_trial`` replays a trial by running
-its page up to it.
+So a source reads at most three words per trial, and a trial's uniforms
+depend only on the trials before it in its page: results are
+bit-identical for given (configs, seed) however many trials follow, and
+``simulate_trial`` replays a trial by running its page up to it.
 
 A bank reuses one page workspace, allocated when it is built: each page
 fills its rows in place, and ``_Bank.page`` returns its loop indices as a
-view of it, valid until the next page.  Only the compactions' index
-arrays and gathers are still allocated page by page.
+view of it, valid until the next page.  Only the index arrays of the
+trials a source searches and of those it heralds are allocated page by
+page.
 """
 
 from __future__ import annotations
@@ -61,10 +62,8 @@ from .models import (
     ProtocolConfig,
     _binomial_law,
     _check_count,
-    _herald_given_n,
+    _herald_logs,
     _is_int,
-    _thermal_rate,
-    _thermal_vacuum_log,
     transmission,
 )
 
@@ -85,7 +84,7 @@ _GAP, _THERMAL, _HERALD, _THINNING = 0, 1, 2, 3
 
 # Rows of a bank's page workspace, each of ``_PAGE_TRIALS`` doubles.  A
 # read fills the row of its kind, rows 0-2; the thinning, read after the
-# rounds end, takes the gap row.  Then come the page's held photon numbers
+# sources, takes the gap row.  Then come the page's held photon numbers
 # and their transmissions, and two rows for the binomial law.
 _READ_ROW = (_GAP, _THERMAL, _HERALD, _GAP)
 _HELD, _TAU, _LAW = 3, 4, 5
@@ -144,9 +143,8 @@ class SimulationSummary:
 def draws_per_trial(time_bins: int) -> int:
     """The dense count ``2t + 1``: one thermal and one herald draw per bin
     plus one thinning draw, the count that ``bench/tracing.py`` multiplies
-    into its ``montecarlo.draws``.  It is not what a trial reads: the
-    engine draws no uniform for a vacuum bin or a bin older than the
-    freshest herald, and one gap uniform per non-vacuum bin it visits."""
+    into its ``montecarlo.draws``.  It is not what a trial reads: a source
+    reads at most three words per trial (see the module docstring)."""
     return 2 * time_bins + 1
 
 
@@ -238,19 +236,19 @@ class _Bank:
             if source.can_herald:
                 self.sources.append((s, source))
         # Filled in place page after page, so that a page allocates no array
-        # of its size but its compactions' index arrays and gathers.
+        # of its size but the index arrays of the trials each source
+        # searches and heralds.
         self._loop_index = np.empty(_PAGE_TRIALS, dtype=np.intp)
         self._work = np.empty((_WORK_ROWS, _PAGE_TRIALS))
 
-    def read(self, source: int, kind: int, page: int, rnd: int, size: int) -> np.ndarray:
+    def read(self, source: int, kind: int, page: int, size: int) -> np.ndarray:
         """The uniforms at words ``0, ..., size - 1`` of the range of ``kind``
-        for (``page``, round ``rnd``) of source ``source``'s stream, in the
-        workspace row of ``kind``: valid until the next read of that kind.
-        It sets the whole state, key included, so one generator serves every
-        stream."""
+        for ``page`` of source ``source``'s stream, in the workspace row of
+        ``kind``: valid until the next read of that kind.  It sets the whole
+        state, key included, so one generator serves every stream."""
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": (0, rnd, page, kind), "key": (self._seed, source)},
+            "state": {"counter": (0, 0, page, kind), "key": (self._seed, source)},
             "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
@@ -269,38 +267,21 @@ class _Bank:
         held.fill(0.0)
         tau.fill(0.0)
         for index, source in self.sources:
-            # A source searches only bins fresher than the best herald of
+            # A source searches only bins fresher than the freshest herald of
             # the sources before it, so a tie keeps the lower source and a
             # herald at bin 0 cannot be beaten.
             live = loop_index.nonzero()[0]
-            bound = loop_index.take(live)
-            # Round 0 searches every trial from bin 0.
-            start, rnd = 0, 0
-            # Each round moves every trial's start on, so at most t rounds.
-            while live.size:
-                gaps = self.read(index, _GAP, page, rnd, live.size)
-                bins = source.next_bin(start, gaps, out=gaps)
-                # Index arrays, not masks: a mask gather costs ~5x as much.
-                keep = (bins < bound).nonzero()[0]
-                live, bound, bins = live.take(keep), bound.take(keep), bins.take(keep)
-                thermal = self.read(index, _THERMAL, page, rnd, live.size)
-                photons = source.photons(bins, thermal, out=thermal)
-                # A uniform below the herald probability given the bin's
-                # photon number stands in for sampling the detector's count.
-                herald = self.read(index, _HERALD, page, rnd, live.size)
-                term, scratch = self._work[_LAW:, :live.size]
-                hit = herald < _herald_given_n(source.detector, photons, (term, None, scratch))
-                won = hit.nonzero()[0]
-                trials, loops = live.take(won), bins.take(won).astype(np.intp)
-                loop_index[trials] = loops
-                held[trials] = photons.take(won)
-                tau[trials] = source.taus.take(loops)
-                start = bins + 1
-                keep = (~hit & (start < bound)).nonzero()[0]
-                live, bound, start = live.take(keep), bound.take(keep), start.take(keep)
-                rnd += 1
-        out_uniform = self.read(0, _THINNING, page, 0, rows)
-        # The rounds are over, so the thinning's P0 and P1 take the thermal
+            bins = source.herald_bins(self.read(index, _GAP, page, live.size))
+            # Index arrays, not masks: a mask gather costs ~5x as much.
+            won = (bins < loop_index.take(live)).nonzero()[0]
+            trials, loops = live.take(won), bins.take(won).astype(np.intp)
+            thermal = self.read(index, _THERMAL, page, won.size)
+            herald = self.read(index, _HERALD, page, won.size)
+            loop_index[trials] = loops
+            held[trials] = source.heralded_photons(loops, thermal, herald)
+            tau[trials] = source.taus.take(loops)
+        out_uniform = self.read(0, _THINNING, page, rows)
+        # The sources are done, so the thinning's P0 and P1 take the thermal
         # and herald rows.
         law = (work[_THERMAL], work[_HERALD], *work[_LAW:])
         # Unheralded trials hold no photons, so the test reads False for
@@ -309,62 +290,64 @@ class _Bank:
 
 
 class _Source:
-    """One configuration's laws as the rounds read them: whether it can
-    herald, where a trial's next non-vacuum bin lies, how many photons it
-    holds there, and the loss chain ``taus`` of its bins."""
+    """One configuration's laws as a page reads them: whether it can
+    herald, where a trial's freshest herald lies, how many photons that
+    bin holds, and the loss chain ``taus`` of its bins."""
 
     def __init__(self, config: ProtocolConfig) -> None:
         means = config.bin_means()
         if np.any(means > _MAX_SAMPLEABLE_NBAR):
             raise ValueError(f"mean photon numbers above {_MAX_SAMPLEABLE_NBAR:g} cannot be "
                              "sampled in double precision")
-        self.detector = config.detector
+        detector = config.detector
         # A source that cannot herald reads no words: its gaps would divide
-        # by a zero vacuum log, or visit every bin that holds a photon.
-        self.can_herald = self.detector.efficiency > 0.0 and np.any(means > 0.0)
+        # by a zero log(1 - S).
+        self.can_herald = detector.efficiency > 0.0 and np.any(means > 0.0)
         self.taus = transmission(config.loss, np.arange(config.time_bins))
         self.per_bin = isinstance(config.pump, PerBinPump)
         if not self.per_bin:
             means = means[0]
-        self.rate = _thermal_rate(means)
-        vacuum_log = _thermal_vacuum_log(means)
+        log_miss, self.log_r, self.log_x = _herald_logs(means, detector.efficiency,
+                                                        detector.kind)
         if self.per_bin:
-            # The prefix of -log P(n = 0): bins [a, b) are all vacuum with
-            # chance exp(vacuum[a] - vacuum[b]).
-            self.vacuum = np.concatenate([[0.0], np.cumsum(-vacuum_log)])
+            # The prefix of -log(1 - S): bins [a, b) all miss with chance
+            # exp(miss[a] - miss[b]).
+            self.miss = np.concatenate([[0.0], np.cumsum(-log_miss)])
         else:
-            # Capped (nbar below 1e-300) so that the gap cannot overflow:
-            # there every gap but that of u = 0 exceeds 1e284 bins either way.
-            self.vacuum_log = min(vacuum_log, -1e-300)
+            # Capped (S below 1e-300) so that the gap cannot overflow: there
+            # every gap but that of u = 0 exceeds 1e284 bins either way.
+            self.log_miss = min(log_miss, -1e-300)
 
-    def next_bin(self, start, uniforms: np.ndarray, out=None) -> np.ndarray:
-        """First bin at or after ``start`` by which the chance that every
-        bin from ``start`` is vacuum falls below ``1 - u``, for gap uniforms
-        ``u``: the next non-vacuum bin (at least the number of bins when
-        there is none).  A constant pump's bins are computed in ``out``
-        (which may be ``uniforms``), a new array where it is None."""
+    def herald_bins(self, uniforms: np.ndarray) -> np.ndarray:
+        """The first bin ``b`` by which the chance that bins ``0..b`` all miss
+        falls below ``1 - u``, for gap uniforms ``u``: the freshest herald
+        (at least the number of bins where none heralds).  The uniforms are
+        overwritten; a constant pump's bins are computed in them."""
         if self.per_bin:
-            log_u = np.log1p(np.negative(uniforms, out=out), out=out)
-            target = np.subtract(self.vacuum[start], log_u, out=log_u)
-            return np.searchsorted(self.vacuum, target, side="right") - 1
-        return np.add(start, _geometric_quantile(uniforms, self.vacuum_log, out), out=out)
+            log_u = np.log1p(np.negative(uniforms, out=uniforms), out=uniforms)
+            target = np.negative(log_u, out=log_u)
+            return np.searchsorted(self.miss, target, side="right") - 1
+        return _geometric_quantile(uniforms, self.log_miss, uniforms)
 
-    def photons(self, bins: np.ndarray, uniforms: np.ndarray, out=None) -> np.ndarray:
-        """Photon numbers of non-vacuum bins: the thermal law is memoryless,
-        so ``n - 1`` given ``n >= 1`` follows the quantile itself.  They are
-        computed in ``out`` (which may be ``uniforms``), a new array where
-        it is None."""
-        rate = self.rate[bins] if self.per_bin else self.rate
-        quantile = _geometric_quantile(uniforms, -rate, out)
-        return np.add(1.0, quantile, out=quantile)
+    def heralded_photons(self, bins: np.ndarray, thermal: np.ndarray,
+                         herald: np.ndarray) -> np.ndarray:
+        """Photon numbers ``1 + G(r) + G(x)`` of heralded bins, from a
+        thermal and a herald uniform each.  Both are overwritten; the
+        numbers are computed in ``thermal``."""
+        log_r, log_x = self.log_r, self.log_x
+        if self.per_bin:
+            log_r, log_x = log_r.take(bins), log_x.take(bins)
+        photons = _geometric_quantile(thermal, log_r, thermal)
+        photons += _geometric_quantile(herald, log_x, herald)
+        return np.add(photons, 1.0, out=photons)
 
 
 def _geometric_quantile(uniforms: np.ndarray, log_ratios, out=None) -> np.ndarray:
     """``floor(log1p(-u) / log r)``, the quantile at uniforms u of the geometric
     law ``(1 - r) r**k``, the logs broadcast against u, in ``out`` when given:
-    a constant pump's gap (r = P0) and a thermal photon number (log r = -rate).
-    The numbers are integer-valued doubles, read as such by the herald and
-    thinning tests; the largest photon number (~1.5e17 at the cap) is exact."""
+    a constant pump's gap (r = 1 - S) and the two geometrics of a heralded
+    photon number.  The numbers are integer-valued doubles, read as such by
+    the thinning; the largest photon number (~1.5e17 at the cap) is exact."""
     log_u = np.log1p(np.negative(uniforms, out=out), out=out)
     return np.floor(np.divide(log_u, log_ratios, out=log_u), out=log_u)
 

@@ -75,6 +75,28 @@ def prep_pmf(nbar, eta_d, n: int, kind: DetectorKind) -> Fraction:
     return herald_given_n(eta_d, n, kind) * thermal_pmf(nbar, n) / bin_law(nbar, eta_d, 1, kind)[0]
 
 
+def log1p(y) -> Fraction:
+    """``log(1 + y)`` of a rational ``y > -1`` to about 60 significant
+    digits, by its series where ``1 + y`` would round at 80 digits."""
+    y = Fraction(y)
+    with decimal.localcontext() as context:
+        context.prec = 80
+        d = Decimal(y.numerator) / Decimal(y.denominator)
+        value = d - d * d / 2 + d * d * d / 3 if abs(d) < Decimal("1e-20") else (1 + d).ln()
+    return Fraction(value)
+
+
+def herald_logs(nbar, eta_d, kind: DetectorKind) -> tuple:
+    """``(log(1 - S), log r, log x)`` of one bin, with ``p = n/(1 + n)``,
+    ``x = p (1 - eta_d)`` and r = p (bucket) or x (resolved), as Fractions
+    to about 60 digits; a log of 0 is ``-math.inf``."""
+    n, eta = Fraction(nbar), Fraction(eta_d)
+    log_miss = log1p(-bin_law(nbar, eta_d, 1, kind)[0])
+    log_p = -log1p(1 / n) if n else -math.inf
+    log_x = log_p + log1p(-eta) if n and eta < 1 else -math.inf
+    return log_miss, log_x if kind is DetectorKind.NUMBER_RESOLVED else log_p, log_x
+
+
 def binomial_pmf(n: int, p, k: int) -> Fraction:
     """Probability of ``k`` successes in ``n`` trials of probability ``p``."""
     p = Fraction(p)

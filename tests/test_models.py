@@ -29,6 +29,7 @@ from loopsource.models import (
     TRUNCATION_FLOOR,
     DetectorOutcome,
     _binomial_law,
+    _herald_logs,
     _thermal_rate,
     detect_prob,
     herald_outcome,
@@ -394,3 +395,34 @@ def test_binomial_law_at_a_scalar_count_and_a_certain_p_is_exact(n):
     # the scalar terms are overwritten where p = 1 like any others
     values = _binomial_law(n, 1.0, "none", "one", "some")
     assert [float(value) for value in values] == [n == 0, n == 1, n >= 1]
+
+
+_LOG_NBARS = [0.0, 5e-324, 1e-300, 1e-200, 1e-16, 1e-8, 1e-3, 0.05, 0.5, 1.0, 2.0, 20.0,
+              1e3, 1e6, 1e8, 4e15]
+_LOG_EFFICIENCIES = [0.0, 5e-324, 1e-9, 0.01, 0.3, 0.5, 0.9, 0.99, 1.0 - 2**-53, 1.0]
+
+
+@pytest.mark.parametrize("kind", [RESOLVED, BUCKET])
+def test_herald_logs_match_exact_rationals(kind):
+    """``log(1 - S)``, ``log r`` and ``log x`` lie within 4 ulps of exact
+    rationals over nbar 0..1e8 (and the sampler's cap 4e15) and eta_d in
+    [0, 1], where the exact value is a normal double: ``log(1 - S)`` does
+    not read 0 at nbar 1e-300, and a log of 0 is -inf.  A scalar call is
+    the array call to the bit, and eta_d 1 warns nothing."""
+    rng = np.random.default_rng(3201)
+    nbars = np.array(_LOG_NBARS + (10.0 ** rng.uniform(-300.0, 8.0, 6)).tolist())
+    etas = _LOG_EFFICIENCIES + rng.uniform(0.0, 1.0, 3).tolist()
+    for eta in etas:
+        logs = _herald_logs(nbars, eta, kind)
+        for i, nbar in enumerate(nbars.tolist()):
+            scalar = _herald_logs(nbar, eta, kind)
+            for value, single, reference in zip(logs, scalar, exact.herald_logs(nbar, eta, kind)):
+                assert float(single) == value[i]
+                if reference == -math.inf:
+                    assert value[i] == -math.inf, (nbar, eta)
+                elif exact.is_normal(reference):
+                    assert exact.within_ulps(value[i], reference, 4), (nbar, eta, value[i])
+    # item 11's gate: the bucket's 1 - S rounds to 1 there
+    log_miss = _herald_logs(1e-300, 0.9, kind)[0]
+    assert log_miss < 0.0
+    assert exact.within_ulps(log_miss, exact.herald_logs(1e-300, 0.9, kind)[0], 4)
